@@ -19,7 +19,7 @@ from .basis import (
     export_records,
     validate_family,
 )
-from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder, OutOfDomain, SingularMatrix
+from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder, InvalidPoint, OutOfDomain, SingularMatrix
 from .exact import (
     Rational,
     RationalMatrix,
@@ -40,6 +40,7 @@ from .field import (
     evaluate_at_cell,
     evaluate_derivative,
     evaluate_hermite,
+    evaluate_many,
     gather_local,
     grid_coordinates,
     load_field,
@@ -58,6 +59,7 @@ __all__ = [
     "GridField",
     "InvalidKind",
     "InvalidOrder",
+    "InvalidPoint",
     "LocalPatch",
     "MAX_NODES",
     "MAX_ORDER",
@@ -81,6 +83,7 @@ __all__ = [
     "evaluate_at_cell",
     "evaluate_derivative",
     "evaluate_hermite",
+    "evaluate_many",
     "export_records",
     "gather_local",
     "grid_coordinates",

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder
 from .exact import RationalPolynomial, rational_to_str, solve_linear_system
 from .stencil import derive_stencil
@@ -130,6 +132,33 @@ class BetaFamily:
             tuple(p.derivative(order).horner_coeffs() for p in self.polys)
             for order in range(self.m + 1)
         )
+
+    def horner_table(self, order: int) -> np.ndarray:
+        """The order-``order`` Horner arrays as one read-only float array of shape (L, q).
+
+        Row k holds every node's k-th coefficient, each array padded in front
+        with zeros to the common length L.  Horner's ``acc*x + c`` keeps
+        ``acc`` at exactly 0.0 through the padding (x >= 0), so a padded
+        column gives bit for bit what its unpadded array gives.
+        """
+        _require_derivative_order(self, order)
+        return self._horner_tables[order]
+
+    @cached_property
+    def _horner_tables(self) -> tuple:
+        # built on first use, so that derive_beta does not pay for it
+        tables = []
+        for arrays in self.horner_by_order:
+            width = max(len(c) for c in arrays)
+            table = np.array([(0.0,) * (width - len(c)) + c for c in arrays]).T.copy()
+            table.setflags(write=False)
+            tables.append(table)
+        return tuple(tables)
+
+
+def _require_derivative_order(beta: BetaFamily, order: int) -> None:
+    if not 0 <= order <= beta.m:
+        raise DerivativeTooHigh(f"derivative order {order} not in 0..{beta.m} for kind ({beta.n},{beta.q})")
 
 
 def _hermite_matrix(n: int) -> list:
@@ -344,10 +373,7 @@ def beta_eval(beta: BetaFamily, derivative_order: int, xi: float) -> list:
     orders above m would interpolate a discontinuous quantity and are
     rejected.
     """
-    if not 0 <= derivative_order <= beta.m:
-        raise DerivativeTooHigh(
-            f"derivative order {derivative_order} not in 0..{beta.m} for kind ({beta.n},{beta.q})"
-        )
+    _require_derivative_order(beta, derivative_order)
     arrays = beta.horner_by_order[derivative_order]
     x = float(xi)
     return [_horner(c, x) for c in arrays]

@@ -29,7 +29,7 @@ from .basis import (
 )
 from .errors import InvalidKind, InvalidOrder, OutOfDomain
 from .exact import RationalPolynomial, rational_from_str
-from .field import PERIODIC, GridField, evaluate, load_field
+from .field import PERIODIC, GridField, evaluate, evaluate_many, load_field
 
 
 @dataclass
@@ -120,10 +120,10 @@ def run_convergence(func, dims: int, kinds, spacings, samples: int, seed: int) -
             field = GridField.sample(func, (nodes,) * dims, h, PERIODIC)
             rng = np.random.default_rng(seed)
             points = rng.random((samples, dims))
+            values = evaluate_many(field, points, kind).tolist()
             err = 0.0
-            for p in points:
-                p = tuple(p)
-                err = max(err, abs(evaluate(field, p, kind) - func(p)))
+            for p, value in zip(points.tolist(), values):
+                err = max(err, abs(value - func(tuple(p))))
             order = None
             if prev is not None and err > 0.0 and prev > 0.0:
                 order = math.log2(prev / err)
@@ -147,34 +147,29 @@ def write_convergence_csv(rows, stream) -> None:
 
 
 def run_benchmark(field: GridField, kind: SplineKind, points, warmup: int = 200):
-    """Time the evaluation kernels on a fixed workload.
+    """Time scalar :func:`evaluate` per point and one :func:`evaluate_many` call on the same points.
 
-    Returns a dict per kernel with evaluations/second and mean ns/evaluation;
-    when the unrolled q = 4 kernel exists its results are compared bitwise
-    against the generic kernel on the same points.
+    Returns, per path, evaluations/second and mean ns/evaluation, plus whether
+    the batched results are bitwise identical to the scalar ones.
     """
-    kernels = ["generic"]
-    if kind.q == 4:
-        kernels.append("unrolled")
-    evaluate(field, tuple(points[0]), kind)  # derive the family outside the timed loop
-    report = {"kernels": {}, "bitwise_identical": None}
-    results = {}
-    for kernel in kernels:
-        for p in points[: min(warmup, len(points))]:
-            evaluate(field, tuple(p), kind, kernel=kernel)
-        out = []
-        start = time.perf_counter()
-        for p in points:
-            out.append(evaluate(field, tuple(p), kind, kernel=kernel))
-        elapsed = time.perf_counter() - start
-        results[kernel] = out
-        report["kernels"][kernel] = {
-            "evals_per_second": len(points) / elapsed,
-            "ns_per_eval": 1e9 * elapsed / len(points),
-        }
-    if len(kernels) == 2:
-        report["bitwise_identical"] = results["generic"] == results["unrolled"]
-    return report
+    points = np.asarray(points, dtype=np.float64)
+    tuples = [tuple(p) for p in points.tolist()]
+    for p in tuples[:warmup]:  # derives the family outside the timed loops
+        evaluate(field, p, kind)
+    evaluate_many(field, points[:warmup], kind)
+    start = time.perf_counter()
+    scalar = [evaluate(field, p, kind) for p in tuples]
+    scalar_s = time.perf_counter() - start
+    start = time.perf_counter()
+    batched = evaluate_many(field, points, kind)
+    batched_s = time.perf_counter() - start
+    return {
+        "paths": {
+            name: {"evals_per_second": len(points) / elapsed, "ns_per_eval": 1e9 * elapsed / len(points)}
+            for name, elapsed in (("scalar", scalar_s), ("batched", batched_s))
+        },
+        "bitwise_identical": np.array(scalar).tobytes() == batched.tobytes(),
+    }
 
 
 def _parse_kind(text: str):
@@ -186,7 +181,23 @@ def _parse_kind(text: str):
 
 
 def _parse_spacing(text: str) -> float:
-    return float(rational_from_str(text))
+    try:
+        h = float(rational_from_str(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"expected a spacing such as 1/16, got {text!r}") from exc
+    if not h > 0.0:
+        raise argparse.ArgumentTypeError(f"spacing must be positive, got {text!r}")
+    return h
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_export(args) -> int:
@@ -225,8 +236,8 @@ def cmd_validate(args) -> int:
 def cmd_converge(args) -> int:
     func = FUNCTIONS[args.function]
     spacings = []
-    h = _parse_spacing(args.h_coarse)
-    h_fine = _parse_spacing(args.h_fine)
+    h = args.h_coarse
+    h_fine = args.h_fine
     while h >= h_fine * (1.0 - 1e-12):
         spacings.append(h)
         h /= 2.0
@@ -254,13 +265,12 @@ def cmd_bench(args) -> int:
     report = run_benchmark(field, kind, points)
     grid_text = "x".join(str(d) for d in field.dims)
     print(f"kind {kind}, grid {grid_text}, {len(points)} evaluations")
-    for kernel, stats in report["kernels"].items():
+    for path, stats in report["paths"].items():
         print(
-            f"  {kernel:8s} {stats['evals_per_second']:12.0f} evals/s"
+            f"  {path:8s} {stats['evals_per_second']:12.0f} evals/s"
             f"  {stats['ns_per_eval']:10.0f} ns/eval"
         )
-    if report["bitwise_identical"] is not None:
-        print(f"  unrolled vs generic bitwise identical: {report['bitwise_identical']}")
+    print(f"  batched vs scalar bitwise identical: {report['bitwise_identical']}")
     return 0
 
 
@@ -286,22 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="empirical order-of-accuracy study on the unit torus")
     p.add_argument("--function", choices=sorted(FUNCTIONS), default="sin")
-    p.add_argument("--dims", type=int, default=1)
+    p.add_argument("--dims", type=_positive_int, default=1)
     p.add_argument("--kind", type=_parse_kind, action="append", help="spline kind as 'n,q' (repeatable)")
-    p.add_argument("--h-coarse", default="1/16", help="coarsest spacing, e.g. 1/16")
-    p.add_argument("--h-fine", default="1/256", help="finest spacing; sweep halves down to it")
+    p.add_argument("--h-coarse", type=_parse_spacing, default="1/16", help="coarsest spacing, e.g. 1/16")
+    p.add_argument("--h-fine", type=_parse_spacing, default="1/256", help="finest spacing; sweep halves down to it")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("bench", help="evaluation throughput on a seeded workload")
-    p.add_argument("--dims", type=int, default=3)
+    p.add_argument("--dims", type=_positive_int, default=3)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--q", type=int, default=4)
-    p.add_argument("--grid", type=int, default=32, help="nodes per axis for the synthetic field")
+    p.add_argument("--grid", type=_positive_int, default=32, help="nodes per axis for the synthetic field")
     p.add_argument("--h", type=float, default=1.0, help="grid constant for the synthetic field")
-    p.add_argument("--points", type=int, default=20000)
+    p.add_argument("--points", type=_positive_int, default=20000)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--field", help="evaluate a saved field container instead of a synthetic one")
     p.set_defaults(func=cmd_bench)

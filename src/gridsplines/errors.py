@@ -19,3 +19,7 @@ class DerivativeTooHigh(ValueError):
 
 class OutOfDomain(ValueError):
     """A strict-boundary field was evaluated where its stencil leaves the grid."""
+
+
+class InvalidPoint(ValueError):
+    """A query point coordinate is not finite, or its cell index does not fit in an int64."""

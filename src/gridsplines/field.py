@@ -6,9 +6,9 @@ the q**D node values the stencil needs, evaluates the per-axis basis weights,
 and accumulates one fused sum over the patch.
 
 The accumulation order is pinned: a row-major loop nest over the patch with
-the last axis innermost.  The unrolled q = 4 kernel performs the same
-floating-point operations in the same order as the generic kernel and is
-therefore bitwise identical to it.
+the last axis innermost.  :func:`evaluate_many` performs the same
+floating-point operations in the same order as :func:`evaluate`, vectorised
+across points, and is therefore bitwise identical to it.
 """
 
 import itertools
@@ -20,10 +20,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import SplineKind, beta_eval, derive_alpha, derive_beta
-from .errors import InvalidKind, OutOfDomain
+from .errors import InvalidKind, InvalidPoint, OutOfDomain
 
 PERIODIC = "periodic"
 STRICT = "strict"
+
+# Scaled coordinates must lie strictly inside (-2**63, 2**63): then the cell
+# index, and every stencil offset from it, fits in an int64.
+_CELL_LIMIT = 2.0**63
+
+# Patch terms evaluate_many processes at once; a chunk holds CHUNK_TERMS // q**D
+# points (512 for a 3-D q = 4 kind), so each temporary array stays at 256 KiB.
+CHUNK_TERMS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +76,9 @@ class GridField:
         dims = tuple(int(d) for d in dims)
         h = h if isinstance(h, (tuple, list, np.ndarray)) else (h,) * len(dims)
         h = tuple(float(v) for v in h)
-        data = np.empty(dims, dtype=np.float64)
-        for idx in np.ndindex(*dims):
-            data[idx] = func(tuple(i * hj for i, hj in zip(idx, h)))
+        axes = [[i * hj for i in range(d)] for d, hj in zip(dims, h)]
+        values = (func(p) for p in itertools.product(*axes))  # row-major, last axis fastest
+        data = np.fromiter(values, dtype=np.float64, count=math.prod(dims)).reshape(dims)
         return cls(data=data, h=h, boundary=boundary)
 
 
@@ -99,14 +107,17 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
 
     Floor semantics: negative coordinates land in the correct cell.  A
     fraction that rounds up to 1.0 is folded into the next cell so the
-    invariant 0 <= frac < 1 always holds.
+    invariant 0 <= frac < 1 always holds.  A coordinate that is not finite,
+    or whose cell index would not fit in an int64, raises :class:`InvalidPoint`.
     """
     if len(point) != field.ndim:
         raise ValueError(f"point has {len(point)} coordinates, field has {field.ndim} axes")
     cells = []
     fracs = []
-    for x, hj in zip(point, field.h):
+    for axis, (x, hj) in enumerate(zip(point, field.h)):
         u = x / hj
+        if not abs(u) < _CELL_LIMIT:
+            raise InvalidPoint(_invalid_point_message(point, axis, x, u))
         c = math.floor(u)
         frac = u - c
         if frac >= 1.0:
@@ -115,6 +126,13 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
         cells.append(int(c))
         fracs.append(frac)
     return CellCoordinates(cell=tuple(cells), frac=tuple(fracs))
+
+
+def _invalid_point_message(point, axis: int, x, u) -> str:
+    where = f"point {tuple(float(v) for v in point)}: coordinate {float(x)!r} on axis {axis}"
+    if not math.isfinite(x):
+        return f"{where} is not finite"
+    return f"{where} scales to cell coordinate {float(u):.3g}, beyond the int64 range"
 
 
 def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
@@ -154,31 +172,6 @@ def _accumulate(values, gammas) -> float:
     return acc
 
 
-def _accumulate_unrolled4(values, gammas) -> float:
-    """Same operations as :func:`_accumulate` with the inner q = 4 loop written out."""
-    acc = 0.0
-    pos = 0
-    if len(gammas) == 1:
-        g0 = gammas[0]
-        acc += values[0] * g0[0]
-        acc += values[1] * g0[1]
-        acc += values[2] * g0[2]
-        acc += values[3] * g0[3]
-        return acc
-    last = gammas[-1]
-    l0, l1, l2, l3 = last[0], last[1], last[2], last[3]
-    for outer in itertools.product(*gammas[:-1]):
-        w = outer[0]
-        for v in outer[1:]:
-            w = w * v
-        acc += values[pos] * (w * l0)
-        acc += values[pos + 1] * (w * l1)
-        acc += values[pos + 2] * (w * l2)
-        acc += values[pos + 3] * (w * l3)
-        pos += 4
-    return acc
-
-
 def _accumulate_split(values, gammas, axis: int, threshold: int):
     """Row-major weighted sum split into (low, high) by one axis index."""
     low = 0.0
@@ -203,25 +196,12 @@ def _grid_family(kind: SplineKind):
     return derive_beta(kind)
 
 
-def _pick_kernel(kernel: str, q: int):
-    if kernel == "auto":
-        return _accumulate_unrolled4 if q == 4 else _accumulate
-    if kernel == "generic":
-        return _accumulate
-    if kernel == "unrolled":
-        if q != 4:
-            raise ValueError(f"the unrolled kernel only exists for q = 4, not q = {q}")
-        return _accumulate_unrolled4
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
 def evaluate_at_cell(
     field: GridField,
     cell: Sequence[int],
     frac: Sequence[float],
     kind: SplineKind,
     orders: Sequence[int] = None,
-    kernel: str = "auto",
 ) -> float:
     """Evaluate with explicitly given cell coordinates.
 
@@ -235,7 +215,7 @@ def evaluate_at_cell(
     patch = gather_local(field, cell, family.g)
     gammas = [beta_eval(family, orders[j], frac[j]) for j in range(field.ndim)]
     values = patch.values.ravel().tolist()
-    acc = _pick_kernel(kernel, family.q)(values, gammas)
+    acc = _accumulate(values, gammas)
     if any(orders):
         scale = 1.0
         for hj, lj in zip(field.h, orders):
@@ -244,7 +224,7 @@ def evaluate_at_cell(
     return acc
 
 
-def evaluate(field: GridField, point: Sequence[float], kind: SplineKind, kernel: str = "auto") -> float:
+def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> float:
     """Interpolated field value at an arbitrary point.
 
     Per axis the q basis weights are evaluated once at the cell fraction;
@@ -252,7 +232,7 @@ def evaluate(field: GridField, point: Sequence[float], kind: SplineKind, kernel:
     tensor product of those weights.
     """
     cc = grid_coordinates(point, field)
-    return evaluate_at_cell(field, cc.cell, cc.frac, kind, kernel=kernel)
+    return evaluate_at_cell(field, cc.cell, cc.frac, kind)
 
 
 def evaluate_derivative(
@@ -260,7 +240,6 @@ def evaluate_derivative(
     point: Sequence[float],
     kind: SplineKind,
     orders: Sequence[int],
-    kernel: str = "auto",
 ) -> float:
     """Interpolated mixed partial derivative, orders given per axis.
 
@@ -272,7 +251,83 @@ def evaluate_derivative(
     if len(orders) != field.ndim:
         raise ValueError(f"need one derivative order per axis, got {len(orders)}")
     cc = grid_coordinates(point, field)
-    return evaluate_at_cell(field, cc.cell, cc.frac, kind, orders=tuple(orders), kernel=kernel)
+    return evaluate_at_cell(field, cc.cell, cc.frac, kind, orders=tuple(orders))
+
+
+def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[int] = None) -> np.ndarray:
+    """Batched :func:`evaluate_derivative` (:func:`evaluate` when ``orders`` is None).
+
+    ``points`` has shape (N, D).  The result, of shape (N,), is bit for bit
+    what the scalar functions return point by point: each step repeats their
+    floating-point operations in their order, vectorised across the points of
+    a chunk (see CHUNK_TERMS).  Bad input raises what the scalar path raises
+    for the first bad point: :class:`InvalidPoint` for a coordinate that is
+    not finite or out of the int64 cell range, :class:`OutOfDomain` where a
+    strict field's stencil leaves the grid.
+    """
+    family = _grid_family(kind)
+    if orders is None:
+        orders = (0,) * field.ndim
+    elif len(orders) != field.ndim:
+        raise ValueError(f"need one derivative order per axis, got {len(orders)}")
+    tables = [family.horner_table(l) for l in orders]
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != field.ndim:
+        raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
+    step = max(1, CHUNK_TERMS // family.q**field.ndim)
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), step):
+        out[lo : lo + step] = _evaluate_chunk(field, pts[lo : lo + step], family, tables)
+    if any(orders):
+        scale = 1.0
+        for hj, lj in zip(field.h, orders):
+            scale *= hj ** (-lj)
+        out *= scale
+    return out
+
+
+def _evaluate_chunk(field, pts, family, tables) -> np.ndarray:
+    """Steps of :func:`evaluate_at_cell` for each of ``pts``, arrays laid out (..., point)."""
+    g, q, n = family.g, family.q, len(pts)
+    u = pts / np.array(field.h)
+    valid = np.abs(u) < _CELL_LIMIT  # False for nan and inf too
+    u[~valid] = 0.0
+    cell = np.floor(u)
+    frac = u - cell
+    fold = frac >= 1.0
+    cell[fold] += 1.0
+    frac[fold] = 0.0
+    start = cell.astype(np.int64) - g
+    bad = ~valid.all(axis=1)
+    if field.boundary == STRICT:
+        bad |= ((start < 0) | (start + q > np.array(field.dims))).any(axis=1)
+    if bad.any():
+        # the scalar checks raise the error of the first bad point
+        point = tuple(pts[np.flatnonzero(bad)[0]].tolist())
+        gather_local(field, grid_coordinates(point, field).cell, g)
+    # axis j's node indices, shaped to broadcast into the (q,)*D + (n,) patch; % only wraps when periodic
+    offsets = np.arange(q)[:, None]
+    index = tuple(
+        ((start[:, j] + offsets) % extent).reshape((1,) * j + (q,) + (1,) * (field.ndim - 1 - j) + (n,))
+        for j, extent in enumerate(field.dims)
+    )
+    gammas = []  # per axis, the q weights of beta_eval for every point: (q, n)
+    for table, x in zip(tables, frac.T):
+        acc = np.zeros((q, n))
+        for coeffs in table:
+            acc *= x
+            acc += coeffs[:, None]
+        gammas.append(acc)
+    # weight of patch index (i_0..i_{D-1}) is ((gamma_0 * gamma_1) * ...) * gamma_{D-1}
+    weights = gammas[0]
+    for gamma in gammas[1:]:
+        weights = weights[..., None, :] * gamma
+    terms = field.data[index].reshape(-1, n)
+    terms *= weights.reshape(-1, n)
+    acc = np.zeros(n)
+    for term in terms:  # one row per patch index, in the scalar sum's row-major order
+        acc += term
+    return acc
 
 
 def partitioned_evaluate(

@@ -26,6 +26,7 @@ from gridsplines.field import (
     evaluate_at_cell,
     evaluate_derivative,
     evaluate_hermite,
+    evaluate_many,
     gather_local,
     grid_coordinates,
     partitioned_evaluate,
@@ -261,15 +262,15 @@ def test_criterion_10_derivative_consistency():
     _report(10, "first derivatives match finite differences; all orders <= m continuous at nodes")
 
 
-def test_criterion_11_unrolled_kernel_bitwise_identity():
+def test_criterion_11_batched_bitwise_identity():
     rng = np.random.default_rng(42)
     data = rng.standard_normal((16, 16, 16))
     f = GridField(data, h=(1.0, 1.0, 1.0))
     kind = SplineKind(5, 4)
     points = rng.uniform(0.0, 16.0, size=(100_000, 3))
     start = time.perf_counter()
-    for p in points:
-        p = tuple(p)
-        assert evaluate(f, p, kind, kernel="generic") == evaluate(f, p, kind, kernel="unrolled")
+    batched = evaluate_many(f, points, kind)
+    scalar = np.array([evaluate(f, p, kind) for p in points.tolist()])
     elapsed = time.perf_counter() - start
-    _report(11, f"generic and unrolled q=4 kernels bitwise identical on 100000 points ({elapsed:.1f}s)")
+    assert batched.tobytes() == scalar.tobytes()
+    _report(11, f"evaluate_many bitwise identical to scalar evaluate on 100000 points ({elapsed:.1f}s)")

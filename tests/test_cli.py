@@ -10,7 +10,7 @@ import pytest
 from gridsplines.basis import SplineKind, derive_beta
 from gridsplines.cli import FUNCTIONS, main, run_convergence, run_validation
 from gridsplines.exact import RationalPolynomial, rational_from_str
-from gridsplines.field import GridField, save_field
+from gridsplines.field import GridField, evaluate, save_field
 
 
 def test_export_json_roundtrips_to_exact_family(tmp_path):
@@ -141,40 +141,72 @@ def test_converge_rejects_unknown_function(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_bench_reports_kernels(capsys):
+def test_bench_reports_scalar_and_batched(capsys):
     rc = main(
         ["bench", "--dims", "2", "--n", "3", "--q", "4", "--grid", "8", "--points", "64", "--seed", "3"]
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "generic" in out
-    assert "unrolled" in out
-    assert "bitwise identical: True" in out
+    assert "scalar" in out
+    assert "batched" in out
+    assert "batched vs scalar bitwise identical: True" in out
     assert "evals/s" in out
 
 
-def test_bench_generic_only_for_wide_stencil(capsys):
+def test_bench_wide_stencil_bitwise_identical(capsys):
     rc = main(
         ["bench", "--dims", "1", "--n", "5", "--q", "6", "--grid", "16", "--points", "32", "--seed", "3"]
     )
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "unrolled" not in out
+    assert "batched vs scalar bitwise identical: True" in capsys.readouterr().out
 
 
 def test_bench_narrow_stencil_outpaces_wide_one():
-    # 64 terms per evaluation versus 216: the q = 4 kind must be faster
+    # 64 terms per evaluation versus 216: the q = 4 kind must be faster.  The
+    # best of interleaved repeats keeps a slow spell of a shared host from
+    # deciding the comparison.
     from gridsplines.cli import run_benchmark
 
     rng = np.random.default_rng(1)
     field = GridField(rng.standard_normal((16, 16, 16)), h=(1.0, 1.0, 1.0))
-    points = rng.uniform(0.0, 16.0, size=(500, 3))
-    fast = run_benchmark(field, SplineKind(5, 4), points)
-    slow = run_benchmark(field, SplineKind(5, 6), points)
-    assert (
-        fast["kernels"]["generic"]["evals_per_second"]
-        > slow["kernels"]["generic"]["evals_per_second"]
-    )
+    points = rng.uniform(0.0, 16.0, size=(2000, 3))
+    best = {4: 0.0, 6: 0.0}
+    for _ in range(5):
+        for q in best:
+            report = run_benchmark(field, SplineKind(5, q), points)
+            best[q] = max(best[q], report["paths"]["scalar"]["evals_per_second"])
+    assert best[4] > best[6]
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["converge", "--h-fine", "0"], "argument --h-fine: spacing must be positive"),
+        (["converge", "--h-fine=-1/256"], "argument --h-fine: spacing must be positive"),
+        (["converge", "--h-coarse", "0"], "argument --h-coarse: spacing must be positive"),
+        (["bench", "--points", "0"], "argument --points: must be at least 1"),
+        (["bench", "--dims", "0"], "argument --dims: must be at least 1"),
+    ],
+)
+def test_cli_rejects_nonpositive_arguments(args, named, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert named in err
+
+
+def test_converge_matches_scalar_evaluation():
+    func = FUNCTIONS["fourier"]
+    rows = run_convergence(func, 2, [(5, 4)], [1 / 8], 300, seed=5)
+    field = GridField.sample(func, (8, 8), 1 / 8)
+    points = np.random.default_rng(5).random((300, 2))
+    err = 0.0
+    for p in points:
+        p = tuple(p)
+        err = max(err, abs(evaluate(field, p, SplineKind(5, 4)) - func(p)))
+    assert rows[0].max_error == err
 
 
 def test_bench_consumes_field_container(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from exact_oracle import direct_evaluate
 from gridsplines.basis import SplineKind
-from gridsplines.errors import DerivativeTooHigh, InvalidKind, OutOfDomain
+from gridsplines.errors import DerivativeTooHigh, InvalidKind, InvalidPoint, OutOfDomain
 from gridsplines.field import (
     PERIODIC,
     STRICT,
@@ -16,6 +16,7 @@ from gridsplines.field import (
     evaluate_at_cell,
     evaluate_derivative,
     evaluate_hermite,
+    evaluate_many,
     gather_local,
     grid_coordinates,
     load_field,
@@ -272,19 +273,79 @@ def test_partition_bisecting_the_stencil():
             assert abs((low + high) - full) <= 1e-12 * max(1.0, abs(full))
 
 
-def test_generic_and_unrolled_kernels_bitwise_equal():
+def test_evaluate_many_matches_scalar_bitwise():
     rng = np.random.default_rng(42)
     f = GridField(rng.standard_normal((8, 8, 8)), h=(1.0, 1.0, 1.0))
     kind = SplineKind(5, 4)
-    for p in rng.uniform(0, 8, size=(50, 3)):
-        p = tuple(p)
-        assert evaluate(f, p, kind, kernel="generic") == evaluate(f, p, kind, kernel="unrolled")
+    points = rng.uniform(0, 8, size=(50, 3))
+    want = np.array([evaluate(f, tuple(p), kind) for p in points])
+    assert evaluate_many(f, points, kind).tobytes() == want.tobytes()
 
 
-def test_unrolled_kernel_requires_q4():
-    f = GridField(np.zeros(16), h=(1.0,))
-    with pytest.raises(ValueError):
-        evaluate(f, (3.3,), SplineKind(5, 6), kernel="unrolled")
+def test_evaluate_many_rejects_bad_arguments():
+    f = GridField(np.zeros((8, 8)), h=(1.0, 1.0))
+    kind = SplineKind(5, 4)
+    with pytest.raises(ValueError, match=r"shape \(N, 2\)"):
+        evaluate_many(f, np.zeros((3, 3)), kind)
+    with pytest.raises(ValueError, match=r"shape \(N, 2\)"):
+        evaluate_many(f, [0.5, 0.5], kind)
+    with pytest.raises(ValueError, match="one derivative order per axis"):
+        evaluate_many(f, np.zeros((3, 2)), kind, orders=(1,))
+    with pytest.raises(DerivativeTooHigh):
+        evaluate_many(f, np.zeros((3, 2)), kind, orders=(0, 3))
+    with pytest.raises(InvalidKind):
+        evaluate_many(f, np.zeros((3, 2)), SplineKind(5))
+
+
+BAD_COORDINATES = [
+    (float("nan"), "not finite"),
+    (float("inf"), "not finite"),
+    (float("-inf"), "not finite"),
+    (1e300, "int64"),
+    (-1e300, "int64"),
+    (2.0**62, "int64"),  # 2**63 cells at h = 0.5
+    (-(2.0**62), "int64"),
+]
+
+
+@pytest.mark.parametrize("x,reason", BAD_COORDINATES)
+@pytest.mark.parametrize("boundary", [PERIODIC, STRICT])
+def test_bad_point_raises_invalid_point_on_both_paths(x, reason, boundary):
+    f = GridField(np.zeros((8, 8)), h=(1.0, 0.5), boundary=boundary)
+    kind = SplineKind(3, 4)
+    point = (3.5, x)
+    calls = [
+        lambda: evaluate(f, point, kind),
+        lambda: evaluate_derivative(f, point, kind, (0, 1)),
+        lambda: evaluate_many(f, np.array([(3.5, 1.5), point]), kind),
+        lambda: evaluate_many(f, np.array([point]), kind, orders=(1, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidPoint, match=reason) as info:
+            call()
+        assert "axis 1" in str(info.value)
+        assert f"({3.5!r}, {x!r})" in str(info.value)
+
+
+def test_largest_valid_cell_index_evaluates():
+    # the largest float below 2**63 cells still fits an int64 cell index
+    f = GridField(np.arange(8.0), h=(1.0,))
+    kind = SplineKind(3, 4)
+    x = np.nextafter(2.0**63, 0.0)
+    assert evaluate_many(f, np.array([[x], [-x]]), kind).tolist() == [
+        evaluate(f, (x,), kind),
+        evaluate(f, (-x,), kind),
+    ]
+
+
+def test_sample_tabulates_row_major_nodes():
+    h = (0.1, 0.3, 0.7)
+    f = GridField.sample(lambda p: p[0] + 10.0 * p[1] + 100.0 * p[2], (3, 4, 5), h)
+    want = np.empty((3, 4, 5))
+    for idx in np.ndindex(3, 4, 5):
+        p = tuple(i * hj for i, hj in zip(idx, h))
+        want[idx] = p[0] + 10.0 * p[1] + 100.0 * p[2]
+    assert f.data.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n,q", [(3, 4), (5, 6), (9, 6)])
