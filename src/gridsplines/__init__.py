@@ -22,10 +22,7 @@ from .basis import (
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder, InvalidPoint, OutOfDomain, SingularMatrix
 from .exact import (
     Rational,
-    RationalMatrix,
     RationalPolynomial,
-    poly_derivative,
-    poly_eval_rational,
     rational_from_str,
     rational_to_str,
     solve_linear_system,
@@ -66,7 +63,6 @@ __all__ = [
     "OutOfDomain",
     "PERIODIC",
     "Rational",
-    "RationalMatrix",
     "RationalPolynomial",
     "STRICT",
     "SingularMatrix",
@@ -89,8 +85,6 @@ __all__ = [
     "grid_coordinates",
     "load_field",
     "partitioned_evaluate",
-    "poly_derivative",
-    "poly_eval_rational",
     "rational_from_str",
     "rational_to_str",
     "save_field",

@@ -128,10 +128,14 @@ class BetaFamily:
     @cached_property
     def horner_by_order(self) -> tuple:
         """Horner arrays for every derivative order 0..m, indexed [order][node]."""
-        return tuple(
-            tuple(p.derivative(order).horner_coeffs() for p in self.polys)
-            for order in range(self.m + 1)
-        )
+        chains = []
+        for p in self.polys:
+            chain = [p.horner_coeffs()]
+            for _ in range(self.m):
+                p = p.derivative()
+                chain.append(p.horner_coeffs())
+            chains.append(chain)
+        return tuple(zip(*chains))
 
     def horner_table(self, order: int) -> np.ndarray:
         """The order-``order`` Horner arrays as one read-only float array of shape (L, q).
@@ -178,10 +182,6 @@ def _hermite_matrix(n: int) -> list:
     return rows
 
 
-def _condition_index(i: int, l: int, m: int) -> int:
-    return i * (m + 1) + l
-
-
 @lru_cache(maxsize=None)
 def derive_alpha(n: int) -> AlphaFamily:
     """Solve the endpoint value/derivative conditions for each basis member.
@@ -191,16 +191,10 @@ def derive_alpha(n: int) -> AlphaFamily:
     """
     _require_valid_order(n)
     m = (n - 1) // 2
-    matrix = _hermite_matrix(n)
-    sides = []
-    for i in (0, 1):
-        per_order = []
-        for l in range(m + 1):
-            rhs = [Fraction(0)] * (n + 1)
-            rhs[_condition_index(i, l, m)] = Fraction(1)
-            per_order.append(RationalPolynomial(solve_linear_system(matrix, rhs)))
-        sides.append(tuple(per_order))
-    family = AlphaFamily(n=n, polys=tuple(sides))
+    # the unit right-hand sides in condition order (end i, then order l)
+    units = [[int(r == c) for r in range(n + 1)] for c in range(n + 1)]
+    polys = [RationalPolynomial(x) for x in solve_linear_system(_hermite_matrix(n), units)]
+    family = AlphaFamily(n=n, polys=(tuple(polys[: m + 1]), tuple(polys[m + 1 :])))
     family.horner  # materialize the float arrays up front
     return family
 
@@ -234,6 +228,16 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
     return poly
 
 
+def _weighted_sum(polys, weights) -> RationalPolynomial:
+    """sum_j weights[j] * polys[j], accumulated coefficient by coefficient."""
+    acc = [0] * max((len(p.coeffs) for p in polys), default=0)
+    for p, w in zip(polys, weights):
+        if w:
+            for k, c in enumerate(p.coeffs):
+                acc[k] += w * c
+    return RationalPolynomial(acc)
+
+
 def derive_beta(kind: SplineKind) -> BetaFamily:
     """Node-value basis via composition: difference weights feeding the alpha basis.
 
@@ -251,42 +255,35 @@ def _beta_composed(n: int, q: int) -> BetaFamily:
     alpha = derive_alpha(n)
     g = (q - 2) // 2
     table = derive_stencil(g)
-    m = alpha.m
-    polys = []
-    for node in range(-g, g + 2):
-        total = RationalPolynomial()
-        for l in range(m + 1):
-            for i in (0, 1):
-                w = table.weight(l, node - i)
-                if w:
-                    total = total + alpha.polys[i][l] * w
-        polys.append(total)
-    family = BetaFamily(n=n, q=q, polys=tuple(polys))
+    routes = [(i, l) for l in range(alpha.m + 1) for i in (0, 1)]
+    members = [alpha.polys[i][l] for i, l in routes]
+    polys = tuple(
+        _weighted_sum(members, [table.weight(l, node - i) for i, l in routes]) for node in range(-g, g + 2)
+    )
+    family = BetaFamily(n=n, q=q, polys=polys)
     family.horner_by_order  # materialize the float arrays up front
     return family
 
 
 def derive_beta_direct(kind: SplineKind) -> BetaFamily:
-    """Node-value basis by the substitution route: one full endpoint solve per node.
+    """Node-value basis by the substitution route: the endpoint system solved for each node.
 
-    Sets f to the unit impulse at one node, computes the centered-difference
+    Sets f to the unit impulse at each node, computes the centered-difference
     data that impulse produces at both cell ends, and solves the endpoint
-    system for the resulting cell polynomial.  Must agree exactly with
-    :func:`derive_beta`; the agreement is exercised by the test suite.
+    system for the resulting cell polynomial (one solve call takes every
+    node's impulse).  Must agree exactly with :func:`derive_beta`; the
+    agreement is exercised by the test suite.
     """
     if kind.q is None:
         raise InvalidKind("grid-spline basis requires a node count q")
     n, g, m = kind.n, kind.g, kind.m
-    matrix = _hermite_matrix(n)
     table = derive_stencil(g)
-    polys = []
-    for node in range(-g, g + 2):
-        rhs = []
-        for i in (0, 1):
-            for l in range(m + 1):
-                rhs.append(table.weight(l, node - i))
-        polys.append(RationalPolynomial(solve_linear_system(matrix, rhs)))
-    return BetaFamily(n=n, q=kind.q, polys=tuple(polys))
+    impulses = [
+        [table.weight(l, node - i) for i in (0, 1) for l in range(m + 1)]
+        for node in range(-g, g + 2)
+    ]
+    polys = solve_linear_system(_hermite_matrix(n), impulses)
+    return BetaFamily(n=n, q=kind.q, polys=tuple(RationalPolynomial(x) for x in polys))
 
 
 @dataclass
@@ -309,58 +306,54 @@ class ValidationReport:
         )
 
 
+def _end_derivatives(p: RationalPolynomial, orders: int) -> tuple:
+    """Derivatives of orders 0..orders-1 at x = 0 (l! c_l) and at x = 1 (sum_k k!/(k-l)! c_k)."""
+    at0 = [math.factorial(l) * p.coefficient(l) for l in range(orders)]
+    at1 = [sum(math.perm(k, l) * c for k, c in enumerate(p.coeffs[l:], l)) for l in range(orders)]
+    return at0, at1
+
+
 def validate_family(beta: BetaFamily) -> ValidationReport:
     """Run every exact identity the node-value family must satisfy."""
     checks = []
     g, m, n = beta.g, beta.m, beta.n
-    zero = RationalPolynomial()
+    nodes = range(-g, g + 2)
     label = f"({n},{beta.q})"
 
-    def edge(offset):
-        if -g <= offset <= g + 1:
-            return beta.poly(offset)
-        return zero
+    ends = {offset: _end_derivatives(beta.poly(offset), m + 1) for offset in nodes}
+    no_data = ([0] * (m + 1),) * 2  # the zero polynomial beyond the stencil
 
     bad = [
         offset
-        for offset in range(-g, g + 2)
-        for at, want in ((0, int(offset == 0)), (1, int(offset == 1)))
-        if beta.poly(offset)(Fraction(at)) != want
+        for offset in nodes
+        for side, want in ((0, int(offset == 0)), (1, int(offset == 1)))
+        if ends[offset][side][0] != want
     ]
     checks.append((f"{label} node interpolation", not bad, f"offsets {bad}" if bad else ""))
 
-    total = RationalPolynomial()
-    for p in beta.polys:
-        total = total + p
+    total = _weighted_sum(beta.polys, [1] * len(beta.polys))
     ok = total == RationalPolynomial.constant(1)
     checks.append((f"{label} partition of unity", ok, "" if ok else f"sum = {total}"))
 
-    bad = []
-    for l in range(m + 1):
-        for offset in range(-g, g + 3):
-            left = edge(offset).derivative(l)(Fraction(1))
-            right = edge(offset - 1).derivative(l)(Fraction(0))
-            if left != right:
-                bad.append((l, offset))
+    bad = [
+        (l, offset)
+        for l in range(m + 1)
+        for offset in range(-g, g + 3)
+        if ends.get(offset, no_data)[1][l] != ends.get(offset - 1, no_data)[0][l]
+    ]
     checks.append((f"{label} smoothness chain", not bad, f"(order, offset) {bad}" if bad else ""))
 
-    bad = [
-        offset
-        for offset in range(-g, g + 2)
-        if beta.poly(offset) != beta.poly(1 - offset).reflected()
-    ]
+    bad = [offset for offset in nodes if beta.poly(offset) != beta.poly(1 - offset).reflected()]
     checks.append((f"{label} reflection symmetry", not bad, f"offsets {bad}" if bad else ""))
 
-    bad = [offset for offset in range(-g, g + 2) if beta.poly(offset).degree > n]
+    bad = [offset for offset in nodes if beta.poly(offset).degree > n]
     checks.append((f"{label} degree bound", not bad, f"offsets {bad}" if bad else ""))
 
-    bad = []
-    for p in range(min(n, 2 * g) + 1):
-        assembled = RationalPolynomial()
-        for offset in range(-g, g + 2):
-            assembled = assembled + beta.poly(offset) * Fraction(offset) ** p
-        if assembled != RationalPolynomial.monomial(p):
-            bad.append(p)
+    bad = [
+        p
+        for p in range(min(n, 2 * g) + 1)
+        if _weighted_sum(beta.polys, [offset**p for offset in nodes]) != RationalPolynomial.monomial(p)
+    ]
     checks.append((f"{label} monomial reproduction", not bad, f"powers {bad}" if bad else ""))
 
     return ValidationReport(checks=checks)

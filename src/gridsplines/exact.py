@@ -6,6 +6,7 @@ values in lowest terms with a positive denominator and arbitrary-precision
 integer parts.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -29,10 +30,21 @@ def rational_from_str(text: str) -> Fraction:
 
 
 def _canonical(coeffs: Iterable[RationalLike]) -> tuple:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _powers(value: RationalLike, count: int) -> list:
+    """value**0 .. value**(count - 1); plain ints when value is integral."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        value = value.numerator
+    out = [1]
+    for _ in range(1, count):
+        out.append(out[-1] * value)
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,12 +143,21 @@ class RationalPolynomial:
         return acc
 
     def compose_affine(self, scale: RationalLike, offset: RationalLike) -> "RationalPolynomial":
-        """Exact substitution x -> scale*x + offset."""
-        inner = RationalPolynomial((Fraction(offset), Fraction(scale)))
-        out = RationalPolynomial()
-        for c in reversed(self.coeffs):
-            out = out * inner + RationalPolynomial.constant(c)
-        return out
+        """Exact substitution x -> scale*x + offset.
+
+        Binomial expansion: the x**j coefficient is
+        scale**j * sum_k binom(k, j) * offset**(k-j) * c_k.
+        """
+        coeffs = self.coeffs
+        size = len(coeffs)
+        scale_pow = _powers(scale, size)
+        offset_pow = _powers(offset, size)
+        return RationalPolynomial(
+            tuple(
+                scale_pow[j] * sum(math.comb(k, j) * offset_pow[k - j] * coeffs[k] for k in range(j, size))
+                for j in range(size)
+            )
+        )
 
     def reflected(self) -> "RationalPolynomial":
         """The polynomial p(1 - x)."""
@@ -153,90 +174,55 @@ class RationalPolynomial:
         return " + ".join(parts)
 
 
-def poly_derivative(p: RationalPolynomial, order: int) -> RationalPolynomial:
-    """Exact formal derivative; see :meth:`RationalPolynomial.derivative`."""
-    return p.derivative(order)
-
-
-def poly_eval_rational(p: RationalPolynomial, x: RationalLike) -> Fraction:
-    """Exact value of p at a rational point."""
-    return p(Fraction(x))
-
-
-@dataclass
-class RationalMatrix:
-    """Row-major dense matrix of fractions."""
-
-    rows: int
-    cols: int
-    entries: list
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows*cols")
-        self.entries = [Fraction(v) for v in self.entries]
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence[RationalLike]]) -> "RationalMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        if any(len(r) != cols for r in data):
-            raise ValueError("rows have inconsistent lengths")
-        return cls(rows, cols, [v for row in data for v in row])
-
-    @classmethod
-    def identity(cls, size: int) -> "RationalMatrix":
-        return cls.from_rows([[int(i == j) for j in range(size)] for i in range(size)])
-
-    def at(self, r: int, c: int) -> Fraction:
-        return self.entries[r * self.cols + c]
-
-    def to_rows(self) -> list:
-        return [
-            [self.entries[r * self.cols + c] for c in range(self.cols)]
-            for r in range(self.rows)
-        ]
-
-
-def solve_linear_system(matrix, rhs: Sequence[RationalLike]) -> list:
+def solve_linear_system(matrix: Sequence[Sequence[RationalLike]], rhs) -> list:
     """Solve A*x = b exactly by Gaussian elimination over the rationals.
 
-    Accepts a :class:`RationalMatrix` or any nested sequence of rationals.
+    ``matrix`` is a square nested sequence of rationals.  ``rhs`` is either
+    one right-hand side, a sequence of n rationals, and the result is its
+    solution as a list; or a sequence of right-hand sides, each a list or
+    tuple of n rationals, and the result is one solution list per
+    right-hand side, in order.  All right-hand sides ride along one forward
+    elimination, so each distinct matrix needs to be eliminated only once.
+
     Pivoting just picks the first nonzero entry in each column; with exact
     arithmetic no magnitude heuristics are needed.
 
     Raises :class:`SingularMatrix` when some column has no nonzero pivot.
     """
-    if isinstance(matrix, RationalMatrix):
-        rows = matrix.to_rows()
-    else:
-        rows = [[Fraction(v) for v in row] for row in matrix]
+    rows = [[Fraction(v) for v in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    b = [Fraction(v) for v in rhs]
-    if len(b) != n:
+    single = not (len(rhs) and isinstance(rhs[0], (list, tuple)))
+    columns = [[Fraction(v) for v in b] for b in ([rhs] if single else rhs)]
+    if any(len(b) != n for b in columns):
         raise ValueError("right-hand side length must match the matrix size")
 
-    aug = [row + [bv] for row, bv in zip(rows, b)]
+    aug = [row + [b[r] for b in columns] for r, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrix(f"no nonzero pivot in column {col}")
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
-        pivot_row = aug[col]
+        tail = aug[col][col:]  # entries left of col are zero in every row from col down
         for r in range(col + 1, n):
-            factor = aug[r][col]
+            row = aug[r]
+            factor = row[col]
             if factor == 0:
                 continue
-            factor /= pivot_row[col]
-            aug[r] = [a - factor * p for a, p in zip(aug[r], pivot_row)]
+            factor /= tail[0]
+            row[col:] = [a - factor * p if p else a for a, p in zip(row[col:], tail)]
 
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = aug[r][n]
-        for c in range(r + 1, n):
-            acc -= aug[r][c] * x[c]
-        x[r] = acc / aug[r][r]
-    return x
+    solutions = []
+    for k in range(n, n + len(columns)):
+        x = [Fraction(0)] * n
+        for r in range(n - 1, -1, -1):
+            row = aug[r]
+            acc = row[k]
+            for c in range(r + 1, n):
+                if row[c]:
+                    acc -= row[c] * x[c]
+            x[r] = acc / row[r]
+        solutions.append(x)
+    return solutions[0] if single else solutions

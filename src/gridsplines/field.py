@@ -58,6 +58,8 @@ class GridField:
             raise ValueError(f"need one grid constant per axis: got {len(h)} for {data.ndim} axes")
         if any(v <= 0 for v in h):
             raise ValueError("grid constants must be positive")
+        if 0 in data.shape:
+            raise ValueError(f"axis {data.shape.index(0)} has extent 0: every axis needs at least one node")
         object.__setattr__(self, "h", h)
         if self.boundary not in (PERIODIC, STRICT):
             raise ValueError(f"boundary must be {PERIODIC!r} or {STRICT!r}, got {self.boundary!r}")
@@ -207,13 +209,22 @@ def evaluate_at_cell(
 
     This is the fixed-cell core of :func:`evaluate`; it is also the tool for
     probing one-sided limits at cell boundaries (frac = 1.0 in the left cell
-    versus frac = 0.0 in the right cell).
+    versus frac = 0.0 in the right cell).  ``cell``, ``frac`` and ``orders``
+    need one entry per axis, and every fraction must lie in [0, 1].
     """
     family = _grid_family(kind)
+    ndim = field.ndim
     if orders is None:
-        orders = (0,) * field.ndim
+        orders = (0,) * ndim
+    elif len(orders) != ndim:
+        raise ValueError(f"need one derivative order per axis, got {len(orders)}")
+    if len(cell) != ndim or len(frac) != ndim:
+        raise ValueError(f"need one cell index and one fraction per axis, got {len(cell)} and {len(frac)}")
+    for axis, x in enumerate(frac):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
     patch = gather_local(field, cell, family.g)
-    gammas = [beta_eval(family, orders[j], frac[j]) for j in range(field.ndim)]
+    gammas = [beta_eval(family, orders[j], frac[j]) for j in range(ndim)]
     values = patch.values.ravel().tolist()
     acc = _accumulate(values, gammas)
     if any(orders):
@@ -248,8 +259,6 @@ def evaluate_derivative(
     Orders above m are rejected because the interpolant would not be
     continuous there.
     """
-    if len(orders) != field.ndim:
-        raise ValueError(f"need one derivative order per axis, got {len(orders)}")
     cc = grid_coordinates(point, field)
     return evaluate_at_cell(field, cc.cell, cc.frac, kind, orders=tuple(orders))
 
@@ -392,25 +401,36 @@ def save_field(field: GridField, path) -> None:
 
 
 def load_field(path) -> GridField:
-    """Read a field container written by :func:`save_field`."""
+    """Read a field container written by :func:`save_field`.
+
+    A malformed file raises ValueError naming the path: bad magic, a header
+    cut short, a payload of the wrong size, an unknown boundary code, or
+    header values :class:`GridField` rejects.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path}: not a grid field container (bad magic)")
+    # the axis count comes first and fixes the header length: 4 + 12 * ndim + 1 bytes
     off = len(_MAGIC)
+    if len(raw) < off + 4:
+        raise ValueError(f"{path}: truncated header: the axis count needs {off + 4} bytes, file has {len(raw)}")
     (ndim,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    dims = struct.unpack_from(f"<{ndim}I", raw, off)
-    off += 4 * ndim
-    h = struct.unpack_from(f"<{ndim}d", raw, off)
-    off += 8 * ndim
-    (bcode,) = struct.unpack_from("<B", raw, off)
-    off += 1
+    end = off + 4 + 12 * ndim + 1
+    if len(raw) < end:
+        raise ValueError(f"{path}: truncated header: {ndim} axes need {end} bytes, file has {len(raw)}")
+    dims = struct.unpack_from(f"<{ndim}I", raw, off + 4)
+    h = struct.unpack_from(f"<{ndim}d", raw, off + 4 + 4 * ndim)
+    (bcode,) = struct.unpack_from("<B", raw, end - 1)
+    off = end
     if bcode not in _BOUNDARY_NAME:
         raise ValueError(f"{path}: unknown boundary code {bcode}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     expected = off + 8 * count
     if len(raw) != expected:
         raise ValueError(f"{path}: truncated or oversized payload ({len(raw)} vs {expected} bytes)")
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(dims)
-    return GridField(data=data, h=h, boundary=_BOUNDARY_NAME[bcode])
+    try:
+        return GridField(data=data, h=h, boundary=_BOUNDARY_NAME[bcode])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -51,19 +51,17 @@ class StencilTable:
 def derive_stencil(g: int) -> StencilTable:
     """Solve the symmetric interpolation system on nodes -g..g.
 
-    Each unit node value is propagated through the Vandermonde system once;
-    column j of the inverse gives the contribution of f(node_j) to every
-    Taylor order.
+    One solve propagates every unit node value through the Vandermonde
+    system; solution j gives the contribution of f(node_j) to every Taylor
+    order.
     """
     if g < 1:
         raise ValueError(f"stencil half-width must be >= 1, got {g}")
     size = 2 * g + 1
     nodes = range(-g, g + 1)
     vandermonde = [[Fraction(v) ** p for p in range(size)] for v in nodes]
-    columns = []
-    for j in range(size):
-        unit = [Fraction(int(r == j)) for r in range(size)]
-        columns.append(solve_linear_system(vandermonde, unit))
+    units = [[int(r == j) for r in range(size)] for j in range(size)]
+    columns = solve_linear_system(vandermonde, units)
     coeffs = tuple(
         tuple(math.factorial(order) * columns[j][order] for j in range(size))
         for order in range(size)

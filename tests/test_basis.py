@@ -1,10 +1,13 @@
 """Spline basis families: derivation, closed forms, exact identities."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from gridsplines.basis import (
+    MAX_NODES,
+    MAX_ORDER,
     BetaFamily,
     SplineKind,
     alpha_closed_form,
@@ -244,3 +247,22 @@ def test_export_records_roundtrip():
         rebuilt = RationalPolynomial([rational_from_str(c) for c in rec["coeffs_exact"]])
         assert rebuilt == beta.poly(rec["i"])
         assert tuple(rec["coeffs_horner"]) == rebuilt.horner_coeffs()
+
+
+SUPPORTED_KINDS = [(n, q) for q in range(4, MAX_NODES + 1, 2) for n in range(1, min(2 * q - 3, MAX_ORDER) + 1, 2)]
+
+
+def exact_digest(kinds) -> str:
+    """SHA-256 over one "n,q,i:c0,c1,..." line per exported record, kinds in the given order."""
+    digest = hashlib.sha256()
+    for n, q in kinds:
+        for rec in export_records(derive_beta(SplineKind(n, q))):
+            digest.update(f"{n},{q},{rec['i']}:{','.join(rec['coeffs_exact'])}\n".encode())
+    return digest.hexdigest()
+
+
+def test_exact_coefficients_are_pinned():
+    # every supported kind's coeffs_exact strings, byte for byte: a rewrite of the
+    # exact layer (solver, polynomial arithmetic, derivation) must leave them alone
+    assert len(SUPPORTED_KINDS) == 34
+    assert exact_digest(SUPPORTED_KINDS) == "154537023fb6281018f4627ef9ae9933fd0dcbbbd5c01322382f73476d5413d3"

@@ -1,5 +1,6 @@
 """Grid fields: coordinates, gathering, tensor-product evaluation, container io."""
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,32 @@ def test_field_validation():
         GridField(np.zeros(4), h=(-1.0,))
     with pytest.raises(ValueError):
         GridField(np.zeros(4), h=(1.0,), boundary="clamp")
+
+
+def test_field_rejects_zero_extent_axis():
+    with pytest.raises(ValueError, match="axis 1 has extent 0"):
+        GridField(np.zeros((4, 0)), h=1.0)
+    with pytest.raises(ValueError, match="axis 0 has extent 0"):
+        GridField(np.zeros(0), h=1.0, boundary=STRICT)
+
+
+def test_evaluate_at_cell_checks_its_arguments():
+    f = GridField(np.arange(8.0), h=1.0)
+    kind = SplineKind(3, 4)
+    with pytest.raises(ValueError, match=r"fraction 7\.5 on axis 0 is outside \[0, 1\]"):
+        evaluate_at_cell(f, (3,), (7.5,), kind)
+    with pytest.raises(ValueError, match=r"fraction -0\.25 on axis 0"):
+        evaluate_at_cell(f, (3,), (-0.25,), kind)
+    with pytest.raises(ValueError, match=r"fraction nan on axis 0"):
+        evaluate_at_cell(f, (3,), (float("nan"),), kind)
+    with pytest.raises(ValueError, match="one derivative order per axis, got 3"):
+        evaluate_at_cell(f, (3,), (0.5,), kind, orders=(0, 1, 1))
+    with pytest.raises(ValueError, match="one cell index and one fraction per axis, got 1 and 2"):
+        evaluate_at_cell(f, (3,), (0.5, 0.5), kind)
+    with pytest.raises(ValueError, match="one cell index and one fraction per axis, got 2 and 1"):
+        evaluate_at_cell(f, (3, 3), (0.5,), kind)
+    # both ends of the unit interval stay legal: frac = 1.0 is the left-hand limit at the next node
+    assert evaluate_at_cell(f, (3,), (1.0,), kind) == evaluate_at_cell(f, (4,), (0.0,), kind) == 4.0
 
 
 def test_field_data_is_immutable():
@@ -410,4 +437,38 @@ def test_container_rejects_truncated_payload(tmp_path):
     save_field(f, path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
+        load_field(path)
+
+
+def container_header(dims, h=None, boundary=0) -> bytes:
+    h = (1.0,) * len(dims) if h is None else h
+    return (
+        b"GRIDFLD1"
+        + struct.pack("<I", len(dims))
+        + struct.pack(f"<{len(dims)}I", *dims)
+        + struct.pack(f"<{len(dims)}d", *h)
+        + struct.pack("<B", boundary)
+    )
+
+
+def test_container_rejects_short_header(tmp_path):
+    path = tmp_path / "short.gfd"
+    header = container_header((4, 5))
+    for cut in range(len(b"GRIDFLD1"), len(header)):
+        path.write_bytes(header[:cut])
+        with pytest.raises(ValueError, match="short.gfd: truncated header"):
+            load_field(path)
+
+
+def test_container_bounds_axis_count_by_file_size(tmp_path):
+    path = tmp_path / "huge.gfd"
+    path.write_bytes(b"GRIDFLD1" + struct.pack("<I", 2**32 - 1) + b"\x00" * 16)
+    with pytest.raises(ValueError, match="4294967295 axes need"):
+        load_field(path)
+
+
+def test_container_rejects_zero_extent_axis(tmp_path):
+    path = tmp_path / "empty.gfd"
+    path.write_bytes(container_header((3, 0)))
+    with pytest.raises(ValueError, match="empty.gfd: axis 1 has extent 0"):
         load_field(path)
