@@ -121,11 +121,6 @@ class BetaFamily:
         return self.polys[offset + self.g]
 
     @cached_property
-    def horner(self) -> tuple:
-        """Per-node float Horner arrays (order 0), degree-descending."""
-        return self.horner_by_order[0]
-
-    @cached_property
     def horner_by_order(self) -> tuple:
         """Horner arrays for every derivative order 0..m, indexed [order][node]."""
         chains = []
@@ -218,9 +213,9 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
             for k in range(m - l + 1)
         ]
     )
-    one_minus_x = RationalPolynomial((1, -1))
+    one_minus_x_power = RationalPolynomial([(-1) ** k * math.comb(m + 1, k) for k in range(m + 2)])
     poly = RationalPolynomial.monomial(l, Fraction(1, math.factorial(l)))
-    poly = poly * one_minus_x ** (m + 1) * series
+    poly = poly * one_minus_x_power * series
     if i == 1:
         poly = poly.reflected()
         if l % 2:

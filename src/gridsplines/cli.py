@@ -47,24 +47,27 @@ def _fn_constant(point):
 
 
 def _fn_sin(point):
-    return math.sin(2.0 * math.pi * point[0])
+    return np.sin(2.0 * math.pi * point[0])
 
 
 def _fn_sinprod(point):
     out = 1.0
     for x in point:
-        out *= math.sin(2.0 * math.pi * x)
+        out = out * np.sin(2.0 * math.pi * x)
     return out
 
 
 def _fn_fourier(point):
     out = 0.0
     for j, x in enumerate(point):
-        out += 0.6**j * math.sin(2.0 * math.pi * x + 0.3 * (j + 1))
-        out += 0.2 * 0.5**j * math.cos(4.0 * math.pi * x - 0.1 * j)
+        out = out + 0.6**j * np.sin(2.0 * math.pi * x + 0.3 * (j + 1))
+        out = out + 0.2 * 0.5**j * np.cos(4.0 * math.pi * x - 0.1 * j)
     return out
 
 
+# Each function takes a point as a tuple of D coordinates, either floats or
+# numpy arrays that broadcast together, so that GridField.sample and
+# run_convergence tabulate it with one call per grid or point set.
 FUNCTIONS = {
     "constant": _fn_constant,
     "sin": _fn_sin,
@@ -108,7 +111,13 @@ def run_validation(max_n: int, max_q: int, inject_defect: bool = False) -> Valid
 
 
 def run_convergence(func, dims: int, kinds, spacings, samples: int, seed: int) -> list:
-    """Max interpolation error of ``func`` over random points, per kind and spacing."""
+    """Max interpolation error of ``func`` over random points, per kind and spacing.
+
+    ``func`` is called once per spacing on the grid nodes (see
+    :meth:`GridField.sample`) and once on the sample points, as a tuple of
+    coordinate arrays.  A value that is not finite raises ValueError naming
+    the point and the spacing.
+    """
     rows = []
     for n, q in kinds:
         kind = SplineKind(n, q)
@@ -118,18 +127,27 @@ def run_convergence(func, dims: int, kinds, spacings, samples: int, seed: int) -
             if abs(nodes * h - 1.0) > 1e-12:
                 raise ValueError(f"spacing {h} does not divide the unit period")
             field = GridField.sample(func, (nodes,) * dims, h, PERIODIC)
+            _require_finite(field.data, h, lambda i: tuple(int(j) * h for j in np.unravel_index(i, field.dims)))
             rng = np.random.default_rng(seed)
             points = rng.random((samples, dims))
-            values = evaluate_many(field, points, kind).tolist()
-            err = 0.0
-            for p, value in zip(points.tolist(), values):
-                err = max(err, abs(value - func(tuple(p))))
+            reference = np.broadcast_to(np.asarray(func(tuple(points.T)), dtype=np.float64), (samples,))
+            _require_finite(reference, h, lambda i: tuple(points[i].tolist()))
+            err = float(np.max(np.abs(evaluate_many(field, points, kind) - reference), initial=0.0))
             order = None
             if prev is not None and err > 0.0 and prev > 0.0:
                 order = math.log2(prev / err)
             rows.append(ConvergenceRow(kind=(n, q), h=float(h), max_error=err, observed_order=order))
             prev = err
     return rows
+
+
+def _require_finite(values, h, locate) -> None:
+    """Raise ValueError for the first non-finite function value, naming its point ``locate(flat index)``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        value = float(values.flat[i])
+        raise ValueError(f"function value {value!r} at point {locate(i)} is not finite (spacing {h!r})")
 
 
 def write_convergence_csv(rows, stream) -> None:

@@ -54,10 +54,13 @@ class GridField:
         object.__setattr__(self, "data", data)
         h = self.h if isinstance(self.h, (tuple, list, np.ndarray)) else (self.h,) * data.ndim
         h = tuple(float(v) for v in h)
+        if data.ndim == 0:
+            raise ValueError("field data has no axes: a grid needs at least one axis")
         if len(h) != data.ndim:
             raise ValueError(f"need one grid constant per axis: got {len(h)} for {data.ndim} axes")
-        if any(v <= 0 for v in h):
-            raise ValueError("grid constants must be positive")
+        for axis, v in enumerate(h):
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"grid constant {v!r} on axis {axis} is not positive and finite")
         if 0 in data.shape:
             raise ValueError(f"axis {data.shape.index(0)} has extent 0: every axis needs at least one node")
         object.__setattr__(self, "h", h)
@@ -74,13 +77,25 @@ class GridField:
 
     @classmethod
     def sample(cls, func: Callable, dims, h, boundary: str = PERIODIC) -> "GridField":
-        """Tabulate ``func`` on the grid nodes."""
+        """Tabulate ``func`` on the grid nodes with a single call.
+
+        ``func`` receives a tuple of D float64 arrays, the node coordinates
+        ``i * h_j`` of each axis shaped to broadcast against the others (a
+        sparse ``np.meshgrid``), and returns values that broadcast to
+        ``dims``: a function of one axis need only return one value per
+        node on that axis, a constant function a scalar.
+        """
         dims = tuple(int(d) for d in dims)
         h = h if isinstance(h, (tuple, list, np.ndarray)) else (h,) * len(dims)
         h = tuple(float(v) for v in h)
-        axes = [[i * hj for i in range(d)] for d, hj in zip(dims, h)]
-        values = (func(p) for p in itertools.product(*axes))  # row-major, last axis fastest
-        data = np.fromiter(values, dtype=np.float64, count=math.prod(dims)).reshape(dims)
+        coords = np.meshgrid(*(np.arange(d) * hj for d, hj in zip(dims, h)), indexing="ij", sparse=True)
+        values = np.asarray(func(tuple(coords)), dtype=np.float64)
+        try:
+            data = np.broadcast_to(values, dims)
+        except ValueError:
+            raise ValueError(
+                f"sampled function returned shape {values.shape}, which does not broadcast to {dims}"
+            ) from None
         return cls(data=data, h=h, boundary=boundary)
 
 
@@ -141,14 +156,15 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     """Copy the q**D node values whose offsets span -g..g+1 around the cell."""
     q = 2 * g + 2
     axes = []
-    for c, extent in zip(cell, field.dims):
+    for axis, (c, extent) in enumerate(zip(cell, field.dims)):
         start = c - g
         idx = np.arange(start, start + q)
         if field.boundary == PERIODIC:
             idx %= extent
         elif start < 0 or start + q > extent:
             raise OutOfDomain(
-                f"stencil nodes [{start}, {start + q}) leave the 0..{extent - 1} axis range"
+                f"cell {tuple(int(v) for v in cell)}: stencil nodes [{start}, {start + q}) on axis {axis}"
+                f" leave its node range 0..{extent - 1}"
             )
         axes.append(idx)
     return LocalPatch(q=q, values=field.data[np.ix_(*axes)])

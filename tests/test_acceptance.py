@@ -229,7 +229,7 @@ def test_criterion_10_derivative_consistency():
     modes = [(k, rng.standard_normal() / k, rng.uniform(0, 2 * math.pi)) for k in (1, 2, 3)]
 
     def fourier(point):
-        return sum(a * math.sin(2 * math.pi * k * point[0] + phi) for k, a, phi in modes)
+        return sum(a * np.sin(2 * math.pi * k * point[0] + phi) for k, a, phi in modes)
 
     nodes = 32
     h = 1.0 / nodes

@@ -7,6 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gridsplines.basis import SplineKind, derive_beta
 from gridsplines.cli import FUNCTIONS, main, run_convergence, run_validation
 from gridsplines.exact import RationalPolynomial, rational_from_str
@@ -225,3 +228,36 @@ def test_catalog_functions_are_unit_periodic():
             a = func((x, x))
             b = func((x + 1.0, x))
             assert math.isclose(a, b, rel_tol=0, abs_tol=1e-12), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(FUNCTIONS)),
+    dims=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    spacing=st.sampled_from([1.0, 0.5, 0.1, 1 / 3, 1 / 16]),
+)
+def test_sample_matches_per_node_calls_bitwise(name, dims, spacing):
+    func = FUNCTIONS[name]
+    field = GridField.sample(func, dims, spacing)
+    want = np.array([float(func(tuple(i * spacing for i in idx))) for idx in np.ndindex(*dims)])
+    assert field.data.tobytes() == want.reshape(dims).tobytes()
+
+
+def test_converge_rejects_non_finite_node_value():
+    def func(point):
+        x = point[0]
+        return np.where(x > 0.9, np.nan, np.sin(2.0 * math.pi * x))
+
+    # nodes of h = 1/16 reach 15/16 > 0.9; max(err, nan) used to drop the NaN and report 0.00149
+    with pytest.raises(ValueError, match=r"nan at point \(0.9375,\) is not finite \(spacing 0.0625\)"):
+        run_convergence(func, 1, [(5, 4)], [1 / 16], 200, 3)
+
+
+def test_converge_rejects_non_finite_sample_value():
+    def func(point):
+        x = point[0]
+        inside = (x > 0.94) & (x < 0.99)  # between the nodes 15/16 and 1 (= 0)
+        return np.where(inside, np.inf, np.sin(2.0 * math.pi * x))
+
+    with pytest.raises(ValueError, match=r"inf at point \(0\.9[4-8]\d*,\) is not finite \(spacing 0.0625\)"):
+        run_convergence(func, 1, [(5, 4)], [1 / 16], 200, 3)

@@ -80,6 +80,19 @@ def test_gather_strict_raises_at_edge():
         gather_local(f, (7,), 1)
 
 
+def test_out_of_domain_names_cell_and_axis_on_both_paths():
+    f = GridField(np.zeros((8, 6)), h=(1.0, 0.5), boundary=STRICT)
+    kind = SplineKind(5, 4)
+    point = (3.25, 2.75)  # cell (3, 5): axis 0 is inside, axis 1 needs nodes 4..7 of 0..5
+    want = "cell (3, 5): stencil nodes [4, 8) on axis 1 leave its node range 0..5"
+    with pytest.raises(OutOfDomain) as scalar:
+        evaluate(f, point, kind)
+    assert str(scalar.value) == want
+    with pytest.raises(OutOfDomain) as batched:
+        evaluate_many(f, np.array([(1.5, 1.0), point]), kind)
+    assert str(batched.value) == want
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         GridField(np.zeros((4, 4)), h=(1.0,))
@@ -87,6 +100,20 @@ def test_field_validation():
         GridField(np.zeros(4), h=(-1.0,))
     with pytest.raises(ValueError):
         GridField(np.zeros(4), h=(1.0,), boundary="clamp")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+def test_field_rejects_grid_constant_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match=f"grid constant {bad!r} on axis 1 is not positive and finite"):
+        GridField(np.zeros((4, 4)), h=(1.0, bad))
+    with pytest.raises(ValueError, match=f"grid constant {bad!r} on axis 0"):
+        GridField(np.zeros(4), h=bad)
+
+
+def test_field_rejects_data_without_axes():
+    for h in ((), 1.0):
+        with pytest.raises(ValueError, match="no axes"):
+            GridField(np.array(3.0), h=h)
 
 
 def test_field_rejects_zero_extent_axis():
@@ -365,6 +392,35 @@ def test_largest_valid_cell_index_evaluates():
     ]
 
 
+def test_sample_calls_func_once_with_sparse_node_axes():
+    h = (0.1, 0.3, 0.7)
+    calls = []
+
+    def func(p):
+        calls.append(p)
+        return p[0] + p[1] + p[2]
+
+    GridField.sample(func, (3, 4, 5), h)
+    assert len(calls) == 1
+    (axes,) = calls
+    assert [a.shape for a in axes] == [(3, 1, 1), (1, 4, 1), (1, 1, 5)]
+    assert all(a.dtype == np.float64 for a in axes)
+    assert axes[1].ravel().tolist() == [i * 0.3 for i in range(4)]
+
+
+def test_sample_broadcasts_constants_and_single_axis_functions():
+    f = GridField.sample(lambda p: 2.5, (3, 4), 0.5)
+    assert f.data.shape == (3, 4)
+    assert (f.data == 2.5).all()
+    f = GridField.sample(lambda p: p[1], (3, 4), (1.0, 0.25))
+    assert f.data.tolist() == [[0.0, 0.25, 0.5, 0.75]] * 3
+
+
+def test_sample_rejects_result_that_does_not_broadcast():
+    with pytest.raises(ValueError, match=r"returned shape \(5,\), which does not broadcast to \(3, 4\)"):
+        GridField.sample(lambda p: np.zeros(5), (3, 4), 1.0)
+
+
 def test_sample_tabulates_row_major_nodes():
     h = (0.1, 0.3, 0.7)
     f = GridField.sample(lambda p: p[0] + 10.0 * p[1] + 100.0 * p[2], (3, 4, 5), h)
@@ -471,4 +527,13 @@ def test_container_rejects_zero_extent_axis(tmp_path):
     path = tmp_path / "empty.gfd"
     path.write_bytes(container_header((3, 0)))
     with pytest.raises(ValueError, match="empty.gfd: axis 1 has extent 0"):
+        load_field(path)
+
+
+@pytest.mark.parametrize("h,named", [((1.0, float("nan")), "grid constant nan on axis 1"), ((), "field data has no axes")])
+def test_container_rejects_bad_grid(tmp_path, h, named):
+    path = tmp_path / "bad.gfd"
+    dims = (3, 2)[: len(h)]
+    path.write_bytes(container_header(dims, h) + b"\x00" * 8 * int(np.prod(dims)))
+    with pytest.raises(ValueError, match=f"bad.gfd: {named}"):
         load_field(path)
