@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder
-from .exact import RationalPolynomial, rational_to_str, solve_linear_system
+from .exact import RationalPolynomial, rational_to_str, solve_linear_system, weighted_sum
 from .stencil import derive_stencil
 
 MAX_ORDER = 19  # largest validated odd order n
@@ -223,16 +223,6 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
     return poly
 
 
-def _weighted_sum(polys, weights) -> RationalPolynomial:
-    """sum_j weights[j] * polys[j], accumulated coefficient by coefficient."""
-    acc = [0] * max((len(p.coeffs) for p in polys), default=0)
-    for p, w in zip(polys, weights):
-        if w:
-            for k, c in enumerate(p.coeffs):
-                acc[k] += w * c
-    return RationalPolynomial(acc)
-
-
 def derive_beta(kind: SplineKind) -> BetaFamily:
     """Node-value basis via composition: difference weights feeding the alpha basis.
 
@@ -253,7 +243,7 @@ def _beta_composed(n: int, q: int) -> BetaFamily:
     routes = [(i, l) for l in range(alpha.m + 1) for i in (0, 1)]
     members = [alpha.polys[i][l] for i, l in routes]
     polys = tuple(
-        _weighted_sum(members, [table.weight(l, node - i) for i, l in routes]) for node in range(-g, g + 2)
+        weighted_sum(members, [table.weight(l, node - i) for i, l in routes]) for node in range(-g, g + 2)
     )
     family = BetaFamily(n=n, q=q, polys=polys)
     family.horner_by_order  # materialize the float arrays up front
@@ -301,13 +291,6 @@ class ValidationReport:
         )
 
 
-def _end_derivatives(p: RationalPolynomial, orders: int) -> tuple:
-    """Derivatives of orders 0..orders-1 at x = 0 (l! c_l) and at x = 1 (sum_k k!/(k-l)! c_k)."""
-    at0 = [math.factorial(l) * p.coefficient(l) for l in range(orders)]
-    at1 = [sum(math.perm(k, l) * c for k, c in enumerate(p.coeffs[l:], l)) for l in range(orders)]
-    return at0, at1
-
-
 def validate_family(beta: BetaFamily) -> ValidationReport:
     """Run every exact identity the node-value family must satisfy."""
     checks = []
@@ -315,7 +298,7 @@ def validate_family(beta: BetaFamily) -> ValidationReport:
     nodes = range(-g, g + 2)
     label = f"({n},{beta.q})"
 
-    ends = {offset: _end_derivatives(beta.poly(offset), m + 1) for offset in nodes}
+    ends = {offset: beta.poly(offset).end_derivatives(m + 1) for offset in nodes}
     no_data = ([0] * (m + 1),) * 2  # the zero polynomial beyond the stencil
 
     bad = [
@@ -326,7 +309,7 @@ def validate_family(beta: BetaFamily) -> ValidationReport:
     ]
     checks.append((f"{label} node interpolation", not bad, f"offsets {bad}" if bad else ""))
 
-    total = _weighted_sum(beta.polys, [1] * len(beta.polys))
+    total = weighted_sum(beta.polys, [1] * len(beta.polys))
     ok = total == RationalPolynomial.constant(1)
     checks.append((f"{label} partition of unity", ok, "" if ok else f"sum = {total}"))
 
@@ -347,7 +330,7 @@ def validate_family(beta: BetaFamily) -> ValidationReport:
     bad = [
         p
         for p in range(min(n, 2 * g) + 1)
-        if _weighted_sum(beta.polys, [offset**p for offset in nodes]) != RationalPolynomial.monomial(p)
+        if weighted_sum(beta.polys, [offset**p for offset in nodes]) != RationalPolynomial.monomial(p)
     ]
     checks.append((f"{label} monomial reproduction", not bad, f"powers {bad}" if bad else ""))
 

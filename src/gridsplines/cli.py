@@ -80,7 +80,8 @@ def run_validation(max_n: int, max_q: int, inject_defect: bool = False) -> Valid
     """Exact invariants for every valid kind in range, plus the closed-form check.
 
     ``inject_defect`` perturbs the first derived family before checking; it
-    exists so the failure path of the harness can itself be tested.
+    exists so the failure path of the harness can itself be tested.  Bounds
+    that select no check at all raise ValueError.
     """
     checks = []
     for n in range(1, min(max_n, MAX_ORDER) + 1, 2):
@@ -107,6 +108,8 @@ def run_validation(max_n: int, max_q: int, inject_defect: bool = False) -> Valid
             checks.extend(report.checks)
             routes_agree = derive_beta_direct(kind).polys == beta.polys
             checks.append((f"({n},{q}) derivation route agreement", routes_agree, ""))
+    if not checks:
+        raise ValueError(f"bounds max_n={max_n}, max_q={max_q} select no check")
     return ValidationReport(checks=checks)
 
 
@@ -208,14 +211,22 @@ def _parse_spacing(text: str) -> float:
     return h
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def cmd_export(args) -> int:
@@ -307,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("validate", help="run the exact invariant suite over a range of kinds")
-    p.add_argument("--max-n", type=int, default=MAX_ORDER)
-    p.add_argument("--max-q", type=int, default=MAX_NODES)
+    p.add_argument("--max-n", type=_positive_int, default=MAX_ORDER)
+    p.add_argument("--max-q", type=_int_at_least(4), default=MAX_NODES)
     p.add_argument("--inject-defect", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_validate)
 
@@ -318,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", type=_parse_kind, action="append", help="spline kind as 'n,q' (repeatable)")
     p.add_argument("--h-coarse", type=_parse_spacing, default="1/16", help="coarsest spacing, e.g. 1/16")
     p.add_argument("--h-fine", type=_parse_spacing, default="1/256", help="finest spacing; sweep halves down to it")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=cmd_converge)

@@ -4,11 +4,23 @@ Everything in this module is exact; floats never enter a computation.
 ``Rational`` is an alias for :class:`fractions.Fraction`, which already keeps
 values in lowest terms with a positive denominator and arbitrary-precision
 integer parts.
+
+Values cross the module boundary as Fractions: a polynomial's ``coeffs`` are
+lowest-terms Fractions and the solver returns Fractions.  Inside, the
+arithmetic runs on Python integers.  A polynomial keeps a cached view of its
+coefficients as integer numerators over one common denominator (the lcm of
+theirs); products, affine substitutions, derivatives, weighted sums and
+endpoint derivatives work on that view and build one Fraction per result
+coefficient.  The solver scales each augmented row to integers and runs
+fraction-free (Bareiss) elimination.  Either way the results are the same
+lowest-terms values that plain Fraction arithmetic gives, so ``coeffs`` and
+the ``"num/den"`` export strings do not depend on this representation.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import SingularMatrix
@@ -36,11 +48,19 @@ def _canonical(coeffs: Iterable[RationalLike]) -> tuple:
     return tuple(out)
 
 
-def _powers(value: RationalLike, count: int) -> list:
-    """value**0 .. value**(count - 1); plain ints when value is integral."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        value = value.numerator
+def _over_common_denominator(values) -> tuple:
+    """Rationals as (integer numerators, d), d being the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _rational(value):
+    """An int or Fraction as it is, anything else converted to a Fraction."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
+def _powers(value: int, count: int) -> list:
+    """value**0 .. value**(count - 1)."""
     out = [1]
     for _ in range(1, count):
         out.append(out[-1] * value)
@@ -71,18 +91,22 @@ class RationalPolynomial:
             return cls()
         return cls((Fraction(0),) * power + (c,))
 
+    @classmethod
+    def _from_scaled(cls, numerators, denominator: int) -> "RationalPolynomial":
+        """The polynomial with coefficients ``numerators[k] / denominator``."""
+        return cls(tuple(Fraction(a, denominator) for a in numerators))
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        """The coefficients as integer numerators over one common denominator."""
+        return _over_common_denominator(self.coeffs)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, power: int) -> Fraction:
-        """Coefficient of x**power, zero beyond the stored degree."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
 
     def __add__(self, other):
         if not isinstance(other, RationalPolynomial):
@@ -107,11 +131,14 @@ class RationalPolynomial:
         if isinstance(other, RationalPolynomial):
             if self.is_zero() or other.is_zero():
                 return RationalPolynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RationalPolynomial(out)
+            a, da = self._scaled
+            b, db = other._scaled
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return RationalPolynomial._from_scaled(out, da * db)
         if isinstance(other, (int, Fraction)):
             return RationalPolynomial(tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -130,10 +157,23 @@ class RationalPolynomial:
         """Exact formal derivative of the given order."""
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        coeffs = self.coeffs
+        a, d = self._scaled
         for _ in range(order):
-            coeffs = tuple(k * coeffs[k] for k in range(1, len(coeffs)))
-        return RationalPolynomial(coeffs)
+            a = [k * x for k, x in enumerate(a[1:], 1)]
+        return RationalPolynomial._from_scaled(a, d)
+
+    def end_derivatives(self, orders: int) -> tuple:
+        """Derivatives of orders 0..orders-1 at x = 0 and at x = 1, as two lists of Fractions.
+
+        The order-l derivative's coefficients give l! c_l at 0 and their sum at 1.
+        """
+        a, d = self._scaled
+        at0, at1 = [], []
+        for _ in range(orders):
+            at0.append(Fraction(a[0] if a else 0, d))
+            at1.append(Fraction(sum(a), d))
+            a = [k * x for k, x in enumerate(a[1:], 1)]
+        return at0, at1
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction input, float for float input."""
@@ -145,18 +185,27 @@ class RationalPolynomial:
     def compose_affine(self, scale: RationalLike, offset: RationalLike) -> "RationalPolynomial":
         """Exact substitution x -> scale*x + offset.
 
-        Binomial expansion: the x**j coefficient is
-        scale**j * sum_k binom(k, j) * offset**(k-j) * c_k.
+        With scale = s/t, offset = u/v, coefficients c_k = a_k/d and degree N,
+        the x**j coefficient is s**j t**(N-j) sum_i binom(j+i, j) a_(j+i) u**i v**(N-i)
+        over the common denominator d t**N v**N.
         """
-        coeffs = self.coeffs
-        size = len(coeffs)
-        scale_pow = _powers(scale, size)
-        offset_pow = _powers(offset, size)
-        return RationalPolynomial(
-            tuple(
-                scale_pow[j] * sum(math.comb(k, j) * offset_pow[k - j] * coeffs[k] for k in range(j, size))
+        if self.is_zero():
+            return self
+        a, d = self._scaled
+        size = len(a)
+        scale, offset = _rational(scale), _rational(offset)
+        s = _powers(scale.numerator, size)
+        t = _powers(scale.denominator, size)
+        u = _powers(offset.numerator, size)
+        v = _powers(offset.denominator, size)
+        top = size - 1
+        w = [u[i] * v[top - i] for i in range(size)]
+        return RationalPolynomial._from_scaled(
+            [
+                s[j] * t[top - j] * sum(math.comb(k, j) * a[k] * w[k - j] for k in range(j, size))
                 for j in range(size)
-            )
+            ],
+            d * t[top] * v[top],
         )
 
     def reflected(self) -> "RationalPolynomial":
@@ -165,7 +214,8 @@ class RationalPolynomial:
 
     def horner_coeffs(self) -> tuple:
         """Float coefficients in degree-descending order, ready for Horner loops."""
-        return tuple(float(c) for c in reversed(self.coeffs))
+        a, d = self._scaled
+        return tuple(x / d for x in reversed(a))  # int division rounds correctly, as float(Fraction) does
 
     def __str__(self):
         if self.is_zero():
@@ -174,55 +224,72 @@ class RationalPolynomial:
         return " + ".join(parts)
 
 
+def weighted_sum(polys: Sequence[RationalPolynomial], weights: Sequence[RationalLike]) -> RationalPolynomial:
+    """sum_j weights[j] * polys[j], accumulated in integers over one common denominator."""
+    terms = [(_rational(w), p._scaled) for p, w in zip(polys, weights) if w]
+    den = math.lcm(*(w.denominator * d for w, (_, d) in terms))
+    acc = [0] * max((len(a) for _, (a, _) in terms), default=0)
+    for w, (a, d) in terms:
+        factor = w.numerator * (den // (w.denominator * d))
+        for k, x in enumerate(a):
+            acc[k] += factor * x
+    return RationalPolynomial._from_scaled(acc, den)
+
+
 def solve_linear_system(matrix: Sequence[Sequence[RationalLike]], rhs) -> list:
-    """Solve A*x = b exactly by Gaussian elimination over the rationals.
+    """Solve A*x = b exactly by fraction-free Gaussian elimination.
 
     ``matrix`` is a square nested sequence of rationals.  ``rhs`` is either
     one right-hand side, a sequence of n rationals, and the result is its
-    solution as a list; or a sequence of right-hand sides, each a list or
-    tuple of n rationals, and the result is one solution list per
+    solution as a list of Fractions; or a sequence of right-hand sides, each
+    a list or tuple of n rationals, and the result is one solution list per
     right-hand side, in order.  All right-hand sides ride along one forward
     elimination, so each distinct matrix needs to be eliminated only once.
 
-    Pivoting just picks the first nonzero entry in each column; with exact
-    arithmetic no magnitude heuristics are needed.
+    Each augmented row is scaled to integers by the lcm of its denominators,
+    which leaves the solution unchanged, and eliminated with Bareiss's
+    integer-preserving step: every entry stays an integer (a minor of the
+    scaled matrix) and every division is exact.  Back substitution finds
+    det * x, which is integral by Cramer's rule, and each solution entry
+    becomes one Fraction.  Pivoting just picks the first nonzero entry in
+    each column; with exact arithmetic no magnitude heuristics are needed.
 
     Raises :class:`SingularMatrix` when some column has no nonzero pivot.
     """
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
     single = not (len(rhs) and isinstance(rhs[0], (list, tuple)))
-    columns = [[Fraction(v) for v in b] for b in ([rhs] if single else rhs)]
+    columns = [rhs] if single else rhs
     if any(len(b) != n for b in columns):
         raise ValueError("right-hand side length must match the matrix size")
 
-    aug = [row + [b[r] for b in columns] for r, row in enumerate(rows)]
+    aug = [
+        _over_common_denominator([_rational(v) for v in row] + [_rational(b[r]) for b in columns])[0]
+        for r, row in enumerate(matrix)
+    ]
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise SingularMatrix(f"no nonzero pivot in column {col}")
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
-        tail = aug[col][col:]  # entries left of col are zero in every row from col down
+        head = aug[col][col]
+        tail = aug[col][col + 1 :]
+        # column col below the pivot is never read again, so it is left as it is
         for r in range(col + 1, n):
             row = aug[r]
             factor = row[col]
-            if factor == 0:
-                continue
-            factor /= tail[0]
-            row[col:] = [a - factor * p if p else a for a, p in zip(row[col:], tail)]
+            row[col + 1 :] = [(head * a - factor * p) // previous for a, p in zip(row[col + 1 :], tail)]
+        previous = head
 
+    det = previous  # the last pivot: the determinant of the scaled, row-swapped matrix
     solutions = []
     for k in range(n, n + len(columns)):
-        x = [Fraction(0)] * n
+        y = [0] * n  # det * x
         for r in range(n - 1, -1, -1):
             row = aug[r]
-            acc = row[k]
-            for c in range(r + 1, n):
-                if row[c]:
-                    acc -= row[c] * x[c]
-            x[r] = acc / row[r]
-        solutions.append(x)
+            y[r] = (det * row[k] - sum(row[c] * y[c] for c in range(r + 1, n))) // row[r]
+        solutions.append([Fraction(v, det) for v in y])
     return solutions[0] if single else solutions

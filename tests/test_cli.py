@@ -87,6 +87,12 @@ def test_run_validation_full_supported_range():
     assert any("route agreement" in name for name in names)
 
 
+@pytest.mark.parametrize("max_n,max_q", [(0, 12), (-3, 2)])
+def test_run_validation_rejects_bounds_that_select_no_check(max_n, max_q):
+    with pytest.raises(ValueError, match=f"max_n={max_n}, max_q={max_q} select no check"):
+        run_validation(max_n, max_q)
+
+
 def test_converge_constant_function(tmp_path):
     out = tmp_path / "c.csv"
     rc = main(
@@ -189,6 +195,11 @@ def test_bench_narrow_stencil_outpaces_wide_one():
         (["converge", "--h-coarse", "0"], "argument --h-coarse: spacing must be positive"),
         (["bench", "--points", "0"], "argument --points: must be at least 1"),
         (["bench", "--dims", "0"], "argument --dims: must be at least 1"),
+        (["converge", "--samples", "0"], "argument --samples: must be at least 1"),
+        (["converge", "--samples", "-5"], "argument --samples: must be at least 1"),
+        (["validate", "--max-n", "0"], "argument --max-n: must be at least 1"),
+        (["validate", "--max-n", "-3", "--max-q", "2"], "argument --max-n: must be at least 1"),
+        (["validate", "--max-q", "2"], "argument --max-q: must be at least 4"),
     ],
 )
 def test_cli_rejects_nonpositive_arguments(args, named, capsys):

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: polynomials, matrices, linear solves."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from gridsplines.exact import (
     rational_from_str,
     rational_to_str,
     solve_linear_system,
+    weighted_sum,
 )
 
 
@@ -54,19 +56,32 @@ def test_random_solve_roundtrip():
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 small_ints = st.integers(-5, 5)
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+entries = st.one_of(small_ints, rationals)
 
 
 @st.composite
 def nonsingular_matrices(draw):
-    """P*L*U: unit lower L, upper U with a nonzero diagonal, rows permuted so pivoting is exercised."""
+    """P*L*U: unit lower L, upper U with a nonzero diagonal, rows permuted so pivoting is exercised.
+
+    Entries are integers or non-integer rationals.  Rows 1..zeros of L start
+    with 0, so those rows of the product do too; half the time they are moved
+    to the top, and then the first pivot needs a row swap.
+    """
     size = draw(st.integers(1, 8))
-    lower = [[draw(small_ints) if c < r else int(c == r) for c in range(size)] for r in range(size)]
+    zeros = draw(st.integers(0, size - 1))
+    lower = [
+        [0 if c == 0 < r <= zeros else draw(entries) if c < r else int(c == r) for c in range(size)]
+        for r in range(size)
+    ]
     upper = [
-        [draw(small_ints.filter(bool)) if c == r else draw(small_ints) if c > r else 0 for c in range(size)]
+        [draw(entries.filter(bool)) if c == r else draw(entries) if c > r else 0 for c in range(size)]
         for r in range(size)
     ]
     product = [[sum(lower[r][k] * upper[k][c] for k in range(size)) for c in range(size)] for r in range(size)]
-    return draw(st.permutations(product))
+    rows = draw(st.permutations(product))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[0] != 0)
+    return rows
 
 
 @PROPERTY
@@ -163,6 +178,67 @@ def test_compose_affine_matches_direct_eval():
         q = p.compose_affine(a, b)
         for x in (Fraction(0), Fraction(2, 7), Fraction(-1)):
             assert q(x) == p(a * x + b)
+
+
+# The integer kernels below are checked against the same arithmetic done
+# directly on Fractions, one coefficient at a time.
+
+
+polynomials = st.lists(entries, max_size=9).map(RationalPolynomial)
+scalars = st.one_of(st.integers(-3, 3), rationals)
+
+
+def _fraction_product(a, b) -> list:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_derivative(coeffs) -> list:
+    return [k * c for k, c in enumerate(coeffs) if k]
+
+
+@PROPERTY
+@given(polynomials, polynomials)
+def test_product_matches_fraction_arithmetic(p, q):
+    assert (p * q) == RationalPolynomial(_fraction_product(p.coeffs, q.coeffs))
+
+
+@PROPERTY
+@given(polynomials, scalars, scalars)
+def test_compose_affine_matches_fraction_arithmetic(p, scale, offset):
+    # sum_k c_k (scale*x + offset)**k, expanding the power by repeated products
+    want, power = [], [Fraction(1)]
+    for c in p.coeffs:
+        want = [a + c * b for a, b in itertools.zip_longest(want, power, fillvalue=Fraction(0))]
+        power = _fraction_product(power, [Fraction(offset), Fraction(scale)])
+    assert p.compose_affine(scale, offset) == RationalPolynomial(want)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(polynomials, st.one_of(st.just(0), scalars)), max_size=8))
+def test_weighted_sum_matches_fraction_arithmetic(terms):
+    want = []
+    for p, w in terms:
+        want = [a + w * b for a, b in itertools.zip_longest(want, p.coeffs, fillvalue=Fraction(0))]
+    got = weighted_sum([p for p, _ in terms], [w for _, w in terms])
+    assert got == RationalPolynomial(want)
+
+
+@PROPERTY
+@given(polynomials, st.integers(0, 12))
+def test_derivatives_match_fraction_arithmetic(p, orders):
+    at0, at1 = p.end_derivatives(orders)
+    coeffs = list(p.coeffs)
+    for l in range(orders):
+        assert p.derivative(l) == RationalPolynomial(coeffs)
+        assert at0[l] == p.derivative(l)(Fraction(0))
+        assert at1[l] == p.derivative(l)(Fraction(1))
+        coeffs = _fraction_derivative(coeffs)
+    assert len(at0) == len(at1) == orders
+    assert p.horner_coeffs() == tuple(float(c) for c in reversed(p.coeffs))
 
 
 def test_rational_strings():
