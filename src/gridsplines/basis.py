@@ -6,8 +6,9 @@ derivative data at the two cell ends, for odd order n = 2m + 1.
 q = 2g + 2 surrounding nodes, obtained by feeding centered differences into
 the alpha basis.
 
-Families carry their exact coefficients plus float Horner arrays for all
-derivative orders 0..m, so evaluation does no derivation work.
+Families carry their exact coefficients; the float Horner arrays for all
+derivative orders 0..m are built from them on first evaluation, so exact
+derivation and validation never pay for them.
 """
 
 import math
@@ -122,15 +123,8 @@ class BetaFamily:
 
     @cached_property
     def horner_by_order(self) -> tuple:
-        """Horner arrays for every derivative order 0..m, indexed [order][node]."""
-        chains = []
-        for p in self.polys:
-            chain = [p.horner_coeffs()]
-            for _ in range(self.m):
-                p = p.derivative()
-                chain.append(p.horner_coeffs())
-            chains.append(chain)
-        return tuple(zip(*chains))
+        """Horner arrays for every derivative order 0..m, indexed [order][node]; built on first use."""
+        return tuple(zip(*(p.horner_chain(self.m + 1) for p in self.polys)))
 
     def horner_table(self, order: int) -> np.ndarray:
         """The order-``order`` Horner arrays as one read-only float array of shape (L, q).
@@ -145,7 +139,6 @@ class BetaFamily:
 
     @cached_property
     def _horner_tables(self) -> tuple:
-        # built on first use, so that derive_beta does not pay for it
         tables = []
         for arrays in self.horner_by_order:
             width = max(len(c) for c in arrays)
@@ -190,7 +183,6 @@ def derive_alpha(n: int) -> AlphaFamily:
     units = [[int(r == c) for r in range(n + 1)] for c in range(n + 1)]
     polys = [RationalPolynomial(x) for x in solve_linear_system(_hermite_matrix(n), units)]
     family = AlphaFamily(n=n, polys=(tuple(polys[: m + 1]), tuple(polys[m + 1 :])))
-    family.horner  # materialize the float arrays up front
     return family
 
 
@@ -246,7 +238,6 @@ def _beta_composed(n: int, q: int) -> BetaFamily:
         weighted_sum(members, [table.weight(l, node - i) for i, l in routes]) for node in range(-g, g + 2)
     )
     family = BetaFamily(n=n, q=q, polys=polys)
-    family.horner_by_order  # materialize the float arrays up front
     return family
 
 
@@ -345,9 +336,14 @@ def beta_eval(beta: BetaFamily, derivative_order: int, xi: float) -> list:
     rejected.
     """
     _require_derivative_order(beta, derivative_order)
-    arrays = beta.horner_by_order[derivative_order]
     x = float(xi)
-    return [_horner(c, x) for c in arrays]
+    weights = []
+    for coeffs in beta.horner_by_order[derivative_order]:
+        acc = 0.0  # _horner, inlined: this loop is the scalar path's hot spot
+        for c in coeffs:
+            acc = acc * x + c
+        weights.append(acc)
+    return weights
 
 
 def export_records(beta: BetaFamily) -> list:

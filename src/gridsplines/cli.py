@@ -270,6 +270,8 @@ def cmd_converge(args) -> int:
     while h >= h_fine * (1.0 - 1e-12):
         spacings.append(h)
         h /= 2.0
+    if not spacings:
+        raise ValueError(f"--h-coarse {args.h_coarse!r} is finer than --h-fine {h_fine!r}: no spacing to sweep")
     kinds = args.kind or [(3, 4), (5, 4)]
     rows = run_convergence(func, args.dims, kinds, spacings, args.samples, args.seed)
     if args.out:
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-coarse", type=_parse_spacing, default="1/16", help="coarsest spacing, e.g. 1/16")
     p.add_argument("--h-fine", type=_parse_spacing, default="1/256", help="finest spacing; sweep halves down to it")
     p.add_argument("--samples", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=_int_at_least(0), default=2024)
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=cmd_converge)
 
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_positive_int, default=32, help="nodes per axis for the synthetic field")
     p.add_argument("--h", type=float, default=1.0, help="grid constant for the synthetic field")
     p.add_argument("--points", type=_positive_int, default=20000)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=_int_at_least(0), default=2024)
     p.add_argument("--field", help="evaluate a saved field container instead of a synthetic one")
     p.set_defaults(func=cmd_bench)
     return parser

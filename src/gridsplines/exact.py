@@ -214,8 +214,21 @@ class RationalPolynomial:
 
     def horner_coeffs(self) -> tuple:
         """Float coefficients in degree-descending order, ready for Horner loops."""
+        return self.horner_chain(1)[0]
+
+    def horner_chain(self, orders: int) -> list:
+        """:meth:`horner_coeffs` of the derivatives of orders 0..orders-1.
+
+        Differentiates the integer numerators rather than building each
+        derivative polynomial; the floats are the same, since each is the
+        correctly rounded value of the same rational.
+        """
         a, d = self._scaled
-        return tuple(x / d for x in reversed(a))  # int division rounds correctly, as float(Fraction) does
+        chain = []
+        for _ in range(orders):
+            chain.append(tuple(x / d for x in reversed(a)))  # int division rounds correctly, as float(Fraction) does
+            a = [k * x for k, x in enumerate(a[1:], 1)]
+        return chain
 
     def __str__(self):
         if self.is_zero():

@@ -144,6 +144,14 @@ def test_wider_stencil_is_more_accurate():
     assert errors[(5, 6)] < errors[(5, 4)]
 
 
+def test_converge_rejects_sweep_that_selects_no_spacing(capsys):
+    rc = main(["converge", "--h-coarse", "1/256", "--h-fine", "1/16", "--samples", "10"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # not even the CSV header
+    assert "error: --h-coarse 0.00390625 is finer than --h-fine 0.0625" in err
+
+
 def test_converge_rejects_unknown_function(capsys):
     with pytest.raises(SystemExit):
         main(["converge", "--function", "nope"])
@@ -200,6 +208,8 @@ def test_bench_narrow_stencil_outpaces_wide_one():
         (["validate", "--max-n", "0"], "argument --max-n: must be at least 1"),
         (["validate", "--max-n", "-3", "--max-q", "2"], "argument --max-n: must be at least 1"),
         (["validate", "--max-q", "2"], "argument --max-q: must be at least 4"),
+        (["converge", "--seed", "-1"], "argument --seed: must be at least 0"),
+        (["bench", "--seed", "-1"], "argument --seed: must be at least 0"),
     ],
 )
 def test_cli_rejects_nonpositive_arguments(args, named, capsys):

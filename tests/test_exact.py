@@ -239,6 +239,7 @@ def test_derivatives_match_fraction_arithmetic(p, orders):
         coeffs = _fraction_derivative(coeffs)
     assert len(at0) == len(at1) == orders
     assert p.horner_coeffs() == tuple(float(c) for c in reversed(p.coeffs))
+    assert p.horner_chain(orders) == [tuple(float(c) for c in reversed(p.derivative(l).coeffs)) for l in range(orders)]
 
 
 def test_rational_strings():

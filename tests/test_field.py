@@ -1,10 +1,18 @@
 """Grid fields: coordinates, gathering, tensor-product evaluation, container io."""
 
+import hashlib
+import itertools
+import math
+import os
 import struct
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from exact_oracle import direct_evaluate
 from gridsplines.basis import SplineKind
@@ -91,6 +99,151 @@ def test_out_of_domain_names_cell_and_axis_on_both_paths():
     with pytest.raises(OutOfDomain) as batched:
         evaluate_many(f, np.array([(1.5, 1.0), point]), kind)
     assert str(batched.value) == want
+
+
+def reference_gather(field, cell, g):
+    """Every stencil index built and wrapped explicitly, then one fancy-index copy."""
+    q = 2 * g + 2
+    axes = []
+    for axis, (c, extent) in enumerate(zip(cell, field.dims)):
+        start = c - g
+        idx = np.arange(start, start + q)
+        if field.boundary == PERIODIC:
+            idx %= extent
+        elif start < 0 or start + q > extent:
+            raise OutOfDomain(
+                f"cell {tuple(int(v) for v in cell)}: stencil nodes [{start}, {start + q}) on axis {axis}"
+                f" leave its node range 0..{extent - 1}"
+            )
+        axes.append(idx)
+    return field.data[np.ix_(*axes)]
+
+
+GATHER_SHAPES = [
+    # every periodic extent 1..q+1 in 1-D, below q included
+    *[((extent,), g) for g in (1, 2) for extent in range(1, 2 * g + 4)],
+    ((3, 5), 1),
+    ((4, 1), 1),
+    ((7, 6), 2),
+    ((1, 4, 5), 1),
+    ((5, 2, 3), 1),
+]
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, STRICT])
+@pytest.mark.parametrize("dims,g", GATHER_SHAPES, ids=[f"{'x'.join(map(str, d))}-g{g}" for d, g in GATHER_SHAPES])
+def test_gather_matches_wrapped_index_reference(dims, g, boundary):
+    # every cell whose stencil lies inside, touches either edge, or wraps past it, at any distance up to q + 1
+    q = 2 * g + 2
+    f = GridField(np.random.default_rng(len(dims) + g).standard_normal(dims), h=1.0, boundary=boundary)
+    for cell in itertools.product(*(range(-q - 1, extent + q + 1) for extent in dims)):
+        try:
+            want = reference_gather(f, cell, g)
+        except OutOfDomain as exc:
+            with pytest.raises(OutOfDomain) as info:
+                gather_local(f, cell, g)
+            assert str(info.value) == str(exc)
+            continue
+        patch = gather_local(f, cell, g)
+        assert patch.q == q
+        assert patch.values.shape == want.shape
+        assert patch.values.tobytes() == want.tobytes()
+
+
+def test_gather_inside_the_grid_is_a_read_only_view():
+    f = GridField(np.arange(60.0).reshape(6, 10), h=1.0)
+    values = gather_local(f, (2, 5), 1).values
+    assert np.shares_memory(values, f.data)
+    assert not values.flags.writeable
+    assert not np.shares_memory(gather_local(f, (0, 5), 1).values, f.data)  # wraps on axis 0: a copy
+
+
+def scalar_digest(field, kind, points, orders) -> str:
+    values = [evaluate_derivative(field, p, kind, o) for p, o in zip(points, orders)]
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()
+
+
+def test_scalar_results_are_pinned_1d_n19q12():
+    # bit patterns of the scalar path before its gather and Horner steps were rewritten
+    rng = np.random.default_rng(6)
+    f = GridField(rng.standard_normal(64), h=1.0 / 64)
+    points = [(x,) for x in rng.uniform(-1.5, 2.5, 4096).tolist()]
+    orders = [(i % 10,) for i in range(4096)]
+    digest = scalar_digest(f, SplineKind(19, 12), points, orders)
+    assert digest == "1d996f35ff00b8dd96ffaee299632cf071eb0ee9517bfbeb5cbb16f84f2c4349"
+
+
+def test_scalar_results_are_pinned_3d_periodic_edges():
+    rng = np.random.default_rng(7)
+    dims, h = (3, 6, 9), (0.5, 0.25, 0.125)
+    f = GridField(rng.standard_normal(dims), h=h)
+    # every coordinate within one cell of the low edge 0 or of the high edge extent * h
+    edge = rng.integers(0, 2, (4096, 3)) * np.array(dims)
+    points = [tuple(p) for p in ((edge + rng.uniform(-1.0, 1.0, (4096, 3))) * np.array(h)).tolist()]
+    orders = [(i % 3, (i // 3) % 3, (i // 9) % 3) for i in range(4096)]
+    digest = scalar_digest(f, SplineKind(5, 4), points, orders)
+    assert digest == "bd0a50556a01ed7cee2b19657dfb572cc30239b493f9a6c2f420ef4c07a74c6b"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    x=st.floats(-1e6, 1e6) | st.sampled_from([-1e-17, -5e-324, -0.0, 0.0, 5e-324, 1.0 - 2**-53, -(2.0**-60)]),
+    h=st.sampled_from([1.0, 0.5, 0.1, 1 / 3, 1 / 64, 3.0]),
+)
+def test_grid_coordinates_floor_and_fold(x, h):
+    f = GridField(np.zeros(8), h=h)
+    cc = grid_coordinates((x,), f)
+    (c,), (frac,) = cc.cell, cc.frac
+    u = x / h
+    assert type(c) is int
+    assert 0.0 <= frac < 1.0
+    assert c == math.floor(u) or (c == math.floor(u) + 1 and frac == 0.0)  # fold: frac rounded up to 1
+    # cell + fraction is the scaled coordinate up to the one rounding of u - floor(u)
+    assert abs(Fraction(c) + Fraction(frac) - Fraction(u)) <= Fraction(2) ** -53
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    ticks=st.integers(-(2**24), 2**24),
+    periods=st.integers(-50, 50),
+    extent=st.integers(1, 13),
+    shift=st.integers(0, 6),
+)
+def test_grid_coordinates_periodic_shift(ticks, periods, extent, shift):
+    # dyadic points and spacings keep every coordinate exact: a whole-period shift
+    # moves the cell by whole extents, keeps the fraction, and evaluates to the same bits
+    h = 2.0**-shift
+    x = ticks * 2.0**-16
+    f = GridField(np.random.default_rng(extent).standard_normal(extent), h=h)
+    shifted = x + periods * extent * h
+    a = grid_coordinates((x,), f)
+    b = grid_coordinates((shifted,), f)
+    assert b.cell == (a.cell[0] + periods * extent,)
+    assert b.frac == a.frac
+    kind = SplineKind(5, 6)
+    assert evaluate(f, (shifted,), kind) == evaluate(f, (x,), kind)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    data=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    ),
+    h=st.floats(min_value=5e-324, max_value=1e300),
+    boundary=st.sampled_from([PERIODIC, STRICT]),
+)
+def test_container_roundtrip_keeps_bits(data, h, boundary):
+    f = GridField(data, h=h, boundary=boundary)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.gfd")
+        save_field(f, path)
+        back = load_field(path)
+    assert back.dims == f.dims
+    assert back.data.tobytes() == f.data.tobytes()
+    assert back.h == f.h
+    assert back.boundary == boundary
 
 
 def test_field_validation():
