@@ -21,7 +21,6 @@ from .basis import (
 )
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder, InvalidPoint, OutOfDomain, SingularMatrix
 from .exact import (
-    Rational,
     RationalPolynomial,
     rational_from_str,
     rational_to_str,
@@ -62,7 +61,6 @@ __all__ = [
     "MAX_ORDER",
     "OutOfDomain",
     "PERIODIC",
-    "Rational",
     "RationalPolynomial",
     "STRICT",
     "SingularMatrix",

@@ -90,11 +90,8 @@ class AlphaFamily:
         return tuple(tuple(p.horner_coeffs() for p in side) for side in self.polys)
 
     def eval_table(self, x: float) -> list:
-        """All basis values at x, as ``table[l][i]``."""
-        return [
-            [_horner(self.horner[i][l], x) for i in (0, 1)]
-            for l in range(self.m + 1)
-        ]
+        """All basis values at x, flat: entry ``2*l + i`` is member (i, l)."""
+        return [_horner(self.horner[i][l], x) for l in range(self.m + 1) for i in (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -215,30 +212,29 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
     return poly
 
 
+def _require_grid_kind(kind: SplineKind) -> None:
+    if kind.q is None:
+        raise InvalidKind(f"kind {kind} has no node count q: the grid-spline basis needs a kind (n, q)")
+
+
+@lru_cache(maxsize=None)
 def derive_beta(kind: SplineKind) -> BetaFamily:
     """Node-value basis via composition: difference weights feeding the alpha basis.
 
     The polynomial attached to node j collects every route by which f(j)
     reaches the cell: weight of f(j) in the order-l data at cell end i, times
-    the alpha member (i, l).
+    the alpha member (i, l).  Cached per kind.
     """
-    if kind.q is None:
-        raise InvalidKind("grid-spline basis requires a node count q")
-    return _beta_composed(kind.n, kind.q)
-
-
-@lru_cache(maxsize=None)
-def _beta_composed(n: int, q: int) -> BetaFamily:
-    alpha = derive_alpha(n)
-    g = (q - 2) // 2
+    _require_grid_kind(kind)
+    alpha = derive_alpha(kind.n)
+    g = kind.g
     table = derive_stencil(g)
     routes = [(i, l) for l in range(alpha.m + 1) for i in (0, 1)]
     members = [alpha.polys[i][l] for i, l in routes]
     polys = tuple(
         weighted_sum(members, [table.weight(l, node - i) for i, l in routes]) for node in range(-g, g + 2)
     )
-    family = BetaFamily(n=n, q=q, polys=polys)
-    return family
+    return BetaFamily(n=kind.n, q=kind.q, polys=polys)
 
 
 def derive_beta_direct(kind: SplineKind) -> BetaFamily:
@@ -250,8 +246,7 @@ def derive_beta_direct(kind: SplineKind) -> BetaFamily:
     node's impulse).  Must agree exactly with :func:`derive_beta`; the
     agreement is exercised by the test suite.
     """
-    if kind.q is None:
-        raise InvalidKind("grid-spline basis requires a node count q")
+    _require_grid_kind(kind)
     n, g, m = kind.n, kind.g, kind.m
     table = derive_stencil(g)
     impulses = [

@@ -1,9 +1,6 @@
 """Exact rational arithmetic: dense polynomials and linear solves over fractions.
 
 Everything in this module is exact; floats never enter a computation.
-``Rational`` is an alias for :class:`fractions.Fraction`, which already keeps
-values in lowest terms with a positive denominator and arbitrary-precision
-integer parts.
 
 Values cross the module boundary as Fractions: a polynomial's ``coeffs`` are
 lowest-terms Fractions and the solver returns Fractions.  Inside, the
@@ -24,8 +21,6 @@ from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import SingularMatrix
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 

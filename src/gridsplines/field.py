@@ -6,10 +6,19 @@ the q**D node values the stencil needs (a view of the data wherever the
 stencil lies inside the grid), evaluates the per-axis basis weights, and
 accumulates one fused sum over the patch.
 
-The accumulation order is pinned: a row-major loop nest over the patch with
-the last axis innermost.  :func:`evaluate_many` performs the same
-floating-point operations in the same order as :func:`evaluate`, vectorised
-across points, and is therefore bitwise identical to it.
+Every scalar interpolant here is that one sum, :func:`_accumulate`: a
+patch of inputs against one weight vector per axis, walked row-major with
+the last axis innermost.  Each term is the input times the weight product
+taken left to right across the axes, added to a sum that starts at 0.0.
+:func:`evaluate` and :func:`evaluate_derivative` walk the (q,)*D node
+patch.  The two parts of :func:`partitioned_evaluate` walk the two slabs of
+that patch on either side of the split, in the same order, so each part
+holds exactly the terms, and the rounding, of its slab.
+:func:`evaluate_hermite` walks the (2(m+1),)*D patch of endpoint data,
+where index 2l + i along an axis stands for derivative order l at cell end
+i.  :func:`evaluate_many` performs the same floating-point operations in
+the same order as :func:`evaluate`, vectorised across points, and is
+therefore bitwise identical to it.
 """
 
 import itertools
@@ -20,8 +29,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SplineKind, beta_eval, derive_alpha, derive_beta
-from .errors import InvalidKind, InvalidPoint, OutOfDomain
+from .basis import SplineKind, _require_derivative_order, beta_eval, derive_alpha, derive_beta
+from .errors import InvalidPoint, OutOfDomain
 
 PERIODIC = "periodic"
 STRICT = "strict"
@@ -163,10 +172,13 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     through indices taken modulo the extent, which wrap as often as needed
     when the extent is smaller than q.
     """
+    shape = field.data.shape
+    if len(cell) != len(shape):
+        raise ValueError(f"cell has {len(cell)} indices, field has {len(shape)} axes")
     q = 2 * g + 2
     box = []
     wrapped = []
-    for axis, (c, extent) in enumerate(zip(cell, field.data.shape)):
+    for axis, (c, extent) in enumerate(zip(cell, shape)):
         start = c - g
         if 0 <= start and start + q <= extent:
             box.append(slice(start, start + q))
@@ -185,7 +197,7 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
 
 
 def _accumulate(values, gammas) -> float:
-    """Row-major weighted sum over the patch; last axis innermost."""
+    """Row-major weighted sum of the flat ``values`` against per-axis weights; last axis innermost."""
     acc = 0.0
     if len(gammas) == 1:
         for v, gv in zip(values, gammas[0]):
@@ -203,28 +215,25 @@ def _accumulate(values, gammas) -> float:
     return acc
 
 
-def _accumulate_split(values, gammas, axis: int, threshold: int):
-    """Row-major weighted sum split into (low, high) by one axis index."""
-    low = 0.0
-    high = 0.0
-    pos = 0
-    for idx in itertools.product(*(range(len(g)) for g in gammas)):
-        w = gammas[0][idx[0]]
-        for j in range(1, len(gammas)):
-            w = w * gammas[j][idx[j]]
-        term = values[pos] * w
-        if idx[axis] < threshold:
-            low += term
-        else:
-            high += term
-        pos += 1
-    return low, high
+def _check_fractions(frac) -> None:
+    for axis, x in enumerate(frac):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
 
 
-def _grid_family(kind: SplineKind):
-    if kind.q is None:
-        raise InvalidKind("field evaluation requires a grid-spline kind (n, q)")
-    return derive_beta(kind)
+def _orders_and_scale(field: GridField, family, orders) -> tuple:
+    """Checked per-axis derivative orders (all 0 for None) and the chain-rule factor prod h_j**-l_j."""
+    if orders is None:
+        return (0,) * field.ndim, 1.0
+    if len(orders) != field.ndim:
+        raise ValueError(f"need one derivative order per axis, got {len(orders)}")
+    scale = 1.0
+    for axis, (hj, lj) in enumerate(zip(field.h, orders)):
+        if not isinstance(lj, (int, np.integer)):
+            raise ValueError(f"derivative order {lj!r} on axis {axis} is not an integer")
+        _require_derivative_order(family, lj)  # before h**-l, which overflows for absurd orders
+        scale *= hj ** (-lj)
+    return orders, scale
 
 
 def evaluate_at_cell(
@@ -241,26 +250,15 @@ def evaluate_at_cell(
     versus frac = 0.0 in the right cell).  ``cell``, ``frac`` and ``orders``
     need one entry per axis, and every fraction must lie in [0, 1].
     """
-    family = _grid_family(kind)
+    family = derive_beta(kind)
+    orders, scale = _orders_and_scale(field, family, orders)
     ndim = field.ndim
-    if orders is None:
-        orders = (0,) * ndim
-    elif len(orders) != ndim:
-        raise ValueError(f"need one derivative order per axis, got {len(orders)}")
     if len(cell) != ndim or len(frac) != ndim:
         raise ValueError(f"need one cell index and one fraction per axis, got {len(cell)} and {len(frac)}")
-    for axis, x in enumerate(frac):
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
+    _check_fractions(frac)
     values = gather_local(field, cell, family.g).values.ravel().tolist()
     gammas = [beta_eval(family, l, x) for l, x in zip(orders, frac)]
-    acc = _accumulate(values, gammas)
-    if any(orders):
-        scale = 1.0
-        for hj, lj in zip(field.h, orders):
-            scale *= hj ** (-lj)
-        acc *= scale
-    return acc
+    return _accumulate(values, gammas) * scale
 
 
 def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> float:
@@ -302,11 +300,8 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     not finite or out of the int64 cell range, :class:`OutOfDomain` where a
     strict field's stencil leaves the grid.
     """
-    family = _grid_family(kind)
-    if orders is None:
-        orders = (0,) * field.ndim
-    elif len(orders) != field.ndim:
-        raise ValueError(f"need one derivative order per axis, got {len(orders)}")
+    family = derive_beta(kind)
+    orders, scale = _orders_and_scale(field, family, orders)
     tables = [family.horner_table(l) for l in orders]
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
@@ -315,11 +310,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     out = np.empty(len(pts))
     for lo in range(0, len(pts), step):
         out[lo : lo + step] = _evaluate_chunk(field, pts[lo : lo + step], family, tables)
-    if any(orders):
-        scale = 1.0
-        for hj, lj in zip(field.h, orders):
-            scale *= hj ** (-lj)
-        out *= scale
+    out *= scale
     return out
 
 
@@ -381,13 +372,21 @@ def partitioned_evaluate(
     add up to :func:`evaluate`.  This mirrors running on two memory domains
     that each own a slab of nodes.
     """
-    family = _grid_family(kind)
+    for name, value in (("split_axis", split_axis), ("split_index", split_index)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} {value!r} is not an integer")
+    if not 0 <= split_axis < field.ndim:
+        raise ValueError(f"split_axis {split_axis!r} is not an axis of a field with {field.ndim} axes")
+    family = derive_beta(kind)
     cc = grid_coordinates(point, field)
-    patch = gather_local(field, cc.cell, family.g)
-    gammas = [beta_eval(family, 0, cc.frac[j]) for j in range(field.ndim)]
-    values = patch.values.ravel().tolist()
-    threshold = split_index - (cc.cell[split_axis] - family.g)
-    return _accumulate_split(values, gammas, split_axis, threshold)
+    values = gather_local(field, cc.cell, family.g).values
+    gammas = [beta_eval(family, 0, x) for x in cc.frac]
+    cut = min(max(split_index - (cc.cell[split_axis] - family.g), 0), family.q)
+    sums = []
+    for slab in (slice(None, cut), slice(cut, None)):
+        weights = gammas[:split_axis] + [gammas[split_axis][slab]] + gammas[split_axis + 1 :]
+        sums.append(_accumulate(values[(slice(None),) * split_axis + (slab,)].ravel().tolist(), weights))
+    return tuple(sums)
 
 
 def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> float:
@@ -398,18 +397,16 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
     coordinate 0 or 1).  It is called exactly once per combination, i.e.
     2**D * (m+1)**D times.  ``point`` lives in the unit cell [0, 1]**D.
     """
+    if len(point) == 0:
+        raise ValueError("point has no coordinates: need one per axis")
+    _check_fractions(point)
     family = derive_alpha(n)
-    m = family.m
-    D = len(point)
-    tables = [family.eval_table(float(x)) for x in point]
-    acc = 0.0
-    for orders in itertools.product(range(m + 1), repeat=D):
-        for node in itertools.product((0, 1), repeat=D):
-            w = tables[0][orders[0]][node[0]]
-            for j in range(1, D):
-                w = w * tables[j][orders[j]][node[j]]
-            acc += provider(orders, node) * w
-    return acc
+    # index 2l + i along an axis is order l at cell end i, as in eval_table
+    data = [
+        provider(tuple(k // 2 for k in idx), tuple(k % 2 for k in idx))
+        for idx in itertools.product(range(2 * family.m + 2), repeat=len(point))
+    ]
+    return _accumulate(data, [family.eval_table(float(x)) for x in point])
 
 
 _MAGIC = b"GRIDFLD1"

@@ -82,6 +82,14 @@ def test_gather_patch_size_2d():
     assert patch.values.shape == (4, 4)
 
 
+def test_gather_rejects_cell_with_wrong_axis_count():
+    f = GridField(np.zeros((10, 10)), h=(1.0, 1.0))
+    with pytest.raises(ValueError, match="cell has 1 indices, field has 2 axes"):
+        gather_local(f, (4,), 1)
+    with pytest.raises(ValueError, match="cell has 3 indices, field has 2 axes"):
+        gather_local(f, (4, 4, 4), 1)
+
+
 def test_gather_strict_raises_at_edge():
     f = GridField(np.arange(8.0), h=(1.0,), boundary=STRICT)
     with pytest.raises(OutOfDomain):
@@ -276,6 +284,32 @@ def test_field_rejects_zero_extent_axis():
         GridField(np.zeros(0), h=1.0, boundary=STRICT)
 
 
+def test_non_integer_derivative_order_is_rejected_on_every_path():
+    f = GridField(np.arange(64.0).reshape(8, 8), h=1.0)
+    kind = SplineKind(5, 4)
+    want = r"derivative order 1\.5 on axis 1 is not an integer"
+    with pytest.raises(ValueError, match=want):
+        evaluate_derivative(f, (3.5, 3.5), kind, (0, 1.5))
+    with pytest.raises(ValueError, match=want):
+        evaluate_at_cell(f, (3, 3), (0.5, 0.5), kind, orders=(0, 1.5))
+    with pytest.raises(ValueError, match=want):
+        evaluate_many(f, np.full((2, 2), 3.5), kind, orders=(0, 1.5))
+    with pytest.raises(ValueError, match=r"derivative order 1\.0 on axis 0"):
+        evaluate_derivative(f, (3.5, 3.5), kind, (1.0, 0))
+    # numpy integers are orders like any other
+    dx = evaluate_derivative(f, (3.5, 3.5), kind, (1, 0))
+    assert evaluate_derivative(f, (3.5, 3.5), kind, (np.int64(1), 0)) == dx
+
+
+def test_order_beyond_m_is_rejected_before_scaling():
+    # 1e-3 ** -400 overflows a float: the order must be rejected first
+    f = GridField(np.zeros(16), h=1e-3)
+    with pytest.raises(DerivativeTooHigh):
+        evaluate_derivative(f, (0.005,), SplineKind(5, 4), (400,))
+    with pytest.raises(DerivativeTooHigh):
+        evaluate_many(f, np.full((2, 1), 0.005), SplineKind(5, 4), orders=(400,))
+
+
 def test_evaluate_at_cell_checks_its_arguments():
     f = GridField(np.arange(8.0), h=1.0)
     kind = SplineKind(3, 4)
@@ -406,6 +440,22 @@ def test_hermite_provider_call_count(dims, n):
     assert len(set(calls)) == len(calls)
 
 
+def test_hermite_rejects_bad_points():
+    def provider(orders, node):
+        return 1.0
+
+    with pytest.raises(ValueError, match="no coordinates"):
+        evaluate_hermite(provider, (), 3)
+    with pytest.raises(ValueError, match=r"cell fraction 2\.0 on axis 0 is outside \[0, 1\]"):
+        evaluate_hermite(provider, (2.0,), 3)
+    with pytest.raises(ValueError, match=r"cell fraction -0\.1 on axis 1 is outside \[0, 1\]"):
+        evaluate_hermite(provider, (0.5, -0.1), 3)
+    with pytest.raises(ValueError, match="cell fraction nan on axis 0"):
+        evaluate_hermite(provider, (float("nan"), 0.5), 3)
+    # both ends of the cell stay legal
+    assert evaluate_hermite(provider, (0.0, 1.0), 3) == 1.0
+
+
 def test_hermite_consistent_with_grid_spline():
     # feeding the stencil output of the sampled field as derivative data must
     # land on the grid-spline value
@@ -478,6 +528,42 @@ def test_partition_bisecting_the_stencil():
         for split in range(base, base + kind.q + 1):
             low, high = partitioned_evaluate(f, point, kind, axis, split)
             assert abs((low + high) - full) <= 1e-12 * max(1.0, abs(full))
+
+
+def test_partition_slabs_are_the_zeroed_field_evaluations():
+    # low holds exactly the nodes below split_index along split_axis, high the rest:
+    # each equals, bit for bit, evaluate on a copy with the other slab's nodes zeroed
+    rng = np.random.default_rng(31)
+    for n, q in ((3, 4), (5, 6)):
+        kind = SplineKind(n, q)
+        data = rng.standard_normal((9, 8, 10))
+        f = GridField(data, h=(1.0, 0.5, 2.0), boundary=STRICT)
+        for _ in range(3):
+            point = tuple(rng.uniform(kind.g, d - kind.g - 1) * hj for d, hj in zip(f.dims, f.h))
+            cc = grid_coordinates(point, f)
+            for axis in range(3):
+                base = cc.cell[axis] - kind.g
+                for split in range(base - 1, base + q + 2):
+                    below = (np.arange(f.dims[axis]) < split).reshape([-1 if j == axis else 1 for j in range(3)])
+                    low, high = partitioned_evaluate(f, point, kind, axis, split)
+                    want_low = evaluate(GridField(np.where(below, data, 0.0), f.h, STRICT), point, kind)
+                    want_high = evaluate(GridField(np.where(below, 0.0, data), f.h, STRICT), point, kind)
+                    assert (low, high) == (want_low, want_high), (n, q, axis, split)
+
+
+def test_partition_rejects_bad_split_arguments():
+    f = GridField(np.zeros((8, 8, 8)), h=1.0)
+    kind = SplineKind(5, 4)
+    point = (3.3, 4.4, 3.7)
+    with pytest.raises(ValueError, match="split_axis 3 is not an axis"):
+        partitioned_evaluate(f, point, kind, 3, 4)
+    with pytest.raises(ValueError, match="split_axis -1 is not an axis"):
+        partitioned_evaluate(f, point, kind, -1, 4)
+    with pytest.raises(ValueError, match=r"split_axis 1\.0 is not an integer"):
+        partitioned_evaluate(f, point, kind, 1.0, 4)
+    with pytest.raises(ValueError, match=r"split_index 2\.5 is not an integer"):
+        partitioned_evaluate(f, point, kind, 2, 2.5)
+    assert partitioned_evaluate(f, point, kind, np.int64(2), np.int64(4)) == (0.0, 0.0)
 
 
 def test_evaluate_many_matches_scalar_bitwise():
