@@ -145,7 +145,15 @@ class BetaFamily:
         return tuple(tables)
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_derivative_order(beta: BetaFamily, order: int) -> None:
+    """The only derivative-order check: each evaluation path runs it where it looks up the order's arrays."""
+    if not _is_integer(order):
+        raise ValueError(f"derivative order {order!r} is not an integer")
     if not 0 <= order <= beta.m:
         raise DerivativeTooHigh(f"derivative order {order} not in 0..{beta.m} for kind ({beta.n},{beta.q})")
 

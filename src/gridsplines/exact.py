@@ -2,20 +2,21 @@
 
 Everything in this module is exact; floats never enter a computation.
 
-Values cross the module boundary as Fractions: a polynomial's ``coeffs`` are
-lowest-terms Fractions and the solver returns Fractions.  Inside, the
-arithmetic runs on Python integers.  A polynomial keeps a cached view of its
-coefficients as integer numerators over one common denominator (the lcm of
-theirs); products, affine substitutions, derivatives, weighted sums and
-endpoint derivatives work on that view and build one Fraction per result
-coefficient.  The solver scales each augmented row to integers and runs
-fraction-free (Bareiss) elimination.  Either way the results are the same
-lowest-terms values that plain Fraction arithmetic gives, so ``coeffs`` and
-the ``"num/den"`` export strings do not depend on this representation.
+A polynomial is stored in one form only: integer numerators over one
+positive denominator, in lowest terms (no trailing zero numerator, and the
+denominator and numerators share no factor).  That pair is unique for a
+polynomial, so equality and hashing compare it.  Products, weighted sums
+(which serve ``+``, ``-`` and scalar ``*``), affine substitutions and
+derivatives work on the integers, and each reduces its result by one gcd.
+Values cross the module boundary as Fractions: ``coeffs`` is a lowest-terms
+Fraction view built on first read, and the solver, which scales each
+augmented row to integers and runs fraction-free (Bareiss) elimination,
+returns Fractions.  Both are the values plain Fraction arithmetic gives, so
+``coeffs`` and the ``"num/den"`` export strings do not depend on the
+representation.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -34,13 +35,6 @@ def rational_to_str(value: RationalLike) -> str:
 def rational_from_str(text: str) -> Fraction:
     """Parse ``"num/den"`` (or a plain integer string) back into a Fraction."""
     return Fraction(text)
-
-
-def _canonical(coeffs: Iterable[RationalLike]) -> tuple:
-    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _over_common_denominator(values) -> tuple:
@@ -62,81 +56,86 @@ def _powers(value: int, count: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class RationalPolynomial:
     """Dense univariate polynomial over rationals; ``coeffs[k]`` multiplies x**k.
 
-    Canonical form: no trailing zero coefficients.  The zero polynomial has an
-    empty coefficient tuple and degree -1.
+    Stored as integer numerators over one positive denominator, in lowest
+    terms: no trailing zero numerator, and the denominator and numerators
+    have gcd 1.  That pair is unique, so equality and hashing compare it.
+    The zero polynomial has no numerators, denominator 1 and degree -1.
     """
 
-    coeffs: tuple = ()
+    def __init__(self, coeffs: Iterable[RationalLike] = ()):
+        self._store(*_over_common_denominator([_rational(c) for c in coeffs]))
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _canonical(self.coeffs))
+    def _store(self, numerators, denominator: int) -> None:
+        num = list(numerators)
+        while num and not num[-1]:
+            num.pop()
+        common = math.gcd(denominator, *num)
+        self._num = tuple(a // common for a in num)
+        self._den = denominator // common
+
+    @classmethod
+    def _over(cls, numerators, denominator: int) -> "RationalPolynomial":
+        """The polynomial with coefficients ``numerators[k] / denominator`` (denominator > 0)."""
+        poly = cls.__new__(cls)
+        poly._store(numerators, denominator)
+        return poly
 
     @classmethod
     def constant(cls, value: RationalLike) -> "RationalPolynomial":
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @classmethod
     def monomial(cls, power: int, coefficient: RationalLike = 1) -> "RationalPolynomial":
-        c = Fraction(coefficient)
-        if c == 0:
-            return cls()
-        return cls((Fraction(0),) * power + (c,))
-
-    @classmethod
-    def _from_scaled(cls, numerators, denominator: int) -> "RationalPolynomial":
-        """The polynomial with coefficients ``numerators[k] / denominator``."""
-        return cls(tuple(Fraction(a, denominator) for a in numerators))
+        return cls((0,) * power + (coefficient,))
 
     @cached_property
-    def _scaled(self) -> tuple:
-        """The coefficients as integer numerators over one common denominator."""
-        return _over_common_denominator(self.coeffs)
+    def coeffs(self) -> tuple:
+        """Lowest-terms Fractions in ascending powers, built on first read."""
+        return tuple(Fraction(a, self._den) for a in self._num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self):
+        return hash((self._num, self._den))
+
+    def __repr__(self):
+        return f"RationalPolynomial({self.coeffs!r})"
 
     def __add__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for k, c in enumerate(b):
-            merged[k] += c
-        return RationalPolynomial(merged)
-
-    def __neg__(self):
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
+        return weighted_sum((self, other), (1, 1)) if isinstance(other, RationalPolynomial) else NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self + (-other)
+        return weighted_sum((self, other), (1, -1)) if isinstance(other, RationalPolynomial) else NotImplemented
+
+    def __neg__(self):
+        return weighted_sum((self,), (-1,))
 
     def __mul__(self, other):
-        if isinstance(other, RationalPolynomial):
-            if self.is_zero() or other.is_zero():
-                return RationalPolynomial()
-            a, da = self._scaled
-            b, db = other._scaled
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-            return RationalPolynomial._from_scaled(out, da * db)
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(tuple(c * other for c in self.coeffs))
-        return NotImplemented
+            return weighted_sum((self,), (other,))
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return RationalPolynomial()
+        out = [0] * (len(self._num) + len(other._num) - 1)
+        for i, x in enumerate(self._num):
+            if x:
+                for j, y in enumerate(other._num, i):
+                    out[j] += x * y
+        return RationalPolynomial._over(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -148,27 +147,31 @@ class RationalPolynomial:
             out = out * self
         return out
 
+    def _derivative_numerators(self, count: int):
+        """Numerators of the derivatives of orders 0..count-1, all over ``self._den``."""
+        a = self._num
+        for order in range(count):
+            if order:
+                a = [k * x for k, x in enumerate(a[1:], 1)]
+            yield a
+
     def derivative(self, order: int = 1) -> "RationalPolynomial":
         """Exact formal derivative of the given order."""
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        a, d = self._scaled
-        for _ in range(order):
-            a = [k * x for k, x in enumerate(a[1:], 1)]
-        return RationalPolynomial._from_scaled(a, d)
+        *_, a = self._derivative_numerators(order + 1)
+        return RationalPolynomial._over(a, self._den)
 
     def end_derivatives(self, orders: int) -> tuple:
         """Derivatives of orders 0..orders-1 at x = 0 and at x = 1, as two lists of Fractions.
 
         The order-l derivative's coefficients give l! c_l at 0 and their sum at 1.
         """
-        a, d = self._scaled
-        at0, at1 = [], []
-        for _ in range(orders):
-            at0.append(Fraction(a[0] if a else 0, d))
-            at1.append(Fraction(sum(a), d))
-            a = [k * x for k, x in enumerate(a[1:], 1)]
-        return at0, at1
+        chain = list(self._derivative_numerators(orders))
+        return (
+            [Fraction(a[0] if a else 0, self._den) for a in chain],
+            [Fraction(sum(a), self._den) for a in chain],
+        )
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction input, float for float input."""
@@ -186,8 +189,7 @@ class RationalPolynomial:
         """
         if self.is_zero():
             return self
-        a, d = self._scaled
-        size = len(a)
+        a, size = self._num, len(self._num)
         scale, offset = _rational(scale), _rational(offset)
         s = _powers(scale.numerator, size)
         t = _powers(scale.denominator, size)
@@ -195,12 +197,12 @@ class RationalPolynomial:
         v = _powers(offset.denominator, size)
         top = size - 1
         w = [u[i] * v[top - i] for i in range(size)]
-        return RationalPolynomial._from_scaled(
+        return RationalPolynomial._over(
             [
                 s[j] * t[top - j] * sum(math.comb(k, j) * a[k] * w[k - j] for k in range(j, size))
                 for j in range(size)
             ],
-            d * t[top] * v[top],
+            self._den * t[top] * v[top],
         )
 
     def reflected(self) -> "RationalPolynomial":
@@ -214,16 +216,10 @@ class RationalPolynomial:
     def horner_chain(self, orders: int) -> list:
         """:meth:`horner_coeffs` of the derivatives of orders 0..orders-1.
 
-        Differentiates the integer numerators rather than building each
-        derivative polynomial; the floats are the same, since each is the
-        correctly rounded value of the same rational.
+        Each float is an integer numerator divided by the denominator, which
+        rounds correctly, as float(Fraction) does.
         """
-        a, d = self._scaled
-        chain = []
-        for _ in range(orders):
-            chain.append(tuple(x / d for x in reversed(a)))  # int division rounds correctly, as float(Fraction) does
-            a = [k * x for k, x in enumerate(a[1:], 1)]
-        return chain
+        return [tuple(x / self._den for x in reversed(a)) for a in self._derivative_numerators(orders)]
 
     def __str__(self):
         if self.is_zero():
@@ -234,14 +230,14 @@ class RationalPolynomial:
 
 def weighted_sum(polys: Sequence[RationalPolynomial], weights: Sequence[RationalLike]) -> RationalPolynomial:
     """sum_j weights[j] * polys[j], accumulated in integers over one common denominator."""
-    terms = [(_rational(w), p._scaled) for p, w in zip(polys, weights) if w]
-    den = math.lcm(*(w.denominator * d for w, (_, d) in terms))
-    acc = [0] * max((len(a) for _, (a, _) in terms), default=0)
-    for w, (a, d) in terms:
-        factor = w.numerator * (den // (w.denominator * d))
-        for k, x in enumerate(a):
+    terms = [(_rational(w), p) for p, w in zip(polys, weights) if w]
+    den = math.lcm(*(w.denominator * p._den for w, p in terms))
+    acc = [0] * max((len(p._num) for _, p in terms), default=0)
+    for w, p in terms:
+        factor = w.numerator * (den // (w.denominator * p._den))
+        for k, x in enumerate(p._num):
             acc[k] += factor * x
-    return RationalPolynomial._from_scaled(acc, den)
+    return RationalPolynomial._over(acc, den)
 
 
 def solve_linear_system(matrix: Sequence[Sequence[RationalLike]], rhs) -> list:

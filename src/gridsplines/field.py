@@ -29,8 +29,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SplineKind, _require_derivative_order, beta_eval, derive_alpha, derive_beta
-from .errors import InvalidPoint, OutOfDomain
+from .basis import SplineKind, _is_integer, beta_eval, derive_alpha, derive_beta
+from .errors import DerivativeTooHigh, InvalidPoint, OutOfDomain
 
 PERIODIC = "periodic"
 STRICT = "strict"
@@ -173,6 +173,8 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     when the extent is smaller than q.
     """
     shape = field.data.shape
+    if not (_is_integer(g) and g >= 1):
+        raise ValueError(f"stencil half-width g {g!r} is not an integer >= 1")
     if len(cell) != len(shape):
         raise ValueError(f"cell has {len(cell)} indices, field has {len(shape)} axes")
     q = 2 * g + 2
@@ -221,19 +223,27 @@ def _check_fractions(frac) -> None:
             raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
 
 
-def _orders_and_scale(field: GridField, family, orders) -> tuple:
-    """Checked per-axis derivative orders (all 0 for None) and the chain-rule factor prod h_j**-l_j."""
+def _orders_and_scale(field: GridField, orders, lookup) -> tuple:
+    """``lookup(axis, l)`` for each axis's derivative order l (all 0 for None), and the factor prod h_j**-l_j.
+
+    The lookup checks l (basis._require_derivative_order) before h**-l, which
+    overflows for absurd orders; a non-integer order's error names its axis.
+    """
     if orders is None:
-        return (0,) * field.ndim, 1.0
-    if len(orders) != field.ndim:
+        orders = (0,) * field.ndim
+    elif len(orders) != field.ndim:
         raise ValueError(f"need one derivative order per axis, got {len(orders)}")
+    found = []
     scale = 1.0
     for axis, (hj, lj) in enumerate(zip(field.h, orders)):
-        if not isinstance(lj, (int, np.integer)):
-            raise ValueError(f"derivative order {lj!r} on axis {axis} is not an integer")
-        _require_derivative_order(family, lj)  # before h**-l, which overflows for absurd orders
+        try:
+            found.append(lookup(axis, lj))
+        except DerivativeTooHigh:
+            raise
+        except ValueError:
+            raise ValueError(f"derivative order {lj!r} on axis {axis} is not an integer") from None
         scale *= hj ** (-lj)
-    return orders, scale
+    return found, scale
 
 
 def evaluate_at_cell(
@@ -251,13 +261,12 @@ def evaluate_at_cell(
     need one entry per axis, and every fraction must lie in [0, 1].
     """
     family = derive_beta(kind)
-    orders, scale = _orders_and_scale(field, family, orders)
     ndim = field.ndim
     if len(cell) != ndim or len(frac) != ndim:
         raise ValueError(f"need one cell index and one fraction per axis, got {len(cell)} and {len(frac)}")
     _check_fractions(frac)
+    gammas, scale = _orders_and_scale(field, orders, lambda axis, l: beta_eval(family, l, frac[axis]))
     values = gather_local(field, cell, family.g).values.ravel().tolist()
-    gammas = [beta_eval(family, l, x) for l, x in zip(orders, frac)]
     return _accumulate(values, gammas) * scale
 
 
@@ -301,8 +310,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     strict field's stencil leaves the grid.
     """
     family = derive_beta(kind)
-    orders, scale = _orders_and_scale(field, family, orders)
-    tables = [family.horner_table(l) for l in orders]
+    tables, scale = _orders_and_scale(field, orders, lambda axis, l: family.horner_table(l))
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
@@ -373,7 +381,7 @@ def partitioned_evaluate(
     that each own a slab of nodes.
     """
     for name, value in (("split_axis", split_axis), ("split_index", split_index)):
-        if not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{name} {value!r} is not an integer")
     if not 0 <= split_axis < field.ndim:
         raise ValueError(f"split_axis {split_axis!r} is not an axis of a field with {field.ndim} axes")

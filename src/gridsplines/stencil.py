@@ -28,23 +28,11 @@ class StencilTable:
     g: int
     coeffs: tuple
 
-    @property
-    def q(self) -> int:
-        """Node count of the spline built on this stencil (2g + 2)."""
-        return 2 * self.g + 2
-
-    def row(self, order: int) -> tuple:
-        return self.coeffs[order]
-
     def weight(self, order: int, offset: int) -> Fraction:
         """Weight of f(node + offset); zero outside the symmetric range."""
         if abs(offset) > self.g:
             return Fraction(0)
         return self.coeffs[order][offset + self.g]
-
-    def apply(self, order: int, values) -> Fraction:
-        """Order-``order`` difference of 2g+1 values centered on the node."""
-        return sum(c * v for c, v in zip(self.coeffs[order], values))
 
 
 @lru_cache(maxsize=None)

@@ -220,6 +220,15 @@ def test_beta_eval_rejects_order_above_m():
         beta_eval(derive_beta(SplineKind(3, 4)), 2, 0.3)
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_derivative_order_that_is_not_an_integer_is_rejected(bad):
+    beta = derive_beta(SplineKind(5, 4))
+    with pytest.raises(ValueError, match=f"derivative order {bad!r} is not an integer"):
+        beta_eval(beta, bad, 0.3)
+    with pytest.raises(ValueError, match=f"derivative order {bad!r} is not an integer"):
+        beta.horner_table(bad)
+
+
 def test_beta_eval_partition_of_unity_in_floats():
     beta = derive_beta(SplineKind(9, 6))
     for k in range(18):

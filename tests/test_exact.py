@@ -242,6 +242,70 @@ def test_derivatives_match_fraction_arithmetic(p, orders):
     assert p.horner_chain(orders) == [tuple(float(c) for c in reversed(p.derivative(l).coeffs)) for l in range(orders)]
 
 
+# One stored form: every route to a polynomial lands on the same integers,
+# and the Fraction view is the lowest-terms, zero-stripped coefficient list.
+
+
+def _fraction_coeffs(values) -> tuple:
+    out = [Fraction(v) for v in values]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _assert_lowest_terms(p):
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert p.degree == len(p.coeffs) - 1
+
+
+@PROPERTY
+@given(polynomials, polynomials, st.one_of(scalars, st.just(Fraction(0))))
+def test_linear_operations_match_fraction_arithmetic(p, q, c):
+    pairs = list(itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=Fraction(0)))
+    cases = [
+        (p + q, [a + b for a, b in pairs]),
+        (p - q, [a - b for a, b in pairs]),
+        (-p, [-a for a in p.coeffs]),
+        (c * p, [c * a for a in p.coeffs]),
+        (p * c, [a * c for a in p.coeffs]),
+    ]
+    for got, want in cases:
+        assert got.coeffs == _fraction_coeffs(want)
+        _assert_lowest_terms(got)
+    assert p - p == RationalPolynomial()
+    assert (p - p).coeffs == () and (p - p).degree == -1
+
+
+@PROPERTY
+@given(st.lists(entries, max_size=9), st.integers(0, 3), rationals.filter(bool))
+def test_every_route_to_a_polynomial_gives_one_value_and_hash(raw, zeros, c):
+    p = RationalPolynomial(raw)
+    routes = [
+        RationalPolynomial(raw + [0] * zeros),
+        RationalPolynomial([Fraction(v) for v in raw]),
+        RationalPolynomial(p.coeffs),
+        p + RationalPolynomial(),
+        (p * c) * (1 / c),
+        p.compose_affine(1, 0),
+        weighted_sum([p, p], [2, -1]),
+    ]
+    for other in routes:
+        assert other == p
+        assert hash(other) == hash(p)
+        assert other.coeffs == p.coeffs == _fraction_coeffs(raw)
+    assert len({p, *routes}) == 1
+    _assert_lowest_terms(p)
+
+
+def test_coeffs_are_built_only_when_read():
+    p = RationalPolynomial([Fraction(1, 2), 3]) * RationalPolynomial([1, Fraction(-2, 3)])
+    p = (p + p.derivative(1)).compose_affine(Fraction(1, 2), 1)
+    assert "coeffs" not in vars(p)
+    assert p == RationalPolynomial(p.coeffs)
+    assert "coeffs" in vars(p)
+
+
 def test_rational_strings():
     assert rational_to_str(Fraction(-3, 2)) == "-3/2"
     assert rational_from_str("-3/2") == Fraction(-3, 2)

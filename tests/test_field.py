@@ -90,6 +90,18 @@ def test_gather_rejects_cell_with_wrong_axis_count():
         gather_local(f, (4, 4, 4), 1)
 
 
+@pytest.mark.parametrize("g", [-3, 0, 1.5, True, None])
+def test_gather_rejects_half_width_that_is_not_a_positive_integer(g):
+    f = GridField(np.zeros((10, 10)), h=(1.0, 1.0))
+    with pytest.raises(ValueError, match=f"half-width g {g!r} is not an integer >= 1"):
+        gather_local(f, (4, 4), g)
+
+
+def test_gather_accepts_numpy_half_width():
+    f = GridField(np.arange(100.0).reshape(10, 10), h=(1.0, 1.0))
+    assert np.array_equal(gather_local(f, (4, 4), np.int64(2)).values, gather_local(f, (4, 4), 2).values)
+
+
 def test_gather_strict_raises_at_edge():
     f = GridField(np.arange(8.0), h=(1.0,), boundary=STRICT)
     with pytest.raises(OutOfDomain):
@@ -301,6 +313,19 @@ def test_non_integer_derivative_order_is_rejected_on_every_path():
     assert evaluate_derivative(f, (3.5, 3.5), kind, (np.int64(1), 0)) == dx
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_])
+def test_bool_derivative_order_is_rejected_on_every_path(bad):
+    f = GridField(np.arange(64.0).reshape(8, 8), h=1.0)
+    kind = SplineKind(5, 4)
+    want = f"derivative order {bad!r} on axis 0 is not an integer"
+    with pytest.raises(ValueError, match=want):
+        evaluate_derivative(f, (3.5, 3.5), kind, (bad, 0))
+    with pytest.raises(ValueError, match=want):
+        evaluate_at_cell(f, (3, 3), (0.5, 0.5), kind, orders=(bad, 0))
+    with pytest.raises(ValueError, match=want):
+        evaluate_many(f, np.full((2, 2), 3.5), kind, orders=(bad, 0))
+
+
 def test_order_beyond_m_is_rejected_before_scaling():
     # 1e-3 ** -400 overflows a float: the order must be rejected first
     f = GridField(np.zeros(16), h=1e-3)
@@ -469,7 +494,7 @@ def test_hermite_consistent_with_grid_spline():
 
     def provider(orders, node):
         vals = [data[(cell + node[0] + k) % 16] for k in range(-kind.g, kind.g + 1)]
-        return float(table.apply(orders[0], vals))
+        return float(sum(c * v for c, v in zip(table.coeffs[orders[0]], vals)))
 
     hermite = evaluate_hermite(provider, cc.frac, kind.n)
     grid = evaluate(f, (7.3,), kind)
@@ -563,6 +588,10 @@ def test_partition_rejects_bad_split_arguments():
         partitioned_evaluate(f, point, kind, 1.0, 4)
     with pytest.raises(ValueError, match=r"split_index 2\.5 is not an integer"):
         partitioned_evaluate(f, point, kind, 2, 2.5)
+    with pytest.raises(ValueError, match="split_axis True is not an integer"):
+        partitioned_evaluate(f, point, kind, True, 4)
+    with pytest.raises(ValueError, match="split_index False is not an integer"):
+        partitioned_evaluate(f, point, kind, 2, False)
     assert partitioned_evaluate(f, point, kind, np.int64(2), np.int64(4)) == (0.0, 0.0)
 
 
