@@ -17,6 +17,7 @@ representation.
 """
 
 import math
+import numbers
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -46,6 +47,12 @@ def _over_common_denominator(values) -> tuple:
 def _rational(value):
     """An int or Fraction as it is, anything else converted to a Fraction."""
     return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
+def _require_count(name: str, value) -> None:
+    """A power or derivative order: a non-negative integer, and not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} {value!r} is not a non-negative integer")
 
 
 def _powers(value: int, count: int) -> list:
@@ -89,6 +96,7 @@ class RationalPolynomial:
 
     @classmethod
     def monomial(cls, power: int, coefficient: RationalLike = 1) -> "RationalPolynomial":
+        _require_count("power", power)
         return cls((0,) * power + (coefficient,))
 
     @cached_property
@@ -140,8 +148,7 @@ class RationalPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
+        _require_count("power", exponent)
         out = RationalPolynomial.constant(1)
         for _ in range(exponent):
             out = out * self
@@ -157,8 +164,7 @@ class RationalPolynomial:
 
     def derivative(self, order: int = 1) -> "RationalPolynomial":
         """Exact formal derivative of the given order."""
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
+        _require_count("derivative order", order)
         *_, a = self._derivative_numerators(order + 1)
         return RationalPolynomial._over(a, self._den)
 

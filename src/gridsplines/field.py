@@ -16,9 +16,18 @@ that patch on either side of the split, in the same order, so each part
 holds exactly the terms, and the rounding, of its slab.
 :func:`evaluate_hermite` walks the (2(m+1),)*D patch of endpoint data,
 where index 2l + i along an axis stands for derivative order l at cell end
-i.  :func:`evaluate_many` performs the same floating-point operations in
-the same order as :func:`evaluate`, vectorised across points, and is
-therefore bitwise identical to it.
+i.
+
+:func:`evaluate_many` performs the same floating-point operations in the
+same order as :func:`evaluate`, vectorised across the points of a chunk,
+and is therefore bitwise identical to it.  Per chunk it runs one Horner
+loop for all axes at once (each axis's rows zero-padded in front to one
+length), gathers every patch with one flat ``take`` at precomputed
+row-major offsets, and sums the (q**D, points) terms with one
+``np.add.reduce`` that adds the rows in row-major patch order, starting
+from 0.0.  A periodic field is padded once per call with g ghost nodes
+below and g + 1 above each axis, so that every stencil, wrapped or not,
+is one box of the padded array.
 """
 
 import itertools
@@ -40,7 +49,8 @@ STRICT = "strict"
 _CELL_LIMIT = 2.0**63
 
 # Patch terms evaluate_many processes at once; a chunk holds CHUNK_TERMS // q**D
-# points (512 for a 3-D q = 4 kind), so each temporary array stays at 256 KiB.
+# points (512 for a 3-D q = 4 kind), at least 2, so that the gather's index
+# array and the terms array stay at 256 KiB each.
 CHUNK_TERMS = 1 << 15
 
 
@@ -156,8 +166,12 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     return CellCoordinates(cell=tuple(cells), frac=tuple(fracs))
 
 
+def _point_text(point) -> str:
+    return f"point {tuple(float(v) for v in point)}"
+
+
 def _invalid_point_message(point, axis: int, x, u) -> str:
-    where = f"point {tuple(float(v) for v in point)}: coordinate {float(x)!r} on axis {axis}"
+    where = f"{_point_text(point)}: coordinate {float(x)!r} on axis {axis}"
     if not math.isfinite(x):
         return f"{where} is not finite"
     return f"{where} scales to cell coordinate {float(u):.3g}, beyond the int64 range"
@@ -278,7 +292,10 @@ def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> floa
     tensor product of those weights.
     """
     cc = grid_coordinates(point, field)
-    return evaluate_at_cell(field, cc.cell, cc.frac, kind)
+    try:
+        return evaluate_at_cell(field, cc.cell, cc.frac, kind)
+    except OutOfDomain as exc:
+        raise OutOfDomain(f"{_point_text(point)}: {exc}") from None
 
 
 def evaluate_derivative(
@@ -295,7 +312,10 @@ def evaluate_derivative(
     continuous there.
     """
     cc = grid_coordinates(point, field)
-    return evaluate_at_cell(field, cc.cell, cc.frac, kind, orders=tuple(orders))
+    try:
+        return evaluate_at_cell(field, cc.cell, cc.frac, kind, orders=tuple(orders))
+    except OutOfDomain as exc:
+        raise OutOfDomain(f"{_point_text(point)}: {exc}") from None
 
 
 def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[int] = None) -> np.ndarray:
@@ -304,27 +324,37 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     ``points`` has shape (N, D).  The result, of shape (N,), is bit for bit
     what the scalar functions return point by point: each step repeats their
     floating-point operations in their order, vectorised across the points of
-    a chunk (see CHUNK_TERMS).  Bad input raises what the scalar path raises
-    for the first bad point: :class:`InvalidPoint` for a coordinate that is
-    not finite or out of the int64 cell range, :class:`OutOfDomain` where a
-    strict field's stencil leaves the grid.
+    a chunk (see CHUNK_TERMS).  A periodic field is padded once per call, a
+    temporary prod(d_j + q - 1) * 8 bytes, so pass all points in one call.
+    Bad input raises what the scalar path raises for the first bad point:
+    :class:`InvalidPoint` for a coordinate not finite or beyond the int64
+    cell range, :class:`OutOfDomain` where a strict stencil leaves the grid.
     """
     family = derive_beta(kind)
     tables, scale = _orders_and_scale(field, orders, lambda axis, l: family.horner_table(l))
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
-    step = max(1, CHUNK_TERMS // family.q**field.ndim)
+    g, q, ndim = family.g, family.q, field.ndim
+    horner = np.zeros((max(len(t) for t in tables), ndim, q, 1))  # every axis's Horner rows, zero-padded in front
+    for j, table in enumerate(tables):
+        horner[len(horner) - len(table) :, j, :, 0] = table
+    # with g ghost nodes below and g + 1 above, every periodic stencil is one box of ext
+    ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
+    strides = np.array(ext.strides) // ext.itemsize
+    offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
+    step = max(2, CHUNK_TERMS // q**ndim)
     out = np.empty(len(pts))
     for lo in range(0, len(pts), step):
-        out[lo : lo + step] = _evaluate_chunk(field, pts[lo : lo + step], family, tables)
+        out[lo : lo + step] = _evaluate_chunk(field, pts[lo : lo + step], kind, ext, strides, offsets, horner)
     out *= scale
     return out
 
 
-def _evaluate_chunk(field, pts, family, tables) -> np.ndarray:
+def _evaluate_chunk(field, pts, kind, ext, strides, offsets, horner) -> np.ndarray:
     """Steps of :func:`evaluate_at_cell` for each of ``pts``, arrays laid out (..., point)."""
-    g, q, n = family.g, family.q, len(pts)
+    if len(pts) == 1:  # np.add.reduce sums a single column pairwise, not row by row
+        return _evaluate_chunk(field, pts[[0, 0]], kind, ext, strides, offsets, horner)[:1]
     u = pts / np.array(field.h)
     valid = np.abs(u) < _CELL_LIMIT  # False for nan and inf too
     u[~valid] = 0.0
@@ -333,37 +363,27 @@ def _evaluate_chunk(field, pts, family, tables) -> np.ndarray:
     fold = frac >= 1.0
     cell[fold] += 1.0
     frac[fold] = 0.0
-    start = cell.astype(np.int64) - g
+    corner = cell.astype(np.int64)  # of the patch in ext: the cell modulo the extent, or the first stencil node
     bad = ~valid.all(axis=1)
-    if field.boundary == STRICT:
-        bad |= ((start < 0) | (start + q > np.array(field.dims))).any(axis=1)
-    if bad.any():
-        # the scalar checks raise the error of the first bad point
-        point = tuple(pts[np.flatnonzero(bad)[0]].tolist())
-        gather_local(field, grid_coordinates(point, field).cell, g)
-    # axis j's node indices, shaped to broadcast into the (q,)*D + (n,) patch; % only wraps when periodic
-    offsets = np.arange(q)[:, None]
-    index = tuple(
-        ((start[:, j] + offsets) % extent).reshape((1,) * j + (q,) + (1,) * (field.ndim - 1 - j) + (n,))
-        for j, extent in enumerate(field.dims)
-    )
-    gammas = []  # per axis, the q weights of beta_eval for every point: (q, n)
-    for table, x in zip(tables, frac.T):
-        acc = np.zeros((q, n))
-        for coeffs in table:
-            acc *= x
-            acc += coeffs[:, None]
-        gammas.append(acc)
+    if field.boundary == PERIODIC:
+        corner %= np.array(field.dims)
+    else:
+        corner -= kind.g
+        bad |= ((corner < 0) | (corner + kind.q > np.array(field.dims))).any(axis=1)
+    if bad.any():  # the scalar path raises the error of the first bad point
+        evaluate(field, tuple(pts[np.flatnonzero(bad)[0]].tolist()), kind)
+    terms = ext.ravel().take(offsets + corner @ strides)  # before the weights: fewer live temporaries
+    gammas = np.zeros((field.ndim, kind.q, len(pts)))  # per axis, the q weights of beta_eval for every point
+    x = np.ascontiguousarray(frac.T)[:, None, :]
+    for row in horner:
+        gammas *= x
+        gammas += row
     # weight of patch index (i_0..i_{D-1}) is ((gamma_0 * gamma_1) * ...) * gamma_{D-1}
     weights = gammas[0]
     for gamma in gammas[1:]:
         weights = weights[..., None, :] * gamma
-    terms = field.data[index].reshape(-1, n)
-    terms *= weights.reshape(-1, n)
-    acc = np.zeros(n)
-    for term in terms:  # one row per patch index, in the scalar sum's row-major order
-        acc += term
-    return acc
+    terms *= weights.reshape(terms.shape)
+    return np.add.reduce(terms, axis=0, initial=0.0)  # the rows in row-major patch order, from 0.0
 
 
 def partitioned_evaluate(

@@ -1,5 +1,7 @@
 """evaluate_many against the scalar path it vectorises: bit for bit, errors included."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,3 +106,54 @@ def test_signed_zeros_match_scalar():
     for orders in ((0, 0), (1, 0), (2, 2)):
         want = [evaluate_derivative(field, tuple(p), kind, orders) for p in points]
         assert _bits(evaluate_many(field, points, kind, orders)) == _bits(want)
+
+
+def test_out_of_domain_names_the_point_on_both_paths():
+    field = GridField(np.zeros((9, 7)), h=(0.5, 0.25), boundary=STRICT)
+    kind = SplineKind(9, 6)
+    inside = (2.2, 0.8)
+    for point in [(0.3, 0.8), (2.2, 1.7), (-0.125, 0.5), (4.0, -3.0)]:
+        want = f"point {point}: cell "
+        with pytest.raises(OutOfDomain) as scalar:
+            evaluate(field, point, kind)
+        assert str(scalar.value).startswith(want)
+        with pytest.raises(OutOfDomain) as batched:
+            evaluate_many(field, np.array([inside, point]), kind, (1, 0))
+        assert str(batched.value) == str(scalar.value)
+
+
+def test_wide_stencil_wraps_small_extents_many_periods_out():
+    # q = 12 nodes around every cell of extents 1, 2 and 13: the ghost padding wraps each axis several times
+    kind = SplineKind(19, 12)
+    dims = (1, 2, 13)
+    h = (0.5, 0.25, 0.1)
+    field = GridField(np.random.default_rng(11).standard_normal(dims), h=h)
+    rng = np.random.default_rng(12)
+    periods = np.array([d * hj for d, hj in zip(dims, h)])
+    # every sign combination of being 4 to 7 periods out, plus node hits and in-period points
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    far = signs * rng.uniform(4.0, 7.0, size=(8, 3)) * periods
+    nodes = rng.integers(-40, 40, size=(4, 3)) * np.array(h)
+    points = np.concatenate([far, nodes, rng.uniform(0.0, 1.0, size=(4, 3)) * periods])
+    for orders in [(0, 0, 0), (9, 0, 3), (1, 9, 0), (2, 2, 9)]:
+        want = [evaluate_derivative(field, tuple(p), kind, orders) for p in points.tolist()]
+        assert _bits(evaluate_many(field, points, kind, orders)) == _bits(want)
+
+
+def test_signed_zeros_match_scalar_in_3d():
+    field = GridField(np.full((4, 3, 5), -0.0), h=(1.0, 0.5, 0.25))
+    kind = SplineKind(5, 4)
+    points = np.array([(-0.0, -0.0, -0.0), (0.0, -0.0, 0.0), (2.0, 1.5, 1.25), (-0.0, 0.25, -3.125), (7.5, -4.0, 0.1)])
+    for orders in itertools.product(range(3), repeat=3):
+        want = [evaluate_derivative(field, tuple(p), kind, orders) for p in points.tolist()]
+        assert _bits(evaluate_many(field, points, kind, orders)) == _bits(want)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, STRICT])
+def test_batched_leaves_field_data_unchanged_and_read_only(boundary):
+    field = GridField(np.random.default_rng(3).standard_normal((6, 5, 7)), h=0.5, boundary=boundary)
+    before = field.data.copy()
+    points = np.random.default_rng(4).uniform(1.0, 1.5, size=(40, 3))
+    evaluate_many(field, points, SplineKind(5, 4), (1, 0, 2))
+    assert field.data.tobytes() == before.tobytes()
+    assert not field.data.flags.writeable

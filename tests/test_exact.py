@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,32 @@ def test_non_square_rejected():
 
 def test_power_rule():
     assert RationalPolynomial.monomial(3).derivative(2) == RationalPolynomial.monomial(1, 6)
+
+
+BAD_COUNTS = [-1, -2, True, False, 1.5, 2.0, Fraction(1, 2), "2"]
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS, ids=repr)
+def test_bad_power_or_order_is_rejected_by_name(bad):
+    p = RationalPolynomial((1, 2, 3))
+    message = f"{bad!r} is not a non-negative integer"
+    with pytest.raises(ValueError, match=f"^power {re.escape(message)}$"):
+        RationalPolynomial.monomial(bad)
+    with pytest.raises(ValueError, match=f"^power {re.escape(message)}$"):
+        RationalPolynomial.monomial(bad, 3)
+    with pytest.raises(ValueError, match=f"^power {re.escape(message)}$"):
+        p**bad
+    with pytest.raises(ValueError, match=f"^derivative order {re.escape(message)}$"):
+        p.derivative(bad)
+
+
+def test_numpy_integer_power_and_order_are_accepted():
+    p = RationalPolynomial((1, 2, 3))
+    assert RationalPolynomial.monomial(np.int64(2), 3) == RationalPolynomial((0, 0, 3))
+    assert p ** np.int64(2) == p * p
+    assert p.derivative(np.int64(1)) == RationalPolynomial((2, 6))
+    assert p ** 0 == RationalPolynomial.constant(1)
+    assert p.derivative(0) == p
 
 
 def test_derivative_of_constant():

@@ -112,7 +112,7 @@ def test_out_of_domain_names_cell_and_axis_on_both_paths():
     f = GridField(np.zeros((8, 6)), h=(1.0, 0.5), boundary=STRICT)
     kind = SplineKind(5, 4)
     point = (3.25, 2.75)  # cell (3, 5): axis 0 is inside, axis 1 needs nodes 4..7 of 0..5
-    want = "cell (3, 5): stencil nodes [4, 8) on axis 1 leave its node range 0..5"
+    want = "point (3.25, 2.75): cell (3, 5): stencil nodes [4, 8) on axis 1 leave its node range 0..5"
     with pytest.raises(OutOfDomain) as scalar:
         evaluate(f, point, kind)
     assert str(scalar.value) == want
