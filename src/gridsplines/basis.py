@@ -8,7 +8,10 @@ the alpha basis.
 
 Families carry their exact coefficients; the float Horner arrays for all
 derivative orders 0..m are built from them on first evaluation, so exact
-derivation and validation never pay for them.
+derivation and validation never pay for them.  The scalar weights of one
+derivative order come from a straight-line kernel compiled from that
+order's arrays the first time :func:`beta_eval` is asked for the order:
+one Horner expression per node, with the coefficients as float literals.
 """
 
 import math
@@ -19,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder
-from .exact import RationalPolynomial, rational_to_str, solve_linear_system, weighted_sum
+from .exact import RationalPolynomial, _is_integer, rational_to_str, solve_linear_system, weighted_sum
 from .stencil import derive_stencil
 
 MAX_ORDER = 19  # largest validated odd order n
@@ -135,6 +138,11 @@ class BetaFamily:
         return self._horner_tables[order]
 
     @cached_property
+    def _kernels(self) -> list:
+        """The :func:`beta_eval` kernel of each derivative order 0..m, None until first use."""
+        return [None] * (self.m + 1)
+
+    @cached_property
     def _horner_tables(self) -> tuple:
         tables = []
         for arrays in self.horner_by_order:
@@ -143,11 +151,6 @@ class BetaFamily:
             table.setflags(write=False)
             tables.append(table)
         return tuple(tables)
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _require_derivative_order(beta: BetaFamily, order: int) -> None:
@@ -200,8 +203,8 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
     """
     _require_valid_order(n)
     m = (n - 1) // 2
-    if not 0 <= l <= m:
-        raise InvalidOrder(f"derivative order must be in 0..{m} for n = {n}, got {l}")
+    if not _is_integer(l) or not 0 <= l <= m:
+        raise InvalidOrder(f"derivative order must be an integer in 0..{m} for n = {n}, got {l!r}")
     if i not in (0, 1):
         raise ValueError(f"cell end must be 0 or 1, got {i!r}")
     series = RationalPolynomial(
@@ -331,22 +334,37 @@ def validate_family(beta: BetaFamily) -> ValidationReport:
     return ValidationReport(checks=checks)
 
 
+def _compile_kernel(beta: BetaFamily, order: int):
+    """``x -> [w_0, ..., w_{q-1}]``: :func:`_horner` on each node's order-``order`` array, unrolled.
+
+    Node j's weight is the expression ``((0.0*x + c_0)*x + c_1)*x + ...``,
+    the same multiplies and adds in the same order as the loop, so it is the
+    same float.  ``repr`` writes each coefficient back exactly.
+    """
+    terms = []
+    for coeffs in beta.horner_by_order[order]:
+        expr = "0.0"
+        for c in coeffs:
+            expr = f"({expr} * x + {c!r})"
+        terms.append(expr)
+    source = f"lambda x: [{', '.join(terms)}]"
+    return eval(compile(source, f"<beta_eval kernel ({beta.n},{beta.q}) order {order}>", "eval"))
+
+
 def beta_eval(beta: BetaFamily, derivative_order: int, xi: float) -> list:
     """Weights multiplying the q node values at cell fraction xi.
 
-    Uses the precomputed Horner arrays of the requested derivative order;
-    orders above m would interpolate a discontinuous quantity and are
-    rejected.
+    Runs the straight-line Horner kernel of the requested derivative order,
+    compiled on its first use; orders above m would interpolate a
+    discontinuous quantity and are rejected.
     """
-    _require_derivative_order(beta, derivative_order)
-    x = float(xi)
-    weights = []
-    for coeffs in beta.horner_by_order[derivative_order]:
-        acc = 0.0  # _horner, inlined: this loop is the scalar path's hot spot
-        for c in coeffs:
-            acc = acc * x + c
-        weights.append(acc)
-    return weights
+    kernels = beta._kernels
+    if type(derivative_order) is not int or not 0 <= derivative_order < len(kernels):
+        _require_derivative_order(beta, derivative_order)
+    kernel = kernels[derivative_order]
+    if kernel is None:
+        kernel = kernels[derivative_order] = _compile_kernel(beta, derivative_order)
+    return kernel(float(xi))
 
 
 def export_records(beta: BetaFamily) -> list:

@@ -229,6 +229,16 @@ def _int_at_least(minimum: int):
 _positive_int = _int_at_least(1)
 
 
+def _positive_finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def cmd_export(args) -> int:
     kind = SplineKind(args.n, args.q)
     records = export_records(derive_beta(kind))
@@ -292,6 +302,8 @@ def cmd_bench(args) -> int:
         field = GridField(rng.standard_normal(dims), h=args.h, boundary=PERIODIC)
     kind = SplineKind(args.n, args.q)
     extents = [d * hj for d, hj in zip(field.dims, field.h)]
+    if not all(map(math.isfinite, extents)):
+        raise ValueError(f"{args.field}: field extent {extents} is not finite")
     points = rng.uniform(0.0, extents, size=(args.points, field.ndim))
     report = run_benchmark(field, kind, points)
     grid_text = "x".join(str(d) for d in field.dims)
@@ -341,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--q", type=int, default=4)
     p.add_argument("--grid", type=_positive_int, default=32, help="nodes per axis for the synthetic field")
-    p.add_argument("--h", type=float, default=1.0, help="grid constant for the synthetic field")
+    p.add_argument("--h", type=_positive_finite_float, default=1.0, help="grid constant for the synthetic field")
     p.add_argument("--points", type=_positive_int, default=20000)
     p.add_argument("--seed", type=_int_at_least(0), default=2024)
     p.add_argument("--field", help="evaluate a saved field container instead of a synthetic one")
@@ -350,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.func is cmd_bench and not args.field and not math.isfinite(args.grid * args.h):
+        parser.error(f"argument --h: the synthetic field's extent --grid * --h = {args.grid} * {args.h!r} is infinite")
     try:
         return args.func(args)
     except (InvalidKind, InvalidOrder, OutOfDomain, ValueError, OSError) as exc:

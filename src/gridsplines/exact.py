@@ -49,9 +49,14 @@ def _rational(value):
     return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _require_count(name: str, value) -> None:
     """A power or derivative order: a non-negative integer, and not a bool."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+    if not _is_integer(value) or value < 0:
         raise ValueError(f"{name} {value!r} is not a non-negative integer")
 
 

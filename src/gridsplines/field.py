@@ -38,8 +38,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SplineKind, _is_integer, beta_eval, derive_alpha, derive_beta
+from .basis import SplineKind, beta_eval, derive_alpha, derive_beta
 from .errors import DerivativeTooHigh, InvalidPoint, OutOfDomain
+from .exact import _is_integer
 
 PERIODIC = "periodic"
 STRICT = "strict"
@@ -148,14 +149,15 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     invariant 0 <= frac < 1 always holds.  A coordinate that is not finite,
     or whose cell index would not fit in an int64, raises :class:`InvalidPoint`.
     """
-    if len(point) != field.ndim:
-        raise ValueError(f"point has {len(point)} coordinates, field has {field.ndim} axes")
+    h = field.h
+    if len(point) != len(h):
+        raise ValueError(f"point has {len(point)} coordinates, field has {len(h)} axes")
     cells = []
     fracs = []
-    for axis, (x, hj) in enumerate(zip(point, field.h)):
+    for x, hj in zip(point, h):
         u = x / hj
-        if not abs(u) < _CELL_LIMIT:
-            raise InvalidPoint(_invalid_point_message(point, axis, x, u))
+        if not abs(u) < _CELL_LIMIT:  # len(cells) is the axis: no enumerate on the hot path
+            raise InvalidPoint(_invalid_point_message(point, len(cells), x, u))
         c = math.floor(u)  # an int
         frac = u - c
         if frac >= 1.0:
@@ -163,7 +165,7 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
             frac = 0.0
         cells.append(c)
         fracs.append(frac)
-    return CellCoordinates(cell=tuple(cells), frac=tuple(fracs))
+    return CellCoordinates(tuple(cells), tuple(fracs))
 
 
 def _point_text(point) -> str:
@@ -186,30 +188,32 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     through indices taken modulo the extent, which wrap as often as needed
     when the extent is smaller than q.
     """
-    shape = field.data.shape
-    if not (_is_integer(g) and g >= 1):
+    data = field.data
+    shape = data.shape
+    if not ((type(g) is int or _is_integer(g)) and g >= 1):
         raise ValueError(f"stencil half-width g {g!r} is not an integer >= 1")
     if len(cell) != len(shape):
         raise ValueError(f"cell has {len(cell)} indices, field has {len(shape)} axes")
     q = 2 * g + 2
     box = []
     wrapped = []
-    for axis, (c, extent) in enumerate(zip(cell, shape)):
+    for c, extent in zip(cell, shape):  # len(box) is the axis
         start = c - g
-        if 0 <= start and start + q <= extent:
-            box.append(slice(start, start + q))
+        stop = start + q
+        if 0 <= start and stop <= extent:
+            box.append(slice(start, stop))
         elif field.boundary == PERIODIC:
+            wrapped.append((len(box), np.arange(start, stop) % extent))
             box.append(slice(None))
-            wrapped.append((axis, np.arange(start, start + q) % extent))
         else:
             raise OutOfDomain(
-                f"cell {tuple(int(v) for v in cell)}: stencil nodes [{start}, {start + q}) on axis {axis}"
+                f"cell {tuple(int(v) for v in cell)}: stencil nodes [{start}, {stop}) on axis {len(box)}"
                 f" leave its node range 0..{extent - 1}"
             )
-    values = field.data[tuple(box)]
+    values = data[tuple(box)]
     for axis, idx in wrapped:
         values = values.take(idx, axis=axis)
-    return LocalPatch(q=q, values=values)
+    return LocalPatch(q, values)
 
 
 def _accumulate(values, gammas) -> float:
@@ -243,19 +247,20 @@ def _orders_and_scale(field: GridField, orders, lookup) -> tuple:
     The lookup checks l (basis._require_derivative_order) before h**-l, which
     overflows for absurd orders; a non-integer order's error names its axis.
     """
+    h = field.h
     if orders is None:
-        orders = (0,) * field.ndim
-    elif len(orders) != field.ndim:
+        orders = (0,) * len(h)
+    elif len(orders) != len(h):
         raise ValueError(f"need one derivative order per axis, got {len(orders)}")
     found = []
     scale = 1.0
-    for axis, (hj, lj) in enumerate(zip(field.h, orders)):
+    for hj, lj in zip(h, orders):  # len(found) is the axis
         try:
-            found.append(lookup(axis, lj))
+            found.append(lookup(len(found), lj))
         except DerivativeTooHigh:
             raise
         except ValueError:
-            raise ValueError(f"derivative order {lj!r} on axis {axis} is not an integer") from None
+            raise ValueError(f"derivative order {lj!r} on axis {len(found)} is not an integer") from None
         scale *= hj ** (-lj)
     return found, scale
 
@@ -275,7 +280,7 @@ def evaluate_at_cell(
     need one entry per axis, and every fraction must lie in [0, 1].
     """
     family = derive_beta(kind)
-    ndim = field.ndim
+    ndim = len(field.h)
     if len(cell) != ndim or len(frac) != ndim:
         raise ValueError(f"need one cell index and one fraction per axis, got {len(cell)} and {len(frac)}")
     _check_fractions(frac)
@@ -291,9 +296,9 @@ def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> floa
     the result is a single fused sum of the q**D patch values against the
     tensor product of those weights.
     """
-    cc = grid_coordinates(point, field)
+    cell, frac = grid_coordinates(point, field)
     try:
-        return evaluate_at_cell(field, cc.cell, cc.frac, kind)
+        return evaluate_at_cell(field, cell, frac, kind)
     except OutOfDomain as exc:
         raise OutOfDomain(f"{_point_text(point)}: {exc}") from None
 
@@ -311,9 +316,9 @@ def evaluate_derivative(
     Orders above m are rejected because the interpolant would not be
     continuous there.
     """
-    cc = grid_coordinates(point, field)
+    cell, frac = grid_coordinates(point, field)
     try:
-        return evaluate_at_cell(field, cc.cell, cc.frac, kind, orders=tuple(orders))
+        return evaluate_at_cell(field, cell, frac, kind, tuple(orders))
     except OutOfDomain as exc:
         raise OutOfDomain(f"{_point_text(point)}: {exc}") from None
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import solve_linear_system
+from .exact import _is_integer, solve_linear_system
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,20 @@ class StencilTable:
     coeffs: tuple
 
     def weight(self, order: int, offset: int) -> Fraction:
-        """Weight of f(node + offset); zero outside the symmetric range."""
-        if abs(offset) > self.g:
+        """Weight of f(node + offset) in the order-``order`` row; zero outside the symmetric range.
+
+        ``order`` must be an integer in 0..2g and ``offset`` an integer;
+        bools are neither.
+        """
+        g = self.g
+        if type(order) is not int or type(offset) is not int or not 0 <= order <= 2 * g:
+            if not (_is_integer(order) and 0 <= order <= 2 * g):
+                raise ValueError(f"difference order {order!r} is not an integer in 0..{2 * g}")
+            if not _is_integer(offset):
+                raise ValueError(f"node offset {offset!r} is not an integer")
+        if abs(offset) > g:
             return Fraction(0)
-        return self.coeffs[order][offset + self.g]
+        return self.coeffs[order][offset + g]
 
 
 @lru_cache(maxsize=None)
@@ -43,8 +53,8 @@ def derive_stencil(g: int) -> StencilTable:
     system; solution j gives the contribution of f(node_j) to every Taylor
     order.
     """
-    if g < 1:
-        raise ValueError(f"stencil half-width must be >= 1, got {g}")
+    if not (_is_integer(g) and g >= 1):
+        raise ValueError(f"stencil half-width {g!r} is not an integer >= 1")
     size = 2 * g + 1
     nodes = range(-g, g + 1)
     vandermonde = [[Fraction(v) ** p for p in range(size)] for v in nodes]

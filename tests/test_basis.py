@@ -1,10 +1,13 @@
 """Spline basis families: derivation, closed forms, exact identities."""
 
 import hashlib
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from gridsplines import basis
 from gridsplines.basis import (
     MAX_NODES,
     MAX_ORDER,
@@ -18,6 +21,7 @@ from gridsplines.basis import (
     export_records,
     validate_family,
 )
+from gridsplines.cli import run_validation
 from gridsplines.errors import DerivativeTooHigh, InvalidKind, InvalidOrder
 from gridsplines.exact import RationalPolynomial, rational_from_str
 
@@ -120,6 +124,12 @@ def test_closed_form_matches_solved(n):
 def test_closed_form_rejects_order_above_m():
     with pytest.raises(InvalidOrder):
         alpha_closed_form(3, 2, 0)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_closed_form_rejects_an_order_that_is_not_an_integer(bad):
+    with pytest.raises(InvalidOrder, match=f"got {bad!r}"):
+        alpha_closed_form(5, bad, 0)
 
 
 # -- node-value basis
@@ -275,3 +285,55 @@ def test_exact_coefficients_are_pinned():
     # exact layer (solver, polynomial arithmetic, derivation) must leave them alone
     assert len(SUPPORTED_KINDS) == 34
     assert exact_digest(SUPPORTED_KINDS) == "154537023fb6281018f4627ef9ae9933fd0dcbbbd5c01322382f73476d5413d3"
+
+
+def loop_beta_eval(beta, order, xi):
+    """The interpreted Horner loop that the compiled kernels unroll: the bitwise oracle."""
+    x = float(xi)
+    weights = []
+    for coeffs in beta.horner_by_order[order]:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        weights.append(acc)
+    return weights
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize("n,q", SUPPORTED_KINDS)
+def test_kernels_match_the_horner_loop_bit_for_bit(n, q):
+    beta = derive_beta(SplineKind(n, q))
+    edges = [0.0, 1.0, 1 - 2**-53, 5e-324, -0.0, -0.37, float("inf"), float("-inf"), float("nan")]
+    points = edges + np.random.default_rng([n, q]).random(24).tolist()
+    for order in range(beta.m + 1):
+        for x in points:
+            assert bits(beta_eval(beta, order, x)) == bits(loop_beta_eval(beta, order, x)), (order, x)
+    assert all(kernel is not None for kernel in beta._kernels)
+
+
+def test_kernel_is_compiled_once_per_order_on_first_use(monkeypatch):
+    beta = derive_beta.__wrapped__(SplineKind(7, 6))
+    compiled = []
+    compile_kernel = basis._compile_kernel
+
+    def counted(family, order):
+        compiled.append(order)
+        return compile_kernel(family, order)
+
+    monkeypatch.setattr(basis, "_compile_kernel", counted)
+    for order in (2, 0, 2, np.int64(2), 0):
+        assert bits(beta_eval(beta, order, 0.3)) == bits(loop_beta_eval(beta, int(order), 0.3))
+    assert compiled == [2, 0]
+
+
+def test_derivation_and_validation_build_no_kernel(monkeypatch):
+    def refuse(beta, order):
+        raise AssertionError(f"kernel compiled for ({beta.n},{beta.q}) order {order}")
+
+    monkeypatch.setattr(basis, "_compile_kernel", refuse)
+    beta = derive_beta.__wrapped__(SplineKind(19, 12))
+    assert "_kernels" not in beta.__dict__ and "horner_by_order" not in beta.__dict__
+    assert run_validation(19, 12).ok

@@ -210,6 +210,13 @@ def test_bench_narrow_stencil_outpaces_wide_one():
         (["validate", "--max-q", "2"], "argument --max-q: must be at least 4"),
         (["converge", "--seed", "-1"], "argument --seed: must be at least 0"),
         (["bench", "--seed", "-1"], "argument --seed: must be at least 0"),
+        (["bench", "--h", "0"], "argument --h: must be positive and finite"),
+        (["bench", "--h=-1"], "argument --h: must be positive and finite"),
+        (["bench", "--h", "nan"], "argument --h: must be positive and finite"),
+        (["bench", "--h", "inf"], "argument --h: must be positive and finite"),
+        (["bench", "--h", "1e400"], "argument --h: must be positive and finite"),
+        (["bench", "--h", "one"], "argument --h: expected a number"),
+        (["bench", "--h", "1e308", "--grid", "8"], "argument --h: the synthetic field's extent --grid * --h"),
     ],
 )
 def test_cli_rejects_nonpositive_arguments(args, named, capsys):
@@ -241,6 +248,13 @@ def test_bench_consumes_field_container(tmp_path, capsys):
     rc = main(["bench", "--n", "3", "--q", "4", "--points", "32", "--field", str(path)])
     assert rc == 0
     assert "12x12" in capsys.readouterr().out
+
+
+def test_bench_rejects_a_container_whose_extent_is_not_finite(tmp_path, capsys):
+    path = tmp_path / "field.gfd"
+    save_field(GridField(np.zeros(8), h=1e308), path)
+    assert main(["bench", "--dims", "1", "--points", "4", "--field", str(path)]) == 2
+    assert f"{path}: field extent [inf] is not finite" in capsys.readouterr().err
 
 
 def test_catalog_functions_are_unit_periodic():

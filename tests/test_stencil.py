@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gridsplines.stencil import derive_stencil
@@ -58,3 +59,32 @@ def test_weight_outside_range_is_zero():
 def test_invalid_half_width():
     with pytest.raises(ValueError):
         derive_stencil(0)
+
+
+@pytest.mark.parametrize(
+    "order,offset,named",
+    [
+        (-1, 0, "difference order -1 is not an integer in 0..4"),
+        (5, 0, "difference order 5 is not an integer in 0..4"),
+        (1.0, 0, "difference order 1.0 is not an integer in 0..4"),
+        (True, 0, "difference order True is not an integer in 0..4"),
+        (1, 0.5, "node offset 0.5 is not an integer"),
+        (1, True, "node offset True is not an integer"),
+        (1, "0", "node offset '0' is not an integer"),
+    ],
+)
+def test_weight_rejects_bad_arguments(order, offset, named):
+    with pytest.raises(ValueError, match=named):
+        derive_stencil(2).weight(order, offset)
+
+
+def test_weight_accepts_numpy_integers():
+    st = derive_stencil(2)
+    assert st.weight(np.int64(1), np.int32(-2)) == st.weight(1, -2)
+    assert st.weight(np.int64(4), np.int64(7)) == 0
+
+
+@pytest.mark.parametrize("g", [True, 1.5, 2.0, "2", 0, -1])
+def test_half_width_that_is_not_a_positive_integer_is_rejected(g):
+    with pytest.raises(ValueError, match=f"stencil half-width {g!r} is not an integer >= 1"):
+        derive_stencil(g)
