@@ -29,9 +29,7 @@ from .exact import (
 from .field import (
     PERIODIC,
     STRICT,
-    CellCoordinates,
     GridField,
-    LocalPatch,
     evaluate,
     evaluate_at_cell,
     evaluate_derivative,
@@ -43,20 +41,18 @@ from .field import (
     partitioned_evaluate,
     save_field,
 )
-from .stencil import StencilTable, derive_stencil
+from .stencil import derive_stencil
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlphaFamily",
     "BetaFamily",
-    "CellCoordinates",
     "DerivativeTooHigh",
     "GridField",
     "InvalidKind",
     "InvalidOrder",
     "InvalidPoint",
-    "LocalPatch",
     "MAX_NODES",
     "MAX_ORDER",
     "OutOfDomain",
@@ -65,7 +61,6 @@ __all__ = [
     "STRICT",
     "SingularMatrix",
     "SplineKind",
-    "StencilTable",
     "ValidationReport",
     "alpha_closed_form",
     "beta_eval",

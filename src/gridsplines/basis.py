@@ -6,12 +6,13 @@ derivative data at the two cell ends, for odd order n = 2m + 1.
 q = 2g + 2 surrounding nodes, obtained by feeding centered differences into
 the alpha basis.
 
-Families carry their exact coefficients; the float Horner arrays for all
-derivative orders 0..m are built from them on first evaluation, so exact
-derivation and validation never pay for them.  The scalar weights of one
-derivative order come from a straight-line kernel compiled from that
-order's arrays the first time :func:`beta_eval` is asked for the order:
-one Horner expression per node, with the coefficients as float literals.
+Families carry their exact coefficients.  Their floats live in one kind
+of object, :class:`FrozenForm`: a list of degree-descending Horner arrays,
+with a straight-line ``kernel`` compiled from them for scalar calls and a
+zero-padded ``table`` of them for batched calls, each built on first use.
+A beta family has one form per derivative order 0..m (:meth:`BetaFamily.form`),
+an alpha family one form over all its members; none is built before the
+first evaluation, so exact derivation and validation never pay for them.
 """
 
 import math
@@ -69,11 +70,38 @@ class SplineKind:
         return f"({self.n},{self.q})" if self.q is not None else f"(n={self.n})"
 
 
-def _horner(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+class FrozenForm:
+    """Degree-descending float Horner arrays, with a compiled kernel and a padded table built on first use.
+
+    ``kernel(x)`` returns every array's value at x: array j's entry is the
+    expression ``((0.0*x + c_0)*x + c_1)*x + ...``, the multiplies and adds
+    of the loop ``acc = 0.0; acc = acc*x + c`` in the same order, so the
+    same float (``repr`` writes each coefficient back exactly).  Row k of
+    the read-only ``table`` holds every array's k-th coefficient, each array
+    padded in front with zeros to the common length; Horner keeps ``acc``
+    at exactly 0.0 through the padding (x >= 0), so a column of the table
+    gives bit for bit what the kernel gives.
+    """
+
+    def __init__(self, arrays):
+        self.arrays = tuple(arrays)
+
+    @cached_property
+    def kernel(self):
+        terms = []
+        for coeffs in self.arrays:
+            expr = "0.0"
+            for c in coeffs:
+                expr = f"({expr} * x + {c!r})"
+            terms.append(expr)
+        return eval(compile(f"lambda x: [{', '.join(terms)}]", "<FrozenForm kernel>", "eval"))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        width = max(len(c) for c in self.arrays)
+        table = np.array([(0.0,) * (width - len(c)) + c for c in self.arrays]).T.copy()
+        table.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)
@@ -88,13 +116,9 @@ class AlphaFamily:
         return (self.n - 1) // 2
 
     @cached_property
-    def horner(self) -> tuple:
-        """Float Horner arrays indexed [i][l], degree-descending."""
-        return tuple(tuple(p.horner_coeffs() for p in side) for side in self.polys)
-
-    def eval_table(self, x: float) -> list:
-        """All basis values at x, flat: entry ``2*l + i`` is member (i, l)."""
-        return [_horner(self.horner[i][l], x) for l in range(self.m + 1) for i in (0, 1)]
+    def form(self) -> FrozenForm:
+        """Every member's float form, flat: entry ``2*l + i`` is member (i, l)."""
+        return FrozenForm(self.polys[i][l].horner_coeffs() for l in range(self.m + 1) for i in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -126,31 +150,14 @@ class BetaFamily:
         """Horner arrays for every derivative order 0..m, indexed [order][node]; built on first use."""
         return tuple(zip(*(p.horner_chain(self.m + 1) for p in self.polys)))
 
-    def horner_table(self, order: int) -> np.ndarray:
-        """The order-``order`` Horner arrays as one read-only float array of shape (L, q).
-
-        Row k holds every node's k-th coefficient, each array padded in front
-        with zeros to the common length L.  Horner's ``acc*x + c`` keeps
-        ``acc`` at exactly 0.0 through the padding (x >= 0), so a padded
-        column gives bit for bit what its unpadded array gives.
-        """
+    def form(self, order: int) -> FrozenForm:
+        """The float form of derivative order ``order``: one array per node."""
         _require_derivative_order(self, order)
-        return self._horner_tables[order]
+        return self._forms[order]
 
     @cached_property
-    def _kernels(self) -> list:
-        """The :func:`beta_eval` kernel of each derivative order 0..m, None until first use."""
-        return [None] * (self.m + 1)
-
-    @cached_property
-    def _horner_tables(self) -> tuple:
-        tables = []
-        for arrays in self.horner_by_order:
-            width = max(len(c) for c in arrays)
-            table = np.array([(0.0,) * (width - len(c)) + c for c in arrays]).T.copy()
-            table.setflags(write=False)
-            tables.append(table)
-        return tuple(tables)
+    def _forms(self) -> tuple:
+        return tuple(map(FrozenForm, self.horner_by_order))
 
 
 def _require_derivative_order(beta: BetaFamily, order: int) -> None:
@@ -205,7 +212,7 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
     m = (n - 1) // 2
     if not _is_integer(l) or not 0 <= l <= m:
         raise InvalidOrder(f"derivative order must be an integer in 0..{m} for n = {n}, got {l!r}")
-    if i not in (0, 1):
+    if not _is_integer(i) or i not in (0, 1):
         raise ValueError(f"cell end must be 0 or 1, got {i!r}")
     series = RationalPolynomial(
         [
@@ -334,37 +341,17 @@ def validate_family(beta: BetaFamily) -> ValidationReport:
     return ValidationReport(checks=checks)
 
 
-def _compile_kernel(beta: BetaFamily, order: int):
-    """``x -> [w_0, ..., w_{q-1}]``: :func:`_horner` on each node's order-``order`` array, unrolled.
-
-    Node j's weight is the expression ``((0.0*x + c_0)*x + c_1)*x + ...``,
-    the same multiplies and adds in the same order as the loop, so it is the
-    same float.  ``repr`` writes each coefficient back exactly.
-    """
-    terms = []
-    for coeffs in beta.horner_by_order[order]:
-        expr = "0.0"
-        for c in coeffs:
-            expr = f"({expr} * x + {c!r})"
-        terms.append(expr)
-    source = f"lambda x: [{', '.join(terms)}]"
-    return eval(compile(source, f"<beta_eval kernel ({beta.n},{beta.q}) order {order}>", "eval"))
-
-
 def beta_eval(beta: BetaFamily, derivative_order: int, xi: float) -> list:
     """Weights multiplying the q node values at cell fraction xi.
 
-    Runs the straight-line Horner kernel of the requested derivative order,
-    compiled on its first use; orders above m would interpolate a
-    discontinuous quantity and are rejected.
+    Runs the kernel of the requested derivative order's form, compiled on
+    its first use; orders above m would interpolate a discontinuous
+    quantity and are rejected.
     """
-    kernels = beta._kernels
-    if type(derivative_order) is not int or not 0 <= derivative_order < len(kernels):
+    forms = beta._forms
+    if type(derivative_order) is not int or not 0 <= derivative_order < len(forms):
         _require_derivative_order(beta, derivative_order)
-    kernel = kernels[derivative_order]
-    if kernel is None:
-        kernel = kernels[derivative_order] = _compile_kernel(beta, derivative_order)
-    return kernel(float(xi))
+    return forms[derivative_order].kernel(float(xi))
 
 
 def export_records(beta: BetaFamily) -> list:

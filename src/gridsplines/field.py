@@ -336,7 +336,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     cell range, :class:`OutOfDomain` where a strict stencil leaves the grid.
     """
     family = derive_beta(kind)
-    tables, scale = _orders_and_scale(field, orders, lambda axis, l: family.horner_table(l))
+    tables, scale = _orders_and_scale(field, orders, lambda axis, l: family.form(l).table)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
@@ -434,12 +434,12 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
         raise ValueError("point has no coordinates: need one per axis")
     _check_fractions(point)
     family = derive_alpha(n)
-    # index 2l + i along an axis is order l at cell end i, as in eval_table
+    # index 2l + i along an axis is order l at cell end i, as in AlphaFamily.form
     data = [
         provider(tuple(k // 2 for k in idx), tuple(k % 2 for k in idx))
         for idx in itertools.product(range(2 * family.m + 2), repeat=len(point))
     ]
-    return _accumulate(data, [family.eval_table(float(x)) for x in point])
+    return _accumulate(data, [family.form.kernel(float(x)) for x in point])
 
 
 _MAGIC = b"GRIDFLD1"

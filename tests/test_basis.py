@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gridsplines import basis
+from gridsplines import cli, field
 from gridsplines.basis import (
     MAX_NODES,
     MAX_ORDER,
@@ -24,6 +24,7 @@ from gridsplines.basis import (
 from gridsplines.cli import run_validation
 from gridsplines.errors import DerivativeTooHigh, InvalidKind, InvalidOrder
 from gridsplines.exact import RationalPolynomial, rational_from_str
+from gridsplines.field import evaluate_hermite
 
 
 def poly(*coeffs):
@@ -132,6 +133,16 @@ def test_closed_form_rejects_an_order_that_is_not_an_integer(bad):
         alpha_closed_form(5, bad, 0)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_closed_form_rejects_a_cell_end_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        alpha_closed_form(5, 1, bad)
+
+
+def test_closed_form_takes_a_numpy_integer_cell_end():
+    assert alpha_closed_form(5, 1, np.int64(1)) == alpha_closed_form(5, 1, 1)
+
+
 # -- node-value basis
 
 
@@ -236,7 +247,7 @@ def test_derivative_order_that_is_not_an_integer_is_rejected(bad):
     with pytest.raises(ValueError, match=f"derivative order {bad!r} is not an integer"):
         beta_eval(beta, bad, 0.3)
     with pytest.raises(ValueError, match=f"derivative order {bad!r} is not an integer"):
-        beta.horner_table(bad)
+        beta.form(bad)
 
 
 def test_beta_eval_partition_of_unity_in_floats():
@@ -287,11 +298,10 @@ def test_exact_coefficients_are_pinned():
     assert exact_digest(SUPPORTED_KINDS) == "154537023fb6281018f4627ef9ae9933fd0dcbbbd5c01322382f73476d5413d3"
 
 
-def loop_beta_eval(beta, order, xi):
+def loop_horner(arrays, x):
     """The interpreted Horner loop that the compiled kernels unroll: the bitwise oracle."""
-    x = float(xi)
     weights = []
-    for coeffs in beta.horner_by_order[order]:
+    for coeffs in arrays:
         acc = 0.0
         for c in coeffs:
             acc = acc * x + c
@@ -299,41 +309,106 @@ def loop_beta_eval(beta, order, xi):
     return weights
 
 
+def loop_beta_eval(beta, order, xi):
+    return loop_horner(beta.horner_by_order[order], float(xi))
+
+
+def loop_alpha_weights(alpha, x):
+    """Every alpha member by the loop, flat: entry ``2*l + i`` is member (i, l)."""
+    return loop_horner([alpha.polys[i][l].horner_coeffs() for l in range(alpha.m + 1) for i in (0, 1)], x)
+
+
 def bits(values):
     return [struct.pack("<d", v) for v in values]
+
+
+def oracle_points(seed):
+    """Edge cases (in and out of the cell) and 24 seeded points in [0, 1)."""
+    edges = [0.0, 1.0, 1 - 2**-53, 5e-324, -0.0, -0.37, float("inf"), float("-inf"), float("nan")]
+    return edges + np.random.default_rng(seed).random(24).tolist()
 
 
 @pytest.mark.parametrize("n,q", SUPPORTED_KINDS)
 def test_kernels_match_the_horner_loop_bit_for_bit(n, q):
     beta = derive_beta(SplineKind(n, q))
-    edges = [0.0, 1.0, 1 - 2**-53, 5e-324, -0.0, -0.37, float("inf"), float("-inf"), float("nan")]
-    points = edges + np.random.default_rng([n, q]).random(24).tolist()
+    points = oracle_points([n, q])
     for order in range(beta.m + 1):
         for x in points:
             assert bits(beta_eval(beta, order, x)) == bits(loop_beta_eval(beta, order, x)), (order, x)
-    assert all(kernel is not None for kernel in beta._kernels)
+    assert all("kernel" in vars(beta.form(order)) for order in range(beta.m + 1))
 
 
-def test_kernel_is_compiled_once_per_order_on_first_use(monkeypatch):
+@pytest.mark.parametrize("n,q", SUPPORTED_KINDS)
+def test_tables_match_the_kernels_bit_for_bit(n, q):
+    beta = derive_beta(SplineKind(n, q))
+    points = [0.0, 1.0, 1 - 2**-53] + np.random.default_rng([n, q]).random(24).tolist()
+    for order in range(beta.m + 1):
+        form = beta.form(order)
+        acc = np.zeros((q, len(points)))  # evaluate_many's Horner loop, one column per point
+        for row in form.table:
+            acc = acc * np.array(points) + row[:, None]
+        for x, column in zip(points, acc.T):
+            assert bits(column.tolist()) == bits(form.kernel(x)), (order, x)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1, 2))
+def test_hermite_weights_match_the_horner_loop_bit_for_bit(n, monkeypatch):
+    alpha = derive_alpha(n)
+    points = oracle_points([n])
+    for x in points:
+        assert bits(alpha.form.kernel(x)) == bits(loop_alpha_weights(alpha, x)), x
+    # the weights evaluate_hermite hands to its sum, at every point inside the cell
+    summed = []
+    monkeypatch.setattr(field, "_accumulate", lambda data, gammas: summed.extend(gammas) or 0.0)
+    inside = [x for x in points if 0.0 <= x <= 1.0]
+    for x in inside:
+        evaluate_hermite(lambda orders, node: 0.0, (x,), n)
+    assert [bits(w) for w in summed] == [bits(loop_alpha_weights(alpha, x)) for x in inside]
+
+
+def test_kernel_is_compiled_once_per_order_on_first_use():
     beta = derive_beta.__wrapped__(SplineKind(7, 6))
-    compiled = []
-    compile_kernel = basis._compile_kernel
-
-    def counted(family, order):
-        compiled.append(order)
-        return compile_kernel(family, order)
-
-    monkeypatch.setattr(basis, "_compile_kernel", counted)
+    kernels = []
     for order in (2, 0, 2, np.int64(2), 0):
         assert bits(beta_eval(beta, order, 0.3)) == bits(loop_beta_eval(beta, int(order), 0.3))
-    assert compiled == [2, 0]
+        kernels.append(vars(beta.form(order))["kernel"])
+    assert [l for l in range(beta.m + 1) if "kernel" in vars(beta.form(l))] == [0, 2]
+    assert kernels[0] is kernels[2] is kernels[3] and kernels[1] is kernels[4]
 
 
 def test_derivation_and_validation_build_no_kernel(monkeypatch):
-    def refuse(beta, order):
-        raise AssertionError(f"kernel compiled for ({beta.n},{beta.q}) order {order}")
+    derived = []
 
-    monkeypatch.setattr(basis, "_compile_kernel", refuse)
-    beta = derive_beta.__wrapped__(SplineKind(19, 12))
-    assert "_kernels" not in beta.__dict__ and "horner_by_order" not in beta.__dict__
-    assert run_validation(19, 12).ok
+    def uncached(derive):  # a fresh family per call: no earlier test's forms can hide a new one
+        def derive_fresh(arg):
+            derived.append(derive.__wrapped__(arg))
+            return derived[-1]
+
+        return derive_fresh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "derive_alpha", uncached(derive_alpha))
+        patch.setattr(cli, "derive_beta", uncached(derive_beta))
+        assert run_validation(19, 12).ok
+    derived += [derive_alpha.__wrapped__(19), derive_beta.__wrapped__(SplineKind(19, 12))]
+    assert not [family for family in derived if {"form", "_forms", "horner_by_order"} & vars(family).keys()]
+
+    # a scalar evaluation compiles kernels only, a batched one builds tables only
+    kind = SplineKind(5, 4)
+    scalar, batched, alpha = derive_beta.__wrapped__(kind), derive_beta.__wrapped__(kind), derive_alpha.__wrapped__(5)
+    grid = field.GridField(np.arange(8.0), h=0.125)
+    monkeypatch.setattr(field, "derive_beta", lambda kind: scalar)
+    monkeypatch.setattr(field, "derive_alpha", lambda n: alpha)
+    field.evaluate(grid, (0.3,), kind)
+    field.evaluate_derivative(grid, (0.3,), kind, (1,))
+    field.partitioned_evaluate(grid, (0.3,), kind, 0, 2)
+    evaluate_hermite(lambda orders, node: 1.0, (0.3,), 5)
+    monkeypatch.setattr(field, "derive_beta", lambda kind: batched)
+    field.evaluate_many(grid, [[0.3], [0.4]], kind, (1,))
+
+    def built(form):
+        return "kernel" in vars(form), "table" in vars(form)
+
+    assert [built(scalar.form(l)) for l in (0, 1, 2)] == [(True, False), (True, False), (False, False)]
+    assert built(alpha.form) == (True, False)
+    assert [built(batched.form(l)) for l in (0, 1, 2)] == [(False, False), (False, True), (False, False)]
