@@ -8,6 +8,7 @@ import argparse
 import csv
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -167,30 +168,46 @@ def write_convergence_csv(rows, stream) -> None:
         )
 
 
-def run_benchmark(field: GridField, kind: SplineKind, points, warmup: int = 200):
-    """Time scalar :func:`evaluate` per point and one :func:`evaluate_many` call on the same points.
+# Interleaved timings per path in run_benchmark: an odd count, so the median is one of the runs.
+BENCH_REPEATS = 5
 
-    Returns, per path, evaluations/second and mean ns/evaluation, plus whether
-    the batched results are bitwise identical to the scalar ones.
+
+def run_benchmark(field: GridField, kind: SplineKind, points, warmup: int = 200):
+    """Time scalar :func:`evaluate` per point and one :func:`evaluate_many` call, interleaved BENCH_REPEATS times.
+
+    Returns, per path, the min and median ns/evaluation over the repeats and
+    the evaluations/second of the median; for the batched path also the
+    minor page faults (``ru_minflt``) of its median call.  ``bitwise_identical``
+    says whether every batched result equals the scalar results bit for bit.
     """
     points = np.asarray(points, dtype=np.float64)
     tuples = [tuple(p) for p in points.tolist()]
     for p in tuples[:warmup]:  # derives the family outside the timed loops
         evaluate(field, p, kind)
     evaluate_many(field, points[:warmup], kind)
-    start = time.perf_counter()
-    scalar = [evaluate(field, p, kind) for p in tuples]
-    scalar_s = time.perf_counter() - start
-    start = time.perf_counter()
-    batched = evaluate_many(field, points, kind)
-    batched_s = time.perf_counter() - start
-    return {
-        "paths": {
-            name: {"evals_per_second": len(points) / elapsed, "ns_per_eval": 1e9 * elapsed / len(points)}
-            for name, elapsed in (("scalar", scalar_s), ("batched", batched_s))
-        },
-        "bitwise_identical": np.array(scalar).tobytes() == batched.tobytes(),
-    }
+    seconds = {"scalar": [], "batched": []}
+    faults = []
+    identical = True
+    for _ in range(BENCH_REPEATS):
+        start = time.perf_counter()
+        scalar = [evaluate(field, p, kind) for p in tuples]
+        seconds["scalar"].append(time.perf_counter() - start)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        batched = evaluate_many(field, points, kind)
+        seconds["batched"].append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        identical = identical and np.array(scalar).tobytes() == batched.tobytes()
+    paths = {}
+    for name, runs in seconds.items():
+        median = sorted(runs)[BENCH_REPEATS // 2]
+        paths[name] = {
+            "min_ns_per_eval": 1e9 * min(runs) / len(points),
+            "ns_per_eval": 1e9 * median / len(points),
+            "evals_per_second": len(points) / median,
+        }
+    paths["batched"]["minor_faults"] = sorted(zip(seconds["batched"], faults))[BENCH_REPEATS // 2][1]
+    return {"repeats": BENCH_REPEATS, "paths": paths, "bitwise_identical": identical}
 
 
 def _parse_kind(text: str):
@@ -307,11 +324,12 @@ def cmd_bench(args) -> int:
     points = rng.uniform(0.0, extents, size=(args.points, field.ndim))
     report = run_benchmark(field, kind, points)
     grid_text = "x".join(str(d) for d in field.dims)
-    print(f"kind {kind}, grid {grid_text}, {len(points)} evaluations")
+    print(f"kind {kind}, grid {grid_text}, {len(points)} evaluations, {report['repeats']} interleaved repeats")
     for path, stats in report["paths"].items():
+        faults = f"  {stats['minor_faults']} minor faults in the median call" if "minor_faults" in stats else ""
         print(
-            f"  {path:8s} {stats['evals_per_second']:12.0f} evals/s"
-            f"  {stats['ns_per_eval']:10.0f} ns/eval"
+            f"  {path:8s} min {stats['min_ns_per_eval']:10.0f} ns/eval  median {stats['ns_per_eval']:10.0f} ns/eval"
+            f"  {stats['evals_per_second']:12.0f} evals/s{faults}"
         )
     print(f"  batched vs scalar bitwise identical: {report['bitwise_identical']}")
     return 0

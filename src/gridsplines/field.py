@@ -19,15 +19,32 @@ where index 2l + i along an axis stands for derivative order l at cell end
 i.
 
 :func:`evaluate_many` performs the same floating-point operations in the
-same order as :func:`evaluate`, vectorised across the points of a chunk,
-and is therefore bitwise identical to it.  Per chunk it runs one Horner
-loop for all axes at once (each axis's rows zero-padded in front to one
-length), gathers every patch with one flat ``take`` at precomputed
-row-major offsets, and sums the (q**D, points) terms with one
-``np.add.reduce`` that adds the rows in row-major patch order, starting
-from 0.0.  A periodic field is padded once per call with g ghost nodes
-below and g + 1 above each axis, so that every stencil, wrapped or not,
-is one box of the padded array.
+same order as :func:`evaluate`, vectorised across points, and is therefore
+bitwise identical to it.  It runs in two stages.  The per-point stage
+(:func:`_block_weights`) runs once per block of points: coordinates, cell
+fold, patch corner and domain check, and one Horner loop for all axes at
+once (each axis's rows zero-padded in front to one length).  The patch stage
+(:func:`_contract`) runs over sub-chunks of the block: it gathers every patch
+with one flat ``take`` at precomputed row-major offsets, forms the weight
+tensor, and sums the (q**D, points) terms with one ``np.add.reduce`` that
+adds the rows in row-major patch order, starting from 0.0.  A periodic field
+is padded once per call with g ghost nodes below and g + 1 above each axis,
+so that every stencil, wrapped or not, is one box of the padded array.
+
+Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
+bytes; one workspace, which the Horner loop and every patch step write with
+``out=``; and each block's per-point coordinate and index arrays, about
+26 * D bytes a point.  The workspace holds the gather offsets (int64, reused
+as the float weight tensor once the gather is done) and the terms,
+CHUNK_TERMS * 8 bytes each; a q-th of that for the weight product before
+the last axis; and the block's weights, BLOCK_WEIGHTS * 8 bytes or one
+sub-chunk's where that is more.  For a 3-D (5,4) kind on a 32**3 grid that
+is 335 + 672 + about 80 KiB.
+
+The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
+buffers its output and so allocates it again.  Its range is checked per point
+instead: the per-point stage raises IndexError for a corner whose patch,
+flat offsets 0..(q-1)*sum(strides) past it, would leave the copy.
 """
 
 import itertools
@@ -49,10 +66,14 @@ STRICT = "strict"
 # index, and every stencil offset from it, fits in an int64.
 _CELL_LIMIT = 2.0**63
 
-# Patch terms evaluate_many processes at once; a chunk holds CHUNK_TERMS // q**D
-# points (512 for a 3-D q = 4 kind), at least 2, so that the gather's index
-# array and the terms array stay at 256 KiB each.
+# Patch terms per sub-chunk of evaluate_many's patch stage: a sub-chunk holds
+# CHUNK_TERMS // q**D points (512 for a 3-D q = 4 kind), at least 2, so that the
+# workspace's gather offsets and terms stay at 256 KiB each.
 CHUNK_TERMS = 1 << 15
+# Per-axis weights per block of its per-point stage: a block holds as many whole
+# sub-chunks as keep its D * q weights a point within BLOCK_WEIGHTS (1024 points,
+# 96 KiB, for a 3-D q = 4 kind), and at least one (2730 points, 256 KiB, for 1-D q = 12).
+BLOCK_WEIGHTS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,8 +350,9 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     ``points`` has shape (N, D).  The result, of shape (N,), is bit for bit
     what the scalar functions return point by point: each step repeats their
     floating-point operations in their order, vectorised across the points of
-    a chunk (see CHUNK_TERMS).  A periodic field is padded once per call, a
-    temporary prod(d_j + q - 1) * 8 bytes, so pass all points in one call.
+    a block and of its patch sub-chunks (see BLOCK_WEIGHTS and CHUNK_TERMS).
+    A periodic field is padded once per call, a temporary
+    prod(d_j + q - 1) * 8 bytes, so pass all points in one call.
     Bad input raises what the scalar path raises for the first bad point:
     :class:`InvalidPoint` for a coordinate not finite or beyond the int64
     cell range, :class:`OutOfDomain` where a strict stencil leaves the grid.
@@ -340,6 +362,8 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
+    if len(pts) == 1:  # np.add.reduce sums a single column pairwise, not row by row
+        return evaluate_many(field, pts[[0, 0]], kind, orders)[:1]
     g, q, ndim = family.g, family.q, field.ndim
     horner = np.zeros((max(len(t) for t in tables), ndim, q, 1))  # every axis's Horner rows, zero-padded in front
     for j, table in enumerate(tables):
@@ -348,47 +372,94 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
     strides = np.array(ext.strides) // ext.itemsize
     offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
-    step = max(2, CHUNK_TERMS // q**ndim)
+    step, block = _layout(ndim, q)
+    span = min(step, len(pts)) * q**ndim
+    # one workspace: the gather offsets (then, as floats, the weight tensor), the terms, the
+    # weight product before the last axis, and the block's per-axis weights
+    work = np.empty(2 * span + span // q + min(block, len(pts)) * ndim * q)
+    front, terms, partial, weights = np.split(work, [span, 2 * span, 2 * span + span // q])
     out = np.empty(len(pts))
-    for lo in range(0, len(pts), step):
-        out[lo : lo + step] = _evaluate_chunk(field, pts[lo : lo + step], kind, ext, strides, offsets, horner)
+    flat = ext.ravel()
+    for lo, hi in _spans(len(pts), block):
+        base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], horner, weights)
+        for a, b in _spans(hi - lo, step):
+            _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, partial, out[lo + a : lo + b])
     out *= scale
     return out
 
 
-def _evaluate_chunk(field, pts, kind, ext, strides, offsets, horner) -> np.ndarray:
-    """Steps of :func:`evaluate_at_cell` for each of ``pts``, arrays laid out (..., point)."""
-    if len(pts) == 1:  # np.add.reduce sums a single column pairwise, not row by row
-        return _evaluate_chunk(field, pts[[0, 0]], kind, ext, strides, offsets, horner)[:1]
-    u = pts / np.array(field.h)
+def _layout(ndim: int, q: int) -> tuple:
+    """Points per sub-chunk (CHUNK_TERMS patch terms) and per block (whole sub-chunks, BLOCK_WEIGHTS weights)."""
+    step = max(2, CHUNK_TERMS // q**ndim)
+    return step, step * max(1, BLOCK_WEIGHTS // (ndim * q * step))
+
+
+def _spans(count: int, step: int):
+    """Ranges of at most ``step`` covering range(count); a one-point tail is taken with its neighbour.
+
+    np.add.reduce sums a single column pairwise, not row by row; the
+    neighbour is computed twice, to the same bits.
+    """
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        yield (hi - 2 if hi - lo == 1 and lo else lo), hi
+
+
+def _block_weights(field, pts, kind, strides, limit, horner, weights) -> tuple:
+    """Per-point steps of :func:`evaluate_at_cell`: patch corners in the flat ext, and (D, q, points) weights.
+
+    The first bad point raises what the scalar path raises.  A corner at or
+    past ``limit``, where its patch would leave ext, raises IndexError: the
+    gather does not check its range.
+    """
+    u = np.divide(pts.T, np.array(field.h)[:, None], out=np.empty(pts.shape[::-1]))  # (axis, point)
     valid = np.abs(u) < _CELL_LIMIT  # False for nan and inf too
     u[~valid] = 0.0
     cell = np.floor(u)
-    frac = u - cell
+    frac = np.subtract(u, cell, out=u)
     fold = frac >= 1.0
     cell[fold] += 1.0
     frac[fold] = 0.0
     corner = cell.astype(np.int64)  # of the patch in ext: the cell modulo the extent, or the first stencil node
-    bad = ~valid.all(axis=1)
+    del cell  # before more per-point arrays: the block's peak memory
+    bad = ~valid.all(axis=0)
+    dims = np.array(field.dims)[:, None]
     if field.boundary == PERIODIC:
-        corner %= np.array(field.dims)
+        corner %= dims
     else:
         corner -= kind.g
-        bad |= ((corner < 0) | (corner + kind.q > np.array(field.dims))).any(axis=1)
+        bad |= ((corner < 0) | (corner + kind.q > dims)).any(axis=0)
     if bad.any():  # the scalar path raises the error of the first bad point
         evaluate(field, tuple(pts[np.flatnonzero(bad)[0]].tolist()), kind)
-    terms = ext.ravel().take(offsets + corner @ strides)  # before the weights: fewer live temporaries
-    gammas = np.zeros((field.ndim, kind.q, len(pts)))  # per axis, the q weights of beta_eval for every point
-    x = np.ascontiguousarray(frac.T)[:, None, :]
+    base = strides @ corner
+    if not 0 <= base.min() <= base.max() < limit:
+        raise IndexError(f"patch corners {base.min()}..{base.max()} leave the flat range 0..{limit - 1}")
+    gammas = weights[: kind.q * u.size].reshape(len(u), kind.q, -1)
+    gammas.fill(0.0)
+    x = frac[:, None, :]
     for row in horner:
         gammas *= x
         gammas += row
-    # weight of patch index (i_0..i_{D-1}) is ((gamma_0 * gamma_1) * ...) * gamma_{D-1}
-    weights = gammas[0]
-    for gamma in gammas[1:]:
-        weights = weights[..., None, :] * gamma
-    terms *= weights.reshape(terms.shape)
-    return np.add.reduce(terms, axis=0, initial=0.0)  # the rows in row-major patch order, from 0.0
+    return base, gammas
+
+
+def _contract(flat, offsets, base, gammas, front, terms, partial, out) -> None:
+    """Patch steps of :func:`evaluate_at_cell` for a sub-chunk, each in place: gather, weight, sum into ``out``.
+
+    The weight tensor goes into ``front`` once the gather is done with the
+    offsets there; from D = 3 on, the products before it alternate between
+    ``partial`` and ``front``.
+    """
+    ndim, q, n = gammas.shape
+    size = len(offsets) * n
+    index = np.add(offsets, base, out=front[:size].view(np.int64).reshape(-1, n))
+    terms = flat.take(index, out=terms[:size].reshape(-1, n), mode="wrap")  # "raise" would buffer out
+    weights = gammas[0]  # weight of patch index (i_0..i_{D-1}) is ((gamma_0 * gamma_1) * ...) * gamma_{D-1}
+    for j in range(1, ndim):
+        buf = (front if (ndim - j) % 2 else partial)[: q ** (j + 1) * n]
+        weights = np.multiply(weights[..., None, :], gammas[j], out=buf.reshape((q,) * (j + 1) + (n,)))
+    np.multiply(terms, weights.reshape(terms.shape), out=terms)
+    np.add.reduce(terms, axis=0, initial=0.0, out=out)  # the rows in row-major patch order, from 0.0
 
 
 def partitioned_evaluate(

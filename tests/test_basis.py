@@ -12,6 +12,7 @@ from gridsplines.basis import (
     MAX_NODES,
     MAX_ORDER,
     BetaFamily,
+    FrozenForm,
     SplineKind,
     alpha_closed_form,
     beta_eval,
@@ -349,6 +350,19 @@ def test_tables_match_the_kernels_bit_for_bit(n, q):
             acc = acc * np.array(points) + row[:, None]
         for x, column in zip(points, acc.T):
             assert bits(column.tolist()) == bits(form.kernel(x)), (order, x)
+
+
+def test_table_pads_unequal_arrays_in_front():
+    # the arrays of one beta order share a length, so only this case pads a non-empty array
+    arrays = [(1.5, -2.0), (3.0, -1.0, 0.25, 7.0), (-0.5,), (0.125, 4.0, -3.0)]
+    form = FrozenForm(arrays)
+    assert form.table.shape == (4, 4)
+    points = [0.0, 1.0, 1 - 2**-53] + np.random.default_rng(5).random(24).tolist()
+    for x in points:
+        acc = [0.0] * len(arrays)  # evaluate_many's Horner loop down each column
+        for row in form.table:
+            acc = [a * x + c for a, c in zip(acc, row.tolist())]
+        assert bits(acc) == bits(form.kernel(x)), x
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1, 2))

@@ -1,6 +1,7 @@
 """evaluate_many against the scalar path it vectorises: bit for bit, errors included."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from gridsplines.field import (
     PERIODIC,
     STRICT,
     GridField,
+    _block_weights,
+    _layout,
     evaluate,
     evaluate_derivative,
     evaluate_many,
@@ -157,3 +160,67 @@ def test_batched_leaves_field_data_unchanged_and_read_only(boundary):
     evaluate_many(field, points, SplineKind(5, 4), (1, 0, 2))
     assert field.data.tobytes() == before.tobytes()
     assert not field.data.flags.writeable
+
+
+# (D, kind, orders): one sub-chunk per block for the first two, several for the last two
+BLOCK_CASES = [(1, (19, 12), (3,)), (2, (9, 6), (0, 4)), (3, (5, 4), (2, 0, 1)), (3, (19, 12), (0, 9, 1))]
+
+
+@pytest.mark.parametrize("ndim,nq,orders", BLOCK_CASES)
+def test_block_boundaries(ndim, nq, orders):
+    kind = SplineKind(*nq)
+    step, block = _layout(ndim, kind.q)
+    rng = np.random.default_rng(ndim)
+    field = GridField(rng.standard_normal((11,) * ndim), h=(0.25,) * ndim)
+    points = rng.uniform(-2.75, 5.5, size=(2 * block + 1, ndim))
+    want = [evaluate_derivative(field, p, kind, orders) for p in points.tolist()]
+    # block + 1 leaves one point in the second block; step + 1 and block + step + 1 end a block
+    # in a one-point sub-chunk wherever a block holds several sub-chunks
+    counts = {block - 1, block, block + 1, 2 * block + 1} | ({step + 1, block + step + 1} if block > step else set())
+    for count in sorted(counts):
+        assert _bits(evaluate_many(field, points[:count], kind, orders)) == _bits(want[:count]), count
+
+
+@pytest.mark.parametrize("ndim,nq,orders", BLOCK_CASES)
+def test_strict_error_names_the_first_bad_point_of_a_later_block(ndim, nq, orders):
+    kind = SplineKind(*nq)
+    _, block = _layout(ndim, kind.q)
+    field = GridField(np.random.default_rng(0).standard_normal((14,) * ndim), h=1.0, boundary=STRICT)
+    points = np.random.default_rng(1).uniform(6.0, 8.0, size=(block + 5, ndim))
+    for first in (block, block + 2):  # the one-point tail of block + 1 points, and a point inside block two
+        bad = points.copy()
+        bad[first, -1] = 0.5  # the stencil leaves the grid below
+        bad[first + 1 :, 0] = np.nan  # later bad points must not be the one reported
+        with pytest.raises(OutOfDomain) as scalar:
+            evaluate_derivative(field, tuple(bad[first]), kind, orders)
+        for count in (first + 1, len(bad)):
+            with pytest.raises(OutOfDomain) as batched:
+                evaluate_many(field, bad[:count], kind, orders)
+            assert str(batched.value) == str(scalar.value)
+
+
+def test_peak_memory_does_not_grow_with_the_point_count():
+    # one workspace per call, sized by the kind and the field, not by the number of points
+    kind = SplineKind(5, 4)
+    field = GridField(np.random.default_rng(0).standard_normal((32,) * 3), h=1 / 32)
+    peaks = []
+    for count in (4000, 40000):
+        points = np.random.default_rng(count).random((count, 3))
+        evaluate_many(field, points, kind)  # derivation and frozen tables stay out of the measurement
+        tracemalloc.start()
+        try:
+            evaluate_many(field, points, kind)
+            peaks.append(tracemalloc.get_traced_memory()[1] - 8 * count)  # less the result array
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] == peaks[1]
+
+
+def test_patch_range_is_checked_per_point_before_the_gather():
+    # the gather reads with mode="wrap"; handed an array its patches leave, the per-point stage must raise
+    field = GridField(np.zeros((6, 6)), h=1.0)
+    kind = SplineKind(5, 4)
+    limit = field.data.size - (kind.q - 1) * 7  # corners past 14 put the last patch offset outside 0..35
+    points = np.array([(1.0, 1.0), (4.5, 2.0)])  # the second patch would need rows 4..7 of 6
+    with pytest.raises(IndexError, match=r"patch corners 7\.\.26 leave the flat range 0\.\.14"):
+        _block_weights(field, points, kind, np.array([6, 1]), limit, np.zeros((1, 2, 4, 1)), np.empty(16))

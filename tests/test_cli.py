@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsplines.basis import SplineKind, derive_beta
-from gridsplines.cli import FUNCTIONS, main, run_convergence, run_validation
+from gridsplines.cli import FUNCTIONS, main, run_benchmark, run_convergence, run_validation
 from gridsplines.exact import RationalPolynomial, rational_from_str
 from gridsplines.field import GridField, evaluate, save_field
 
@@ -168,6 +169,28 @@ def test_bench_reports_scalar_and_batched(capsys):
     assert "batched" in out
     assert "batched vs scalar bitwise identical: True" in out
     assert "evals/s" in out
+
+
+def test_bench_reports_min_median_and_faults_of_interleaved_repeats(capsys):
+    rc = main(["bench", "--dims", "3", "--n", "5", "--q", "4", "--grid", "8", "--points", "50", "--seed", "3"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "kind (5,4), grid 8x8x8, 50 evaluations, 5 interleaved repeats"
+    for line, path in zip(lines[1:3], ("scalar", "batched")):
+        assert re.fullmatch(rf"  {path} +min +\d+ ns/eval  median +\d+ ns/eval +\d+ evals/s.*", line), line
+    assert re.search(r"  \d+ minor faults in the median call$", lines[2]), lines[2]
+    assert lines[3] == "  batched vs scalar bitwise identical: True"
+
+    field = GridField(np.random.default_rng(2).standard_normal((9, 9)), h=(0.5, 0.5))
+    points = np.random.default_rng(3).uniform(0.0, 4.5, size=(40, 2))
+    report = run_benchmark(field, SplineKind(3, 4), points)
+    assert report["repeats"] == 5 and report["bitwise_identical"]
+    for stats in report["paths"].values():
+        assert 0.0 < stats["min_ns_per_eval"] <= stats["ns_per_eval"]
+        assert stats["evals_per_second"] == pytest.approx(1e9 / stats["ns_per_eval"])
+    faults = report["paths"]["batched"]["minor_faults"]
+    assert isinstance(faults, int) and faults >= 0
+    assert "minor_faults" not in report["paths"]["scalar"]
 
 
 def test_bench_wide_stencil_bitwise_identical(capsys):
