@@ -16,7 +16,8 @@ first evaluation, so exact derivation and validation never pay for them.
 """
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -31,7 +32,7 @@ MAX_NODES = 12  # largest supported node count q
 
 
 def _require_valid_order(n) -> None:
-    if not isinstance(n, int) or n < 1 or n % 2 == 0 or n > MAX_ORDER:
+    if not _is_integer(n) or n < 1 or n % 2 == 0 or n > MAX_ORDER:
         raise InvalidOrder(f"order must be an odd integer in 1..{MAX_ORDER}, got {n!r}")
 
 
@@ -49,10 +50,12 @@ class SplineKind:
 
     def __post_init__(self):
         _require_valid_order(self.n)
+        object.__setattr__(self, "n", int(self.n))  # a numpy integer is stored as the plain int
         if self.q is not None:
             q = self.q
-            if not isinstance(q, int) or q % 2 or q < 4 or q > MAX_NODES:
+            if not _is_integer(q) or q % 2 or q < 4 or q > MAX_NODES:
                 raise InvalidKind(f"node count must be an even integer in 4..{MAX_NODES}, got {q!r}")
+            object.__setattr__(self, "q", int(q))
             if self.n > 2 * q - 3:
                 raise InvalidKind(f"order {self.n} exceeds 2q-3 = {2 * q - 3} for q = {q}")
 
@@ -168,21 +171,35 @@ def _require_derivative_order(beta: BetaFamily, order: int) -> None:
         raise DerivativeTooHigh(f"derivative order {order} not in 0..{beta.m} for kind ({beta.n},{beta.q})")
 
 
-def _hermite_matrix(n: int) -> list:
-    """Endpoint condition matrix: rows are (end i, order l), columns monomials."""
+def _solve_hermite(n: int, rows) -> list:
+    """The degree <= n polynomials with the given endpoint data, one per data row.
+
+    A row holds the order-0..m data at cell end 0, then at cell end 1.  At
+    x = 0 the order-l datum is l! c_l, so c_0..c_m follow from the row
+    directly.  What they leave of the end-1 data fixes c_(m+1)..c_n through
+    the (m+1)-square falling-factorial system F[l][j] = perm(m+1+j, l),
+    solved for every row in one call.  Each row is scaled to integers by
+    D = lcm(row denominators) * m!, which makes every D c_l with l <= m an
+    integer.
+    """
     m = (n - 1) // 2
-    rows = []
-    for i in (0, 1):
-        for l in range(m + 1):
-            row = []
-            for k in range(n + 1):
-                if k < l:
-                    row.append(Fraction(0))
-                else:
-                    falling = math.factorial(k) // math.factorial(k - l)
-                    row.append(Fraction(falling * i ** (k - l)))
-            rows.append(row)
-    return rows
+    size = m + 1
+    factorials = [math.factorial(l) for l in range(size)]
+    at_one = [[math.perm(k, l) for k in range(n + 1)] for l in range(size)]  # row l: order-l data of x**k at 1
+    heads, rests, scales = [], [], []
+    for row in rows:
+        scale = math.lcm(*(v.denominator for v in row)) * factorials[m]
+        data = [v.numerator * (scale // v.denominator) for v in row]
+        head = [d // f for d, f in zip(data, factorials)]  # D c_0 .. D c_m
+        rests.append([d - sum(map(operator.mul, p[:size], head)) for d, p in zip(data[size:], at_one)])
+        heads.append(head)
+        scales.append(scale)
+    polys = []
+    for head, tail, scale in zip(heads, solve_linear_system([p[size:] for p in at_one], rests), scales):
+        den = math.lcm(*(x.denominator for x in tail))  # tail holds D c_(m+1) .. D c_n
+        numerators = [c * den for c in head] + [x.numerator * (den // x.denominator) for x in tail]
+        polys.append(RationalPolynomial._over(numerators, scale * den))
+    return polys
 
 
 @lru_cache(maxsize=None)
@@ -190,15 +207,18 @@ def derive_alpha(n: int) -> AlphaFamily:
     """Solve the endpoint value/derivative conditions for each basis member.
 
     Member (i, l) is the unique degree <= n polynomial whose order-l
-    derivative is 1 at cell end i, all other endpoint data being zero.
+    derivative is 1 at cell end i, all other endpoint data being zero.  The
+    unit data rows go through :func:`_solve_hermite`: the end-0 data give
+    the low half of the coefficients outright, and one elimination of the
+    (m+1)-square falling-factorial system gives the high half of every member.
     """
     _require_valid_order(n)
+    n = int(n)
     m = (n - 1) // 2
-    # the unit right-hand sides in condition order (end i, then order l)
+    # the unit data rows in condition order (end i, then order l)
     units = [[int(r == c) for r in range(n + 1)] for c in range(n + 1)]
-    polys = [RationalPolynomial(x) for x in solve_linear_system(_hermite_matrix(n), units)]
-    family = AlphaFamily(n=n, polys=(tuple(polys[: m + 1]), tuple(polys[m + 1 :])))
-    return family
+    polys = _solve_hermite(n, units)
+    return AlphaFamily(n=n, polys=(tuple(polys[: m + 1]), tuple(polys[m + 1 :])))
 
 
 def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
@@ -260,8 +280,10 @@ def derive_beta_direct(kind: SplineKind) -> BetaFamily:
 
     Sets f to the unit impulse at each node, computes the centered-difference
     data that impulse produces at both cell ends, and solves the endpoint
-    system for the resulting cell polynomial (one solve call takes every
-    node's impulse).  Must agree exactly with :func:`derive_beta`; the
+    system for the resulting cell polynomial with :func:`_solve_hermite`:
+    the end-0 data fix the low half of the coefficients, and one elimination
+    of the (m+1)-square falling-factorial system takes every node's impulse
+    for the high half.  Must agree exactly with :func:`derive_beta`; the
     agreement is exercised by the test suite.
     """
     _require_grid_kind(kind)
@@ -271,15 +293,19 @@ def derive_beta_direct(kind: SplineKind) -> BetaFamily:
         [table.weight(l, node - i) for i in (0, 1) for l in range(m + 1)]
         for node in range(-g, g + 2)
     ]
-    polys = solve_linear_system(_hermite_matrix(n), impulses)
-    return BetaFamily(n=n, q=kind.q, polys=tuple(RationalPolynomial(x) for x in polys))
+    return BetaFamily(n=n, q=kind.q, polys=tuple(_solve_hermite(n, impulses)))
 
 
 @dataclass
 class ValidationReport:
-    """Outcome of the exact family checks; failures are data, not exceptions."""
+    """Outcome of the exact family checks; failures are data, not exceptions.
+
+    ``seconds`` maps a phase name to the wall time spent in it, where the
+    producer measured that (see ``cli.run_validation``).
+    """
 
     checks: list
+    seconds: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

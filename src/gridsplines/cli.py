@@ -31,6 +31,7 @@ from .basis import (
 from .errors import InvalidKind, InvalidOrder, OutOfDomain
 from .exact import RationalPolynomial, rational_from_str
 from .field import PERIODIC, GridField, evaluate, evaluate_many, load_field
+from .stencil import derive_stencil
 
 
 @dataclass
@@ -77,41 +78,57 @@ FUNCTIONS = {
 }
 
 
+# The phases run_validation times, in the order cmd_validate prints them.
+VALIDATION_PHASES = ("alpha solve", "closed form", "derive_beta", "derive_beta_direct", "family checks")
+
+
 def run_validation(max_n: int, max_q: int, inject_defect: bool = False) -> ValidationReport:
     """Exact invariants for every valid kind in range, plus the closed-form check.
 
     ``inject_defect`` perturbs the first derived family before checking; it
     exists so the failure path of the harness can itself be tested.  Bounds
-    that select no check at all raise ValueError.
+    that select no check at all raise ValueError.  The report's ``seconds``
+    holds the wall time spent in each of VALIDATION_PHASES.
     """
     checks = []
+    seconds = dict.fromkeys(VALIDATION_PHASES, 0.0)
+
+    def timed(phase, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        seconds[phase] += time.perf_counter() - start
+        return out
+
     for n in range(1, min(max_n, MAX_ORDER) + 1, 2):
-        family = derive_alpha(n)
-        bad = [
-            (i, l)
-            for i in (0, 1)
-            for l in range(family.m + 1)
-            if alpha_closed_form(n, l, i) != family.polys[i][l]
-        ]
+        family = timed("alpha solve", derive_alpha, n)
+        bad = timed(
+            "closed form",
+            lambda: [
+                (i, l)
+                for i in (0, 1)
+                for l in range(family.m + 1)
+                if alpha_closed_form(n, l, i) != family.polys[i][l]
+            ],
+        )
         checks.append((f"alpha(n={n}) closed-form equivalence", not bad, f"(i, l) {bad}" if bad else ""))
 
     pending_defect = inject_defect
     for q in range(4, min(max_q, MAX_NODES) + 1, 2):
         for n in range(1, min(2 * q - 3, max_n, MAX_ORDER) + 1, 2):
             kind = SplineKind(n, q)
-            beta = derive_beta(kind)
+            beta = timed("derive_beta", derive_beta, kind)
             if pending_defect:
                 polys = list(beta.polys)
                 polys[beta.g] = polys[beta.g] + RationalPolynomial.monomial(1)
                 beta = BetaFamily(n=beta.n, q=beta.q, polys=tuple(polys))
                 pending_defect = False
-            report = validate_family(beta)
+            report = timed("family checks", validate_family, beta)
             checks.extend(report.checks)
-            routes_agree = derive_beta_direct(kind).polys == beta.polys
+            routes_agree = timed("derive_beta_direct", derive_beta_direct, kind).polys == beta.polys
             checks.append((f"({n},{q}) derivation route agreement", routes_agree, ""))
     if not checks:
         raise ValueError(f"bounds max_n={max_n}, max_q={max_q} select no check")
-    return ValidationReport(checks=checks)
+    return ValidationReport(checks=checks, seconds=seconds)
 
 
 def run_convergence(func, dims: int, kinds, spacings, samples: int, seed: int) -> list:
@@ -221,7 +238,7 @@ def _parse_kind(text: str):
 def _parse_spacing(text: str) -> float:
     try:
         h = float(rational_from_str(text))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"expected a spacing such as 1/16, got {text!r}") from exc
     if not h > 0.0:
         raise argparse.ArgumentTypeError(f"spacing must be positive, got {text!r}")
@@ -283,6 +300,9 @@ def cmd_export(args) -> int:
 def cmd_validate(args) -> int:
     report = run_validation(args.max_n, args.max_q, inject_defect=args.inject_defect)
     print(report)
+    print("cold seconds by phase: " + ", ".join(f"{phase} {s:.4f}" for phase, s in report.seconds.items()))
+    caches = (derive_alpha, derive_beta, derive_stencil)
+    print("caches: " + "; ".join(f"{fn.__name__} {fn.cache_info()}" for fn in caches))
     total = len(report.checks)
     failed = len(report.failures())
     print(f"{total - failed}/{total} checks passed")

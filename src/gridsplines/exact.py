@@ -8,6 +8,8 @@ denominator and numerators share no factor).  That pair is unique for a
 polynomial, so equality and hashing compare it.  Products, weighted sums
 (which serve ``+``, ``-`` and scalar ``*``), affine substitutions and
 derivatives work on the integers, and each reduces its result by one gcd.
+An affine substitution is an integer Taylor shift: scale, shift by 1 with
+additions only (synthetic division), scale again; no binomial sums.
 Values cross the module boundary as Fractions: ``coeffs`` is a lowest-terms
 Fraction view built on first read, and the solver, which scales each
 augmented row to integers and runs fraction-free (Bareiss) elimination,
@@ -34,8 +36,14 @@ def rational_to_str(value: RationalLike) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse ``"num/den"`` (or a plain integer string) back into a Fraction."""
-    return Fraction(text)
+    """Parse ``"num/den"`` (or a plain integer string) back into a Fraction.
+
+    Text that is not a rational, a zero denominator included, raises ValueError.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"rational {text!r} has a zero denominator") from exc
 
 
 def _over_common_denominator(values) -> tuple:
@@ -192,28 +200,34 @@ class RationalPolynomial:
         return acc
 
     def compose_affine(self, scale: RationalLike, offset: RationalLike) -> "RationalPolynomial":
-        """Exact substitution x -> scale*x + offset.
+        """Exact substitution x -> scale*x + offset, by an integer Taylor shift.
 
         With scale = s/t, offset = u/v, coefficients c_k = a_k/d and degree N,
-        the x**j coefficient is s**j t**(N-j) sum_i binom(j+i, j) a_(j+i) u**i v**(N-i)
-        over the common denominator d t**N v**N.
+        b_k = a_k v**(N-k) are the coefficients of B(y) = d v**N p(y/v).  The
+        shift B(y + u) is the shift by 1 of B(u y), whose coefficients are
+        b_k u**k: synthetic division does it with N(N+1)/2 additions, and
+        dividing coefficient j by u**j (exactly) undoes the scaling.  Then
+        y = (v s/t) x makes the x**j coefficient (v s)**j t**(N-j) times the
+        shifted b_j, over the common denominator d t**N v**N.
         """
         if self.is_zero():
             return self
-        a, size = self._num, len(self._num)
         scale, offset = _rational(scale), _rational(offset)
-        s = _powers(scale.numerator, size)
-        t = _powers(scale.denominator, size)
-        u = _powers(offset.numerator, size)
-        v = _powers(offset.denominator, size)
-        top = size - 1
-        w = [u[i] * v[top - i] for i in range(size)]
+        u, v = offset.numerator, offset.denominator
+        top = len(self._num) - 1
+        v_powers = _powers(v, top + 1)
+        b = [a * v_powers[top - k] for k, a in enumerate(self._num)]
+        if u:
+            u_powers = _powers(u, top + 1)
+            b = [x * p for x, p in zip(b, u_powers)]
+            for i in range(top):
+                for k in range(top - 1, i - 1, -1):
+                    b[k] += b[k + 1]
+            b = [x // p for x, p in zip(b, u_powers)]
+        vs = _powers(v * scale.numerator, top + 1)
+        t = _powers(scale.denominator, top + 1)
         return RationalPolynomial._over(
-            [
-                s[j] * t[top - j] * sum(math.comb(k, j) * a[k] * w[k - j] for k in range(j, size))
-                for j in range(size)
-            ],
-            self._den * t[top] * v[top],
+            [x * vs[j] * t[top - j] for j, x in enumerate(b)], self._den * t[top] * v_powers[top]
         )
 
     def reflected(self) -> "RationalPolynomial":

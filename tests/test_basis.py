@@ -1,8 +1,11 @@
 """Spline basis families: derivation, closed forms, exact identities."""
 
 import hashlib
+import math
+import random
 import struct
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from gridsplines.basis import (
     BetaFamily,
     FrozenForm,
     SplineKind,
+    _solve_hermite,
     alpha_closed_form,
     beta_eval,
     derive_alpha,
@@ -24,8 +28,9 @@ from gridsplines.basis import (
 )
 from gridsplines.cli import run_validation
 from gridsplines.errors import DerivativeTooHigh, InvalidKind, InvalidOrder
-from gridsplines.exact import RationalPolynomial, rational_from_str
+from gridsplines.exact import RationalPolynomial, rational_from_str, solve_linear_system
 from gridsplines.field import evaluate_hermite
+from gridsplines.stencil import derive_stencil
 
 
 def poly(*coeffs):
@@ -59,6 +64,21 @@ def test_kind_rejects_insufficient_nodes():
 def test_kind_rejects_out_of_range_order():
     with pytest.raises(InvalidOrder):
         SplineKind(21, 12)
+
+
+def test_kind_rejects_a_bool_order_or_node_count():
+    with pytest.raises(InvalidOrder, match="got True"):
+        SplineKind(True, 4)
+    with pytest.raises(InvalidKind, match="got True"):
+        SplineKind(5, True)
+
+
+def test_kind_takes_numpy_integers_and_stores_plain_ints():
+    kind = SplineKind(np.int64(5), np.int32(4))
+    assert (type(kind.n), type(kind.q)) == (int, int)
+    assert kind == SplineKind(5, 4) and hash(kind) == hash(SplineKind(5, 4))
+    assert str(kind) == "(5,4)"
+    assert derive_beta(kind) is derive_beta(SplineKind(5, 4))
 
 
 # -- endpoint-data basis
@@ -106,6 +126,55 @@ def test_alpha_rejects_bad_orders():
     for n in (0, 2, -3, 21):
         with pytest.raises(InvalidOrder):
             derive_alpha(n)
+
+
+def test_alpha_rejects_a_bool_order_without_caching_it():
+    fresh = lru_cache(maxsize=None)(derive_alpha.__wrapped__)
+    with pytest.raises(InvalidOrder, match="got True"):
+        fresh(True)
+    assert type(fresh(1).n) is int and fresh(1).n == 1
+    with pytest.raises(InvalidOrder, match="got True"):
+        alpha_closed_form(True, 0, 0)
+
+
+def test_alpha_takes_a_numpy_integer_order():
+    family = derive_alpha(np.int64(3))
+    assert type(family.n) is int and family.n == 3
+    assert family.polys == derive_alpha(3).polys
+
+
+def hermite_matrix(n: int) -> list:
+    """The full (n+1)-square endpoint system: row (end i, order l), column x**k, entry perm(k, l) i**(k-l)."""
+    m = (n - 1) // 2
+    return [
+        [math.perm(k, l) * i ** (k - l) if k >= l else 0 for k in range(n + 1)] for i in (0, 1) for l in range(m + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1, 2))
+def test_alpha_matches_the_full_hermite_solve(n):
+    units = [[int(r == c) for r in range(n + 1)] for c in range(n + 1)]
+    polys = [RationalPolynomial(x) for x in solve_linear_system(hermite_matrix(n), units)]
+    m = (n - 1) // 2
+    assert derive_alpha(n).polys == (tuple(polys[: m + 1]), tuple(polys[m + 1 :]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_hermite_meets_random_endpoint_data(seed):
+    rng = random.Random(seed)
+    for _ in range(8):
+        n = rng.randrange(1, MAX_ORDER + 1, 2)
+        rows = [
+            [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-99, 99), rng.randint(1, 60)))) for _ in range(n + 1)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        polys = _solve_hermite(n, rows)
+        assert len(polys) == len(rows)
+        for row, p in zip(rows, polys):
+            assert p.degree <= n
+            at_zero, at_one = p.end_derivatives((n + 1) // 2)
+            assert at_zero + at_one == row
+    assert _solve_hermite(5, [[0] * 6]) == [RationalPolynomial()]
 
 
 def test_closed_form_examples():
@@ -281,6 +350,17 @@ def test_export_records_roundtrip():
 
 
 SUPPORTED_KINDS = [(n, q) for q in range(4, MAX_NODES + 1, 2) for n in range(1, min(2 * q - 3, MAX_ORDER) + 1, 2)]
+
+
+@pytest.mark.parametrize("n,q", SUPPORTED_KINDS)
+def test_beta_direct_matches_the_full_hermite_solve(n, q):
+    kind = SplineKind(n, q)
+    table = derive_stencil(kind.g)
+    impulses = [
+        [table.weight(l, node - i) for i in (0, 1) for l in range(kind.m + 1)] for node in range(-kind.g, kind.g + 2)
+    ]
+    want = tuple(RationalPolynomial(x) for x in solve_linear_system(hermite_matrix(n), impulses))
+    assert derive_beta_direct(kind).polys == want
 
 
 def exact_digest(kinds) -> str:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsplines import basis, cli, stencil
 from gridsplines.basis import SplineKind, derive_beta
 from gridsplines.cli import FUNCTIONS, main, run_benchmark, run_convergence, run_validation
 from gridsplines.exact import RationalPolynomial, rational_from_str
@@ -86,6 +88,61 @@ def test_run_validation_full_supported_range():
     assert any("closed-form" in name for name in names)
     assert any("(19,12)" in name for name in names)
     assert any("route agreement" in name for name in names)
+
+
+@pytest.fixture
+def cold_derivation(monkeypatch):
+    """Fresh, empty derivation caches at every call site a validation run reaches, so the run is cold."""
+    alpha = lru_cache(maxsize=None)(basis.derive_alpha.__wrapped__)
+    beta = lru_cache(maxsize=None)(basis.derive_beta.__wrapped__)
+    stencil_table = lru_cache(maxsize=None)(stencil.derive_stencil.__wrapped__)
+    for module, name, fn in (
+        (basis, "derive_alpha", alpha),
+        (basis, "derive_stencil", stencil_table),
+        (cli, "derive_alpha", alpha),
+        (cli, "derive_beta", beta),
+        (cli, "derive_stencil", stencil_table),
+    ):
+        monkeypatch.setattr(module, name, fn)
+
+
+def test_validation_solves_each_hermite_system_at_its_reduced_size(cold_derivation, monkeypatch):
+    # the benchmark's traced runs count solve_linear_system through these two module globals
+    calls = []
+    for module in (basis, stencil):
+
+        def counted(matrix, rhs, _solve=module.solve_linear_system, _module=module):
+            calls.append((_module, matrix))
+            return _solve(matrix, rhs)
+
+        monkeypatch.setattr(module, "solve_linear_system", counted)
+    assert run_validation(19, 12).ok
+    assert len(calls) == 49
+    hermite = [matrix for module, matrix in calls if module is basis]
+    kinds = [(n, q) for q in range(4, 13, 2) for n in range(1, min(2 * q - 3, 19) + 1, 2)]
+    alpha_sizes = [(n + 1) // 2 for n in range(1, 20, 2)]
+    assert [len(matrix) for matrix in hermite] == alpha_sizes + [(n + 1) // 2 for n, _ in kinds]
+    for matrix in hermite:
+        size = len(matrix)
+        assert matrix == [[math.perm(size + j, l) for j in range(size)] for l in range(size)]
+
+
+def test_validate_prints_cold_phase_seconds_and_cache_counts(cold_derivation, capsys):
+    assert main(["validate"]) == 0
+    *_, phases, caches, last = capsys.readouterr().out.splitlines()
+    assert last == "248/248 checks passed"
+    seconds = re.fullmatch(
+        r"cold seconds by phase: alpha solve (\S+), closed form (\S+), derive_beta (\S+), "
+        r"derive_beta_direct (\S+), family checks (\S+)",
+        phases,
+    )
+    assert seconds, phases
+    assert all(float(s) >= 0.0 for s in seconds.groups()) and sum(map(float, seconds.groups())) > 0.0
+    assert caches == (
+        "caches: derive_alpha CacheInfo(hits=34, misses=10, maxsize=None, currsize=10); "
+        "derive_beta CacheInfo(hits=0, misses=34, maxsize=None, currsize=34); "
+        "derive_stencil CacheInfo(hits=63, misses=5, maxsize=None, currsize=5)"
+    )
 
 
 @pytest.mark.parametrize("max_n,max_q", [(0, 12), (-3, 2)])
@@ -240,6 +297,7 @@ def test_bench_narrow_stencil_outpaces_wide_one():
         (["bench", "--h", "1e400"], "argument --h: must be positive and finite"),
         (["bench", "--h", "one"], "argument --h: expected a number"),
         (["bench", "--h", "1e308", "--grid", "8"], "argument --h: the synthetic field's extent --grid * --h"),
+        (["converge", "--h-coarse", "1/0"], "argument --h-coarse: expected a spacing such as 1/16, got '1/0'"),
     ],
 )
 def test_cli_rejects_nonpositive_arguments(args, named, capsys):

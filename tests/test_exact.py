@@ -1,6 +1,7 @@
 """Exact arithmetic layer: polynomials, matrices, linear solves."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsplines.basis import SplineKind, derive_beta
 from gridsplines.errors import SingularMatrix
 from gridsplines.exact import (
     RationalPolynomial,
@@ -208,6 +210,22 @@ def test_compose_affine_matches_direct_eval():
             assert q(x) == p(a * x + b)
 
 
+def binomial_compose_affine(p, scale, offset):
+    """The x**j coefficient as the binomial double sum: sum_k binom(k, j) c_k scale**j offset**(k-j)."""
+    scale, offset, c = Fraction(scale), Fraction(offset), p.coeffs
+    return RationalPolynomial(
+        [scale**j * sum(math.comb(k, j) * c[k] * offset ** (k - j) for k in range(j, len(c))) for j in range(len(c))]
+    )
+
+
+@pytest.mark.parametrize("n,q", [(19, 12), (13, 8)])
+def test_taylor_shift_matches_the_binomial_sum_on_beta_polynomials(n, q):
+    polys = derive_beta(SplineKind(n, q)).polys + (RationalPolynomial(),)
+    for scale, offset in [(-1, 1), (1, Fraction(1, 2)), (Fraction(3, 7), Fraction(-5, 3))]:
+        for p in polys:
+            assert p.compose_affine(scale, offset) == binomial_compose_affine(p, scale, offset)
+
+
 # The integer kernels below are checked against the same arithmetic done
 # directly on Fractions, one coefficient at a time.
 
@@ -339,6 +357,11 @@ def test_rational_strings():
     assert rational_from_str("-3/2") == Fraction(-3, 2)
     assert rational_to_str(Fraction(4)) == "4/1"
     assert rational_from_str("4") == 4
+
+
+def test_rational_with_a_zero_denominator_is_a_value_error_naming_it():
+    with pytest.raises(ValueError, match=re.escape("rational '1/0' has a zero denominator")):
+        rational_from_str("1/0")
 
 
 def test_matrix_shape_validation():
