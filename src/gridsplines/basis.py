@@ -7,19 +7,25 @@ q = 2g + 2 surrounding nodes, obtained by feeding centered differences into
 the alpha basis.
 
 Families carry their exact coefficients.  Their floats live in one kind
-of object, :class:`FrozenForm`: a list of degree-descending Horner arrays,
-with a straight-line ``kernel`` compiled from them for scalar calls and a
-zero-padded ``table`` of them for batched calls, each built on first use.
-A beta family has one form per derivative order 0..m (:meth:`BetaFamily.form`),
-an alpha family one form over all its members; none is built before the
-first evaluation, so exact derivation and validation never pay for them.
+of object, :class:`FrozenForm`, built from the lower half of the members
+and the reflection that maps each to its mirror (beta node o to node 1 - o,
+alpha member (0, l) to (1, l)).  It freezes each member expanded about the
+cell midpoint, split into even and odd parts in (x - 1/2)**2; one Horner
+pass over each part gives both members of a pair, with well-conditioned
+coefficients.  A straight-line ``kernel`` serves scalar calls and a
+zero-padded ``table`` batched ones (:func:`stacked_weights`), each built on
+first use.  A beta family has one form per derivative order 0..m
+(:meth:`BetaFamily.form`), an alpha family one form over all its members;
+none is built before the first evaluation, so exact derivation and
+validation never pay for them.  The monomial arrays of
+:meth:`BetaFamily.horner_by_order` and ``export_records`` are not evaluated.
 """
 
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -58,6 +64,10 @@ class SplineKind:
             object.__setattr__(self, "q", int(q))
             if self.n > 2 * q - 3:
                 raise InvalidKind(f"order {self.n} exceeds 2q-3 = {2 * q - 3} for q = {q}")
+        object.__setattr__(self, "_hash", hash((self.n, self.q)))  # every scalar call hashes the kind
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def m(self) -> int:
@@ -73,38 +83,105 @@ class SplineKind:
         return f"({self.n},{self.q})" if self.q is not None else f"(n={self.n})"
 
 
-class FrozenForm:
-    """Degree-descending float Horner arrays, with a compiled kernel and a padded table built on first use.
+@lru_cache(maxsize=None)
+def _centered(poly: RationalPolynomial) -> RationalPolynomial:
+    """poly(1/2 + t), exactly; cached because every derivative order of a family centers the same members."""
+    return poly.compose_affine(1, Fraction(1, 2))
 
-    ``kernel(x)`` returns every array's value at x: array j's entry is the
-    expression ``((0.0*x + c_0)*x + c_1)*x + ...``, the multiplies and adds
-    of the loop ``acc = 0.0; acc = acc*x + c`` in the same order, so the
-    same float (``repr`` writes each coefficient back exactly).  Row k of
-    the read-only ``table`` holds every array's k-th coefficient, each array
-    padded in front with zeros to the common length; Horner keeps ``acc``
-    at exactly 0.0 through the padding (x >= 0), so a column of the table
-    gives bit for bit what the kernel gives.
+
+def _horner_expr(coeffs) -> str:
+    """Source of the Horner evaluation of degree-descending ``coeffs`` at ``s``, from the leading one."""
+    if not coeffs:
+        return "0.0"
+    expr = repr(coeffs[0])
+    for c in coeffs[1:]:
+        expr = f"({expr} * s + {c!r})"
+    return expr
+
+
+class FrozenForm:
+    """A family's floats at one derivative order, centered at 1/2 and paired by reflection.
+
+    Built from the exact lower-half members p_k and one sign per pair: with
+    P_k = p_k^(order), the mirror of member k is sign_k P_k(1 - x).  The only
+    floats frozen are ``parts``: per pair, the even and odd parts of the
+    exact P_k(1/2 + t) = E_k(t*t) + t O_k(t*t), degree-descending in
+    s = t*t.  With e = E_k(s) and o = t O_k(s), the member is e + o and its
+    mirror e - o (sign +1) or o - e (sign -1).  The members come first, then
+    the mirrors in reverse pair order: node order for a beta family.
+
+    ``kernel(x)`` is straight-line code compiled on first use: t = x - 0.5,
+    s = t * t, each part by Horner from its leading coefficient,
+    ``(c_0 * s + c_1) * s + ...``, then o = t * (O's value) and the sums and
+    differences (``repr`` writes each coefficient back exactly).
+
+    The read-only ``table`` has one column per part, the E_k then the O_k,
+    padded in front with zeros to the common length, for Horner down its
+    rows (:func:`stacked_weights`).  Padding changes no bit: for finite x,
+    s = t * t is +0.0 or positive, so ``0.0 * s + 0.0`` is +0.0 and the
+    accumulator stays +0.0 through the padding; at the first real
+    coefficient c it becomes ``0.0 * s + c``, which is c (a frozen
+    coefficient is never -0.0: an integer numerator 0 over d gives +0.0),
+    where the kernel starts.
     """
 
-    def __init__(self, arrays):
-        self.arrays = tuple(arrays)
+    def __init__(self, members, signs, order=0):
+        self.members = tuple(members)
+        self.signs = tuple(signs)
+        self.order = order
+
+    @cached_property
+    def parts(self) -> tuple:
+        parts = []
+        for p in self.members:
+            ascending = _centered(p).derivative(self.order).horner_coeffs()[::-1]  # powers of t
+            parts.append((ascending[0::2][::-1], ascending[1::2][::-1]))
+        return tuple(parts)
 
     @cached_property
     def kernel(self):
-        terms = []
-        for coeffs in self.arrays:
-            expr = "0.0"
-            for c in coeffs:
-                expr = f"({expr} * x + {c!r})"
-            terms.append(expr)
-        return eval(compile(f"lambda x: [{', '.join(terms)}]", "<FrozenForm kernel>", "eval"))
+        lines = ["def kernel(x):", "    t = x - 0.5", "    s = t * t"]
+        for k, (even, odd) in enumerate(self.parts):
+            lines += [f"    e{k} = {_horner_expr(even)}", f"    o{k} = t * {_horner_expr(odd)}"]
+        outputs = [f"e{k} + o{k}" for k in range(len(self.parts))]
+        outputs += [f"e{k} - o{k}" if sign > 0 else f"o{k} - e{k}" for k, sign in reversed(list(enumerate(self.signs)))]
+        lines.append(f"    return [{', '.join(outputs)}]")
+        namespace = {}
+        exec(compile("\n".join(lines), "<FrozenForm kernel>", "exec"), namespace)
+        return namespace["kernel"]
 
     @cached_property
     def table(self) -> np.ndarray:
-        width = max(len(c) for c in self.arrays)
-        table = np.array([(0.0,) * (width - len(c)) + c for c in self.arrays]).T.copy()
+        columns = [even for even, _ in self.parts] + [odd for _, odd in self.parts]
+        width = max(len(c) for c in columns)
+        table = np.array([(0.0,) * (width - len(c)) + c for c in columns]).T.copy()
         table.setflags(write=False)
         return table
+
+
+def stacked_weights(rows, odd, x, out, scratch) -> None:
+    """Every axis's :meth:`FrozenForm.kernel` at many points, bit for bit: the kernel's steps on whole arrays.
+
+    ``rows`` stacks one beta form's ``table`` per axis, (rows, D, q, 1),
+    padded in front to one length; ``odd[j]`` is true where axis j's form has
+    sign -1.  x, (D, points), is overwritten with t; the weights go to
+    ``out``, (D, q, points), which also holds the Horner loop; ``scratch``
+    holds s and one axis's mirrors, (D + q / 2) * points floats.
+    """
+    half, size = out.shape[1] // 2, x.size
+    t = np.subtract(x, 0.5, out=x)
+    s = np.multiply(t, t, out=scratch[:size].reshape(t.shape))[:, None, :]
+    np.copyto(out, rows[0])  # the kernel's start: the leading coefficient, or +0.0 in padding
+    for row in rows[1:]:
+        out *= s
+        out += row
+    mirror = scratch[size : size + half * len(t[0])].reshape(half, -1)
+    for j, odd_axis in enumerate(odd):  # one axis at a time: t broadcast across axes is buffered
+        even, odd_part = out[j, :half], out[j, half:]
+        odd_part *= t[j]
+        np.subtract(*((odd_part, even) if odd_axis else (even, odd_part)), out=mirror)
+        even += odd_part
+        odd_part[...] = mirror[::-1]  # pair k's mirror is node q - 1 - k
 
 
 @dataclass(frozen=True)
@@ -120,8 +197,8 @@ class AlphaFamily:
 
     @cached_property
     def form(self) -> FrozenForm:
-        """Every member's float form, flat: entry ``2*l + i`` is member (i, l)."""
-        return FrozenForm(self.polys[i][l].horner_coeffs() for l in range(self.m + 1) for i in (0, 1))
+        """Every member's float form: entry l <= m is member (0, l), entry 2m + 1 - l is member (1, l)."""
+        return FrozenForm(self.polys[0], [(-1) ** l for l in range(self.m + 1)])
 
 
 @dataclass(frozen=True)
@@ -150,17 +227,22 @@ class BetaFamily:
 
     @cached_property
     def horner_by_order(self) -> tuple:
-        """Horner arrays for every derivative order 0..m, indexed [order][node]; built on first use."""
+        """Monomial Horner arrays for every derivative order 0..m, indexed [order][node]; built on first use.
+
+        Evaluation does not run these: it runs :meth:`form`.
+        """
         return tuple(zip(*(p.horner_chain(self.m + 1) for p in self.polys)))
 
     def form(self, order: int) -> FrozenForm:
-        """The float form of derivative order ``order``: one array per node."""
+        """The float form of derivative order ``order``, weights in node order."""
         _require_derivative_order(self, order)
         return self._forms[order]
 
     @cached_property
     def _forms(self) -> tuple:
-        return tuple(map(FrozenForm, self.horner_by_order))
+        # offsets -g..0; offset o's mirror is 1 - o, and d^l/dx^l of p(1 - x) carries (-1)**l
+        lower = self.polys[: self.g + 1]
+        return tuple(FrozenForm(lower, [(-1) ** l] * len(lower), l) for l in range(self.m + 1))
 
 
 def _require_derivative_order(beta: BetaFamily, order: int) -> None:
@@ -202,7 +284,24 @@ def _solve_hermite(n: int, rows) -> list:
     return polys
 
 
-@lru_cache(maxsize=None)
+def _cached_on_int(derive):
+    """``lru_cache`` of a one-argument derivation, keyed on ``int(n)`` for any integer n.
+
+    ``lru_cache`` keys a numpy integer apart from the equal int.  The result
+    keeps the cache's ``cache_info`` and ``cache_clear``, and ``__wrapped__``
+    is the uncached derivation.
+    """
+    cached = lru_cache(maxsize=None)(derive)
+
+    @wraps(derive)
+    def lookup(n):
+        return cached(int(n) if _is_integer(n) else n)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
+
+
+@_cached_on_int
 def derive_alpha(n: int) -> AlphaFamily:
     """Solve the endpoint value/derivative conditions for each basis member.
 

@@ -14,16 +14,16 @@ taken left to right across the axes, added to a sum that starts at 0.0.
 patch.  The two parts of :func:`partitioned_evaluate` walk the two slabs of
 that patch on either side of the split, in the same order, so each part
 holds exactly the terms, and the rounding, of its slab.
-:func:`evaluate_hermite` walks the (2(m+1),)*D patch of endpoint data,
-where index 2l + i along an axis stands for derivative order l at cell end
-i.
+:func:`evaluate_hermite` walks the (2(m+1),)*D patch of endpoint data in
+the alpha form's member order: index l <= m along an axis is order l at
+cell end 0, index 2m + 1 - l order l at cell end 1.
 
 :func:`evaluate_many` performs the same floating-point operations in the
 same order as :func:`evaluate`, vectorised across points, and is therefore
 bitwise identical to it.  It runs in two stages.  The per-point stage
 (:func:`_block_weights`) runs once per block of points: coordinates, cell
-fold, patch corner and domain check, and one Horner loop for all axes at
-once (each axis's rows zero-padded in front to one length).  The patch stage
+fold, patch corner and domain check, and every axis's weights at once
+(:func:`basis.stacked_weights`).  The patch stage
 (:func:`_contract`) runs over sub-chunks of the block: it gathers every patch
 with one flat ``take`` at precomputed row-major offsets, forms the weight
 tensor, and sums the (q**D, points) terms with one ``np.add.reduce`` that
@@ -34,12 +34,12 @@ so that every stencil, wrapped or not, is one box of the padded array.
 Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
 bytes; one workspace, which the Horner loop and every patch step write with
 ``out=``; and each block's per-point coordinate and index arrays, about
-26 * D bytes a point.  The workspace holds the gather offsets (int64, reused
-as the float weight tensor once the gather is done) and the terms,
-CHUNK_TERMS * 8 bytes each; a q-th of that for the weight product before
-the last axis; and the block's weights, BLOCK_WEIGHTS * 8 bytes or one
-sub-chunk's where that is more.  For a 3-D (5,4) kind on a 32**3 grid that
-is 335 + 672 + about 80 KiB.
+26 * D bytes a point.  The workspace holds the block's weights,
+BLOCK_WEIGHTS * 8 bytes or one sub-chunk's where that is more; the gather
+offsets (int64, then the float weight tensor; before both, the weights'
+scratch) and the terms, CHUNK_TERMS * 8 bytes each; and a q-th of that for
+the weight product before the last axis.  For a 3-D (5,4) kind on a 32**3
+grid that is 335 + 672 + about 80 KiB.
 
 The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SplineKind, beta_eval, derive_alpha, derive_beta
+from .basis import SplineKind, beta_eval, derive_alpha, derive_beta, stacked_weights
 from .errors import DerivativeTooHigh, InvalidPoint, OutOfDomain
 from .exact import _is_integer
 
@@ -368,20 +368,23 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     horner = np.zeros((max(len(t) for t in tables), ndim, q, 1))  # every axis's Horner rows, zero-padded in front
     for j, table in enumerate(tables):
         horner[len(horner) - len(table) :, j, :, 0] = table
+    # the axes whose mirror weights are o - e rather than e - o: the odd derivative orders
+    odd = [family.form(l).signs[0] < 0 for l in ((0,) * ndim if orders is None else orders)]
     # with g ghost nodes below and g + 1 above, every periodic stencil is one box of ext
     ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
     strides = np.array(ext.strides) // ext.itemsize
     offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
     step, block = _layout(ndim, q)
     span = min(step, len(pts)) * q**ndim
-    # one workspace: the gather offsets (then, as floats, the weight tensor), the terms, the
-    # weight product before the last axis, and the block's per-axis weights
-    work = np.empty(2 * span + span // q + min(block, len(pts)) * ndim * q)
-    front, terms, partial, weights = np.split(work, [span, 2 * span, 2 * span + span // q])
+    # one workspace: the block's weights, the gather offsets (then, as floats, the weight
+    # tensor), the terms, and the weight product before the last axis
+    gamma = min(block, len(pts)) * ndim * q
+    work = np.empty(gamma + 2 * span + span // q)
+    front, terms, partial = np.split(work[gamma:], [span, 2 * span])
     out = np.empty(len(pts))
     flat = ext.ravel()
     for lo, hi in _spans(len(pts), block):
-        base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], horner, weights)
+        base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], (horner, odd), work)
         for a, b in _spans(hi - lo, step):
             _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, partial, out[lo + a : lo + b])
     out *= scale
@@ -410,7 +413,8 @@ def _block_weights(field, pts, kind, strides, limit, horner, weights) -> tuple:
 
     The first bad point raises what the scalar path raises.  A corner at or
     past ``limit``, where its patch would leave ext, raises IndexError: the
-    gather does not check its range.
+    gather does not check its range.  ``stacked_weights(*horner, ...)``
+    writes the weights to the front of ``weights``, its scratch after them.
     """
     u = np.divide(pts.T, np.array(field.h)[:, None], out=np.empty(pts.shape[::-1]))  # (axis, point)
     valid = np.abs(u) < _CELL_LIMIT  # False for nan and inf too
@@ -435,11 +439,7 @@ def _block_weights(field, pts, kind, strides, limit, horner, weights) -> tuple:
     if not 0 <= base.min() <= base.max() < limit:
         raise IndexError(f"patch corners {base.min()}..{base.max()} leave the flat range 0..{limit - 1}")
     gammas = weights[: kind.q * u.size].reshape(len(u), kind.q, -1)
-    gammas.fill(0.0)
-    x = frac[:, None, :]
-    for row in horner:
-        gammas *= x
-        gammas += row
+    stacked_weights(*horner, frac, gammas, weights[gammas.size :])
     return base, gammas
 
 
@@ -505,10 +505,11 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
         raise ValueError("point has no coordinates: need one per axis")
     _check_fractions(point)
     family = derive_alpha(n)
-    # index 2l + i along an axis is order l at cell end i, as in AlphaFamily.form
+    # (order, cell end) of each member of AlphaFamily.form, in its order
+    walk = [(l, 0) for l in range(family.m + 1)] + [(l, 1) for l in range(family.m, -1, -1)]
     data = [
-        provider(tuple(k // 2 for k in idx), tuple(k % 2 for k in idx))
-        for idx in itertools.product(range(2 * family.m + 2), repeat=len(point))
+        provider(tuple(l for l, _ in idx), tuple(i for _, i in idx))
+        for idx in itertools.product(walk, repeat=len(point))
     ]
     return _accumulate(data, [family.form.kernel(float(x)) for x in point])
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gridsplines import cli, field
+from gridsplines import basis, cli, field
 from gridsplines.basis import (
     MAX_NODES,
     MAX_ORDER,
@@ -24,6 +24,7 @@ from gridsplines.basis import (
     derive_beta,
     derive_beta_direct,
     export_records,
+    stacked_weights,
     validate_family,
 )
 from gridsplines.cli import run_validation
@@ -141,6 +142,26 @@ def test_alpha_takes_a_numpy_integer_order():
     family = derive_alpha(np.int64(3))
     assert type(family.n) is int and family.n == 3
     assert family.polys == derive_alpha(3).polys
+
+
+def test_alpha_cache_keys_a_numpy_integer_order_as_the_int():
+    fresh = basis._cached_on_int(derive_alpha.__wrapped__)
+    assert fresh(np.int64(3)) is fresh(3) is fresh(np.int32(3))
+    assert fresh.cache_info().misses == 1 and fresh.cache_info().hits == 2
+    assert derive_alpha(np.int64(3)) is derive_alpha(3)
+    assert derive_alpha.__name__ == "derive_alpha" and derive_alpha.__wrapped__(3) == derive_alpha(3)
+
+
+def test_equal_kinds_hash_equal_and_share_one_derivation():
+    kind, twin = SplineKind(19, 12), SplineKind(np.int64(19), 12)
+    assert kind == twin and kind is not twin and hash(kind) == hash(twin) == hash((19, 12))
+    assert hash(SplineKind(5)) == hash((5, None))
+    assert repr(kind) == "SplineKind(n=19, q=12)" and str(kind) == "(19,12)"
+    derive_beta(kind)
+    before = derive_beta.cache_info()
+    assert derive_beta(twin) is derive_beta(kind)
+    after = derive_beta.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
 
 def hermite_matrix(n: int) -> list:
@@ -379,24 +400,61 @@ def test_exact_coefficients_are_pinned():
     assert exact_digest(SUPPORTED_KINDS) == "154537023fb6281018f4627ef9ae9933fd0dcbbbd5c01322382f73476d5413d3"
 
 
-def loop_horner(arrays, x):
-    """The interpreted Horner loop that the compiled kernels unroll: the bitwise oracle."""
-    weights = []
-    for coeffs in arrays:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        weights.append(acc)
-    return weights
+@lru_cache(maxsize=None)
+def paired_parts(members, order):
+    """(E, O) per member, straight from the exact layer: p^(order)(1/2 + t) = E(t*t) + t O(t*t), floats degree-descending."""
+    parts = []
+    for p in members:
+        coeffs = p.compose_affine(1, Fraction(1, 2)).derivative(order).coeffs  # ascending powers of t
+        parts.append(([float(c) for c in coeffs[0::2]][::-1], [float(c) for c in coeffs[1::2]][::-1]))
+    return parts
+
+
+def loop_horner(coeffs, s):
+    """Horner from the leading coefficient; 0.0 for no coefficients."""
+    if not coeffs:
+        return 0.0
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * s + c
+    return acc
+
+
+def loop_paired(members, signs, order, x):
+    """The interpreted loop of the paired scheme that the compiled kernels unroll: the bitwise oracle.
+
+    Members first, then the mirrors in reverse pair order.
+    """
+    t = x - 0.5
+    s = t * t
+    lower, mirror = [], []
+    for (even, odd), sign in zip(paired_parts(members, order), signs):
+        e = loop_horner(even, s)
+        o = t * loop_horner(odd, s)
+        lower.append(e + o)
+        mirror.append(e - o if sign > 0 else o - e)
+    return lower + mirror[::-1]
 
 
 def loop_beta_eval(beta, order, xi):
-    return loop_horner(beta.horner_by_order[order], float(xi))
+    lower = beta.polys[: beta.g + 1]
+    return loop_paired(lower, [(-1) ** order] * len(lower), order, float(xi))
 
 
 def loop_alpha_weights(alpha, x):
-    """Every alpha member by the loop, flat: entry ``2*l + i`` is member (i, l)."""
-    return loop_horner([alpha.polys[i][l].horner_coeffs() for l in range(alpha.m + 1) for i in (0, 1)], x)
+    """Every alpha member by the loop: entry l <= m is member (0, l), entry 2m + 1 - l is member (1, l)."""
+    return loop_paired(alpha.polys[0], [(-1) ** l for l in range(alpha.m + 1)], 0, x)
+
+
+def stacked_loop(forms, points):
+    """evaluate_many's per-point Horner stage for one form per axis, all at the given points."""
+    rows = np.zeros((max(len(f.table) for f in forms), len(forms), forms[0].table.shape[1], 1))
+    for j, f in enumerate(forms):
+        rows[len(rows) - len(f.table) :, j, :, 0] = f.table
+    x = np.array([points] * len(forms), dtype=np.float64)
+    out = np.empty((len(forms), rows.shape[2], len(points)))
+    stacked_weights(rows, [f.signs[0] < 0 for f in forms], x, out, np.empty(x.size + out.size))
+    return out
 
 
 def bits(values):
@@ -404,9 +462,10 @@ def bits(values):
 
 
 def oracle_points(seed):
-    """Edge cases (in and out of the cell) and 24 seeded points in [0, 1)."""
-    edges = [0.0, 1.0, 1 - 2**-53, 5e-324, -0.0, -0.37, float("inf"), float("-inf"), float("nan")]
-    return edges + np.random.default_rng(seed).random(24).tolist()
+    """Edge cases (in and out of the cell), points in [0, 0.25) where x - 0.5 rounds, and seeded points in [0, 1)."""
+    edges = [0.0, 1.0, 1 - 2**-53, 5e-324, -0.0, 0.25, 0.5, -0.37, float("inf"), float("-inf"), float("nan")]
+    rng = np.random.default_rng(seed)
+    return edges + (rng.random(8) / 4).tolist() + rng.random(16).tolist()
 
 
 @pytest.mark.parametrize("n,q", SUPPORTED_KINDS)
@@ -422,27 +481,35 @@ def test_kernels_match_the_horner_loop_bit_for_bit(n, q):
 @pytest.mark.parametrize("n,q", SUPPORTED_KINDS)
 def test_tables_match_the_kernels_bit_for_bit(n, q):
     beta = derive_beta(SplineKind(n, q))
-    points = [0.0, 1.0, 1 - 2**-53] + np.random.default_rng([n, q]).random(24).tolist()
+    points = [x for x in oracle_points([n, q, 1]) if 0.0 <= x <= 1.0]
     for order in range(beta.m + 1):
         form = beta.form(order)
-        acc = np.zeros((q, len(points)))  # evaluate_many's Horner loop, one column per point
-        for row in form.table:
-            acc = acc * np.array(points) + row[:, None]
-        for x, column in zip(points, acc.T):
-            assert bits(column.tolist()) == bits(form.kernel(x)), (order, x)
+        # the table alone, and beside every other order's (padded in front to the longest table)
+        for forms in ([form], [form, beta.form(0), beta.form(beta.m)]):
+            weights = stacked_loop(forms, points)[0]
+            for x, column in zip(points, weights.T):
+                assert bits(column.tolist()) == bits(form.kernel(x)), (order, x)
 
 
 def test_table_pads_unequal_arrays_in_front():
-    # the arrays of one beta order share a length, so only this case pads a non-empty array
-    arrays = [(1.5, -2.0), (3.0, -1.0, 0.25, 7.0), (-0.5,), (0.125, 4.0, -3.0)]
-    form = FrozenForm(arrays)
-    assert form.table.shape == (4, 4)
-    points = [0.0, 1.0, 1 - 2**-53] + np.random.default_rng(5).random(24).tolist()
+    # E and O of unequal lengths, a constant (no O) and the zero polynomial (neither)
+    members = [poly(3, -2, 5), poly(Fraction(7, 3)), poly(-1, 4, 0, 1), poly()]
+    form = FrozenForm(members, (1, -1, -1, 1))
+    assert [(len(e), len(o)) for e, o in form.parts] == [(2, 1), (1, 0), (2, 2), (0, 0)]
+    assert form.table.shape == (2, 8)
+    assert form.table[0].tolist()[:4] == [form.parts[0][0][0], 0.0, form.parts[2][0][0], 0.0]
+    points = [x for x in oracle_points(5) if 0.0 <= x <= 1.0]
     for x in points:
-        acc = [0.0] * len(arrays)  # evaluate_many's Horner loop down each column
+        assert bits(form.kernel(x)) == bits(loop_paired(tuple(members), form.signs, 0, x)), x
+        # the classic loop from 0.0 down each padded column, then the pairing: padding leaves +0.0
+        t = x - 0.5
+        s = t * t
+        acc = [0.0] * 8
         for row in form.table:
-            acc = [a * x + c for a, c in zip(acc, row.tolist())]
-        assert bits(acc) == bits(form.kernel(x)), x
+            acc = [a * s + c for a, c in zip(acc, row.tolist())]
+        e, o = acc[:4], [t * v for v in acc[4:]]
+        mirrors = [a - b if sign > 0 else b - a for a, b, sign in zip(e, o, form.signs)]
+        assert bits([a + b for a, b in zip(e, o)] + mirrors[::-1]) == bits(form.kernel(x)), x
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1, 2))
@@ -458,6 +525,49 @@ def test_hermite_weights_match_the_horner_loop_bit_for_bit(n, monkeypatch):
     for x in inside:
         evaluate_hermite(lambda orders, node: 0.0, (x,), n)
     assert [bits(w) for w in summed] == [bits(loop_alpha_weights(alpha, x)) for x in inside]
+
+
+def test_one_sided_limits_at_a_cell_end_use_the_kernel_at_one():
+    # frac = 1.0 in the left cell is the limit from the left at the node; its weights are the kernel's at 1.0
+    kind = SplineKind(19, 12)
+    beta = derive_beta(kind)
+    grid = field.GridField(np.random.default_rng(2).standard_normal(40), h=0.025)
+    values = grid.data[np.arange(7 - beta.g, 7 + beta.g + 2) % 40].tolist()
+    for order in range(beta.m + 1):
+        left = field.evaluate_at_cell(grid, (7,), (1.0,), kind, (order,))
+        want = field._accumulate(values, [loop_beta_eval(beta, order, 1.0)]) * grid.h[0] ** -order
+        assert bits([left]) == bits([want]), order
+        right = field.evaluate_at_cell(grid, (8,), (0.0,), kind, (order,))
+        assert abs(left - right) <= 1e-12 * max(1.0, abs(right)) * 40.0**order, order
+
+
+def exact_at(poly, x: float) -> Fraction:
+    """poly at the float x, exactly, by integer Horner over x's dyadic ratio."""
+    a, b = x.as_integer_ratio()
+    den = math.lcm(*(c.denominator for c in poly.coeffs), 1)
+    acc = 0
+    for k, c in enumerate(reversed(poly.coeffs)):
+        acc = acc * a + c.numerator * (den // c.denominator) * b**k
+    return Fraction(acc, den * b ** max(poly.degree, 0))
+
+
+# Measured maxima of |float - exact| / weight scale over all 34 kinds (2-vCPU Xeon, CPython 3.11;
+# pure Python float arithmetic, so the same on every IEEE-754 machine): 2.7e-16 at order 0,
+# 2.4e-15 at 1, 2.1e-14 at 2, 2.3e-13 at 3..9 ((19,12), order 4).  The bounds leave a margin of 4x or more.
+def weight_error_bound(order: int) -> float:
+    return 1e-15 * 10 ** min(order, 3)
+
+
+@pytest.mark.parametrize("n,q", SUPPORTED_KINDS)
+def test_float_weights_track_the_exact_layer_at_every_order(n, q):
+    beta = derive_beta(SplineKind(n, q))
+    points = [0.0, 0.25, 0.5, 1.0, 1 - 2**-53] + np.random.default_rng([n, q, 2]).random(24).tolist()
+    for order in range(beta.m + 1):
+        polys = [p.derivative(order) for p in beta.polys]
+        exact = [[exact_at(p, x) for p in polys] for x in points]
+        scale = max(abs(v) for row in exact for v in row)  # the weight scale: largest exact weight
+        err = max(abs(Fraction(w) - v) for x, row in zip(points, exact) for w, v in zip(beta_eval(beta, order, x), row))
+        assert float(err / scale) <= weight_error_bound(order), (order, float(err / scale), float(scale))
 
 
 def test_kernel_is_compiled_once_per_order_on_first_use():

@@ -111,6 +111,16 @@ def test_signed_zeros_match_scalar():
         assert _bits(evaluate_many(field, points, kind, orders)) == _bits(want)
 
 
+def test_signed_zeros_match_scalar_at_high_order():
+    # every order of a q = 12 kind, at node hits and at fractions below 1/4, where x - 0.5 rounds
+    field = GridField(np.full(24, -0.0), h=0.125)
+    kind = SplineKind(19, 12)
+    points = np.array([(-0.0,), (0.0,), (1.0,), (0.125 * 7,), (0.0625 * 1e-9,), (0.125 * 3.2,), (2.9999999999999996,)])
+    for order in range(kind.m + 1):
+        want = [evaluate_derivative(field, tuple(p), kind, (order,)) for p in points]
+        assert _bits(evaluate_many(field, points, kind, (order,))) == _bits(want), order
+
+
 def test_out_of_domain_names_the_point_on_both_paths():
     field = GridField(np.zeros((9, 7)), h=(0.5, 0.25), boundary=STRICT)
     kind = SplineKind(9, 6)

@@ -196,6 +196,14 @@ def test_converge_order_for_sin():
     assert final.observed_order == pytest.approx(3.0, abs=0.3)
 
 
+def test_high_order_value_convergence_reaches_rounding_level():
+    # 1-D (19,12) interpolation of sin(2 pi x) is limited by rounding, not truncation, from h = 1/64 on:
+    # the centered float form keeps it at about 1e-15 (the monomial one stalled near 1e-11)
+    rows = run_convergence(FUNCTIONS["sin"], 1, [(19, 12)], [1 / 64, 1 / 128, 1 / 256], 4000, seed=2024)
+    assert [row.h for row in rows] == [1 / 64, 1 / 128, 1 / 256]
+    assert max(row.max_error for row in rows) <= 1e-14, [row.max_error for row in rows]
+
+
 def test_wider_stencil_is_more_accurate():
     rows = run_convergence(FUNCTIONS["sin"], 1, [(5, 4), (5, 6)], [1 / 64], 400, seed=3)
     errors = {row.kind: row.max_error for row in rows}
