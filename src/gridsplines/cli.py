@@ -134,12 +134,16 @@ def run_validation(max_n: int, max_q: int, inject_defect: bool = False) -> Valid
 def run_convergence(func, dims: int, kinds, spacings, samples: int, seed: int) -> list:
     """Max interpolation error of ``func`` over random points, per kind and spacing.
 
-    ``func`` is called once per spacing on the grid nodes (see
-    :meth:`GridField.sample`) and once on the sample points, as a tuple of
-    coordinate arrays.  A value that is not finite raises ValueError naming
-    the point and the spacing.
+    ``func`` is called once per (kind, spacing) on the grid nodes (see
+    :meth:`GridField.sample`) and once per study on the sample points, as a
+    tuple of coordinate arrays.  Every row shares those points, drawn from
+    ``default_rng(seed)``, and they are read-only: a ``func`` that writes into
+    them raises.  A value that is not finite raises ValueError naming the
+    point and the spacing; the sample points are checked with the first
+    spacing, after its grid nodes.
     """
     rows = []
+    points = reference = None
     for n, q in kinds:
         kind = SplineKind(n, q)
         prev = None
@@ -149,10 +153,11 @@ def run_convergence(func, dims: int, kinds, spacings, samples: int, seed: int) -
                 raise ValueError(f"spacing {h} does not divide the unit period")
             field = GridField.sample(func, (nodes,) * dims, h, PERIODIC)
             _require_finite(field.data, h, lambda i: tuple(int(j) * h for j in np.unravel_index(i, field.dims)))
-            rng = np.random.default_rng(seed)
-            points = rng.random((samples, dims))
-            reference = np.broadcast_to(np.asarray(func(tuple(points.T)), dtype=np.float64), (samples,))
-            _require_finite(reference, h, lambda i: tuple(points[i].tolist()))
+            if points is None:
+                points = np.random.default_rng(seed).random((samples, dims))
+                points.setflags(write=False)
+                reference = np.broadcast_to(np.asarray(func(tuple(points.T)), dtype=np.float64), (samples,))
+                _require_finite(reference, h, lambda i: tuple(points[i].tolist()))
             err = float(np.max(np.abs(evaluate_many(field, points, kind) - reference), initial=0.0))
             order = None
             if prev is not None and err > 0.0 and prev > 0.0:

@@ -178,7 +178,7 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     for x, hj in zip(point, h):
         u = x / hj
         if not abs(u) < _CELL_LIMIT:  # len(cells) is the axis: no enumerate on the hot path
-            raise InvalidPoint(_invalid_point_message(point, len(cells), x, u))
+            raise _invalid_point(point, len(cells), x, u)
         c = math.floor(u)  # an int
         frac = u - c
         if frac >= 1.0:
@@ -189,15 +189,13 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     return CellCoordinates(tuple(cells), tuple(fracs))
 
 
-def _point_text(point) -> str:
-    return f"point {tuple(float(v) for v in point)}"
-
-
-def _invalid_point_message(point, axis: int, x, u) -> str:
-    where = f"{_point_text(point)}: coordinate {float(x)!r} on axis {axis}"
-    if not math.isfinite(x):
-        return f"{where} is not finite"
-    return f"{where} scales to cell coordinate {float(u):.3g}, beyond the int64 range"
+def _invalid_point(point, axis: int, x, u) -> InvalidPoint:
+    point = tuple(float(v) for v in point)
+    if math.isfinite(x):
+        reason = f"scales to cell coordinate {float(u):.3g}, beyond the int64 range"
+    else:
+        reason = "is not finite"
+    return InvalidPoint(f"point {point}: coordinate {float(x)!r} on axis {axis} {reason}", point=point, axis=axis)
 
 
 def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
@@ -227,9 +225,13 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
             wrapped.append((len(box), np.arange(start, stop) % extent))
             box.append(slice(None))
         else:
+            where = tuple(int(v) for v in cell)
             raise OutOfDomain(
-                f"cell {tuple(int(v) for v in cell)}: stencil nodes [{start}, {stop}) on axis {len(box)}"
-                f" leave its node range 0..{extent - 1}"
+                f"cell {where}: stencil nodes [{start}, {stop}) on axis {len(box)}"
+                f" leave its node range 0..{extent - 1}",
+                axis=len(box),
+                cell=where,
+                extent=extent,
             )
     values = data[tuple(box)]
     for axis, idx in wrapped:
@@ -321,7 +323,7 @@ def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> floa
     try:
         return evaluate_at_cell(field, cell, frac, kind)
     except OutOfDomain as exc:
-        raise OutOfDomain(f"{_point_text(point)}: {exc}") from None
+        raise exc._at_point(point) from None
 
 
 def evaluate_derivative(
@@ -341,7 +343,7 @@ def evaluate_derivative(
     try:
         return evaluate_at_cell(field, cell, frac, kind, tuple(orders))
     except OutOfDomain as exc:
-        raise OutOfDomain(f"{_point_text(point)}: {exc}") from None
+        raise exc._at_point(point) from None
 
 
 def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[int] = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 """evaluate_many against the scalar path it vectorises: bit for bit, errors included."""
 
+import gc
 import itertools
 import tracemalloc
 
@@ -213,16 +214,27 @@ def test_peak_memory_does_not_grow_with_the_point_count():
     # one workspace per call, sized by the kind and the field, not by the number of points
     kind = SplineKind(5, 4)
     field = GridField(np.random.default_rng(0).standard_normal((32,) * 3), h=1 / 32)
-    peaks = []
-    for count in (4000, 40000):
-        points = np.random.default_rng(count).random((count, 3))
-        evaluate_many(field, points, kind)  # derivation and frozen tables stay out of the measurement
-        tracemalloc.start()
-        try:
+    batches = [np.random.default_rng(count).random((count, 3)) for count in (4000, 40000)]
+
+    def peak(points):
+        """The traced peak of one call, less its result array, over the traced size just before it."""
+        # a full collection empties the interpreter's free lists, which hold traced blocks, and resets the
+        # collector's counts, so that no collection falls at a different place in either call
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]  # this int lives through the call, the same on every call
+        tracemalloc.reset_peak()
+        evaluate_many(field, points, kind)
+        return tracemalloc.get_traced_memory()[1] - before - 8 * len(points)
+
+    # one tracing session, with a warm call at each size first: numpy's caches of small blocks are then
+    # in the same state before both measured calls, whatever ran earlier in the process
+    tracemalloc.start()
+    try:
+        for points in batches:
             evaluate_many(field, points, kind)
-            peaks.append(tracemalloc.get_traced_memory()[1] - 8 * count)  # less the result array
-        finally:
-            tracemalloc.stop()
+        peaks = [peak(points) for points in batches]
+    finally:
+        tracemalloc.stop()
     assert peaks[0] == peaks[1]
 
 

@@ -121,6 +121,48 @@ def test_out_of_domain_names_cell_and_axis_on_both_paths():
     assert str(batched.value) == want
 
 
+@pytest.mark.parametrize(
+    "point,cell,axis,extent",
+    [((3.25, 2.75), (3, 5), 1, 6), ((0.5, 1.25), (0, 2), 0, 8), ((7.75, 0.25), (7, 0), 0, 8)],
+)
+def test_out_of_domain_carries_point_cell_axis_and_extent(point, cell, axis, extent):
+    f = GridField(np.zeros((8, 6)), h=(1.0, 0.5), boundary=STRICT)
+    kind = SplineKind(5, 4)
+    with_point = [
+        lambda: evaluate(f, point, kind),
+        lambda: evaluate_derivative(f, point, kind, (1, 2)),
+        lambda: evaluate_many(f, np.array([(1.5, 1.0), point]), kind),
+        lambda: evaluate_many(f, np.array([point]), kind, (0, 1)),
+    ]
+    without_point = [
+        lambda: evaluate_at_cell(f, cell, (0.5, 0.5), kind),
+        lambda: gather_local(f, cell, kind.g),
+    ]
+    for call, want in [(c, point) for c in with_point] + [(c, None) for c in without_point]:
+        with pytest.raises(OutOfDomain) as info:
+            call()
+        exc = info.value
+        assert (exc.point, exc.cell, exc.axis, exc.extent) == (want, cell, axis, extent)
+        assert all(type(v) is int for v in exc.cell + (exc.axis, exc.extent))
+
+
+@pytest.mark.parametrize("point,axis", [((3.5, float("inf")), 1), ((-1e300, 1.5), 0)])
+def test_invalid_point_carries_point_and_axis(point, axis):
+    f = GridField(np.zeros((8, 8)), h=(1.0, 0.5))
+    kind = SplineKind(3, 4)
+    calls = [
+        lambda: evaluate(f, point, kind),
+        lambda: evaluate_derivative(f, point, kind, (0, 1)),
+        lambda: grid_coordinates(point, f),
+        lambda: evaluate_many(f, np.array([(3.5, 1.5), point]), kind),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidPoint) as info:
+            call()
+        assert (info.value.point, info.value.axis) == (point, axis)
+        assert all(type(v) is float for v in info.value.point)
+
+
 def reference_gather(field, cell, g):
     """Every stencil index built and wrapped explicitly, then one fancy-index copy."""
     q = 2 * g + 2
