@@ -19,6 +19,8 @@ first use.  A beta family has one form per derivative order 0..m
 none is built before the first evaluation, so exact derivation and
 validation never pay for them.  The monomial arrays of
 :meth:`BetaFamily.horner_by_order` and ``export_records`` are not evaluated.
+Validation compares integer numerators, and :func:`alpha_closed_form` is an
+integer convolution over l!.
 """
 
 import math
@@ -30,7 +32,8 @@ from functools import cached_property, lru_cache, wraps
 import numpy as np
 
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder
-from .exact import RationalPolynomial, _is_integer, rational_to_str, solve_linear_system, weighted_sum
+from .exact import RationalPolynomial, _common_numerators, _is_integer, rational_to_str, solve_linear_system
+from .exact import weighted_sum
 from .stencil import derive_stencil
 
 MAX_ORDER = 19  # largest validated odd order n
@@ -324,8 +327,8 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
     """Product-form alpha basis member, expanded to monomials.
 
     For the left end:  (x**l / l!) * (1-x)**(m+1) * sum_k binom(m+k, k) x**k,
-    with k running to m - l.  The right end follows by the reflection
-    identity (sign (-1)**l, argument 1 - x).
+    with k running to m - l: an integer convolution over l!.  The right end
+    follows by the reflection identity (sign (-1)**l, argument 1 - x).
     """
     _require_valid_order(n)
     m = (n - 1) // 2
@@ -333,20 +336,14 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
         raise InvalidOrder(f"derivative order must be an integer in 0..{m} for n = {n}, got {l!r}")
     if not _is_integer(i) or i not in (0, 1):
         raise ValueError(f"cell end must be 0 or 1, got {i!r}")
-    series = RationalPolynomial(
-        [
-            Fraction(math.factorial(m + k), math.factorial(m) * math.factorial(k))
-            for k in range(m - l + 1)
-        ]
-    )
-    one_minus_x_power = RationalPolynomial([(-1) ** k * math.comb(m + 1, k) for k in range(m + 2)])
-    poly = RationalPolynomial.monomial(l, Fraction(1, math.factorial(l)))
-    poly = poly * one_minus_x_power * series
-    if i == 1:
-        poly = poly.reflected()
-        if l % 2:
-            poly = -poly
-    return poly
+    sign = -1 if i and l % 2 else 1  # applied before the reflection, which is linear
+    one_minus_x_power = [sign * (-1) ** k * math.comb(m + 1, k) for k in range(m + 2)]
+    numerators = [0] * (n + 1)
+    for j in range(m - l + 1):
+        for k, b in enumerate(one_minus_x_power, l + j):
+            numerators[k] += math.comb(m + j, j) * b
+    poly = RationalPolynomial._over(numerators, math.factorial(l))
+    return poly.reflected() if i else poly
 
 
 def _require_grid_kind(kind: SplineKind) -> None:
@@ -421,46 +418,54 @@ class ValidationReport:
 
 
 def validate_family(beta: BetaFamily) -> ValidationReport:
-    """Run every exact identity the node-value family must satisfy."""
+    """Run every exact identity the node-value family must satisfy, comparing integers only.
+
+    End data are numerators over each member's denominator.  x**p is reproduced (p = 0: partition of
+    unity) when sum_i o_i**p N[i][k] is d for k = p and 0 otherwise, N[i] being member i over the common d.
+    """
     checks = []
     g, m, n = beta.g, beta.m, beta.n
     nodes = range(-g, g + 2)
     label = f"({n},{beta.q})"
 
-    ends = {offset: beta.poly(offset).end_derivatives(m + 1) for offset in nodes}
-    no_data = ([0] * (m + 1),) * 2  # the zero polynomial beyond the stencil
+    ends = {offset: beta.poly(offset).end_numerators(m + 1) for offset in nodes}
+    no_data = ([0] * (m + 1), [0] * (m + 1), 1)  # the zero polynomial beyond the stencil
 
     bad = [
         offset
         for offset in nodes
         for side, want in ((0, int(offset == 0)), (1, int(offset == 1)))
-        if ends[offset][side][0] != want
+        if ends[offset][side][0] != want * ends[offset][2]
     ]
     checks.append((f"{label} node interpolation", not bad, f"offsets {bad}" if bad else ""))
 
-    total = weighted_sum(beta.polys, [1] * len(beta.polys))
-    ok = total == RationalPolynomial.constant(1)
-    checks.append((f"{label} partition of unity", ok, "" if ok else f"sum = {total}"))
-
-    bad = [
-        (l, offset)
-        for l in range(m + 1)
-        for offset in range(-g, g + 3)
-        if ends.get(offset, no_data)[1][l] != ends.get(offset - 1, no_data)[0][l]
+    top = min(n, 2 * g)
+    table, den = _common_numerators(beta.polys, top + 1)
+    columns = list(zip(*table))
+    powers = [[offset**p for offset in nodes] for p in range(top + 1)]
+    reproduced = [
+        [sum(map(operator.mul, w, column)) for column in columns] == [den * (k == p) for k in range(len(columns))]
+        for p, w in enumerate(powers)
     ]
+    ok = reproduced[0]
+    detail = "" if ok else f"sum = {weighted_sum(beta.polys, [1] * len(beta.polys))}"
+    checks.append((f"{label} partition of unity", ok, detail))
+
+    bad = []
+    for offset in range(-g, g + 3):
+        (_, at_one, right_den), (at_zero, _, left_den) = ends.get(offset, no_data), ends.get(offset - 1, no_data)
+        bad += [(l, offset) for l in range(m + 1) if at_one[l] * left_den != at_zero[l] * right_den]
+    bad.sort()
     checks.append((f"{label} smoothness chain", not bad, f"(order, offset) {bad}" if bad else ""))
 
-    bad = [offset for offset in nodes if beta.poly(offset) != beta.poly(1 - offset).reflected()]
+    # reflection is an involution, so the pair (o, 1 - o) passes or fails as one
+    bad = sorted(sum(((o, 1 - o) for o in range(-g, 1) if beta.poly(o) != beta.poly(1 - o).reflected()), ()))
     checks.append((f"{label} reflection symmetry", not bad, f"offsets {bad}" if bad else ""))
 
     bad = [offset for offset in nodes if beta.poly(offset).degree > n]
     checks.append((f"{label} degree bound", not bad, f"offsets {bad}" if bad else ""))
 
-    bad = [
-        p
-        for p in range(min(n, 2 * g) + 1)
-        if weighted_sum(beta.polys, [offset**p for offset in nodes]) != RationalPolynomial.monomial(p)
-    ]
+    bad = [p for p, holds in enumerate(reproduced) if not holds]
     checks.append((f"{label} monomial reproduction", not bad, f"powers {bad}" if bad else ""))
 
     return ValidationReport(checks=checks)

@@ -9,13 +9,15 @@ polynomial, so equality and hashing compare it.  Products, weighted sums
 (which serve ``+``, ``-`` and scalar ``*``), affine substitutions and
 derivatives work on the integers, and each reduces its result by one gcd.
 An affine substitution is an integer Taylor shift: scale, shift by 1 with
-additions only (synthetic division), scale again; no binomial sums.
-Values cross the module boundary as Fractions: ``coeffs`` is a lowest-terms
-Fraction view built on first read, and the solver, which scales each
-augmented row to integers and runs fraction-free (Bareiss) elimination,
-returns Fractions.  Both are the values plain Fraction arithmetic gives, so
-``coeffs`` and the ``"num/den"`` export strings do not depend on the
-representation.
+additions only (synthetic division), scale again; no binomial sums.  End
+data (``end_numerators``) and polynomials over one common denominator stay
+integers too, for the exact checks to compare.  Values cross the module
+boundary as Fractions: ``coeffs`` (built on first read) and
+``end_derivatives`` are lowest-terms Fraction views, and the solver, which
+scales each augmented row to integers and runs fraction-free (Bareiss)
+elimination, returns Fractions.  All are the values plain Fraction
+arithmetic gives, so they and the ``"num/den"`` export strings do not
+depend on the representation.
 """
 
 import math
@@ -181,16 +183,18 @@ class RationalPolynomial:
         *_, a = self._derivative_numerators(order + 1)
         return RationalPolynomial._over(a, self._den)
 
-    def end_derivatives(self, orders: int) -> tuple:
-        """Derivatives of orders 0..orders-1 at x = 0 and at x = 1, as two lists of Fractions.
+    def end_numerators(self, orders: int) -> tuple:
+        """Derivatives of orders 0..orders-1 at x = 0 and at x = 1, as two lists of numerators, and their denominator.
 
         The order-l derivative's coefficients give l! c_l at 0 and their sum at 1.
         """
         chain = list(self._derivative_numerators(orders))
-        return (
-            [Fraction(a[0] if a else 0, self._den) for a in chain],
-            [Fraction(sum(a), self._den) for a in chain],
-        )
+        return [a[0] if a else 0 for a in chain], [sum(a) for a in chain], self._den
+
+    def end_derivatives(self, orders: int) -> tuple:
+        """:meth:`end_numerators` as two lists of Fractions."""
+        at_zero, at_one, den = self.end_numerators(orders)
+        return [Fraction(a, den) for a in at_zero], [Fraction(a, den) for a in at_one]
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction input, float for float input."""
@@ -263,6 +267,13 @@ def weighted_sum(polys: Sequence[RationalPolynomial], weights: Sequence[Rational
         for k, x in enumerate(p._num):
             acc[k] += factor * x
     return RationalPolynomial._over(acc, den)
+
+
+def _common_numerators(polys: Sequence[RationalPolynomial], width: int) -> tuple:
+    """The polynomials over their one denominator d: (numerator rows, d), each row padded to ``width`` or longer."""
+    den = math.lcm(*(p._den for p in polys))
+    width = max([width] + [len(p._num) for p in polys])
+    return [[a * (den // p._den) for a in p._num] + [0] * (width - len(p._num)) for p in polys], den
 
 
 def solve_linear_system(matrix: Sequence[Sequence[RationalLike]], rhs) -> list:

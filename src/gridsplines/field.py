@@ -485,7 +485,10 @@ def partitioned_evaluate(
         raise ValueError(f"split_axis {split_axis!r} is not an axis of a field with {field.ndim} axes")
     family = derive_beta(kind)
     cc = grid_coordinates(point, field)
-    values = gather_local(field, cc.cell, family.g).values
+    try:
+        values = gather_local(field, cc.cell, family.g).values
+    except OutOfDomain as exc:
+        raise exc._at_point(point) from None
     gammas = [beta_eval(family, 0, x) for x in cc.frac]
     cut = min(max(split_index - (cc.cell[split_axis] - family.g), 0), family.q)
     sums = []

@@ -1,16 +1,21 @@
-"""Brute-force tensor interpolant oracle.
+"""Brute-force oracles: the tensor interpolant, and the exact family checks.
 
-Independent of the per-axis machinery under test: the full multidimensional
-Taylor system and the full cell-polynomial system are assembled over all axes
-at once and solved with exact rational elimination, then the cell polynomial
-is evaluated exactly.  Shares only the linear solver with the library.
+:func:`direct_evaluate` is independent of the per-axis machinery under test:
+the full multidimensional Taylor system and the full cell-polynomial system
+are assembled over all axes at once and solved with exact rational
+elimination, then the cell polynomial is evaluated exactly.  It shares only
+the linear solver with the library.
+
+:func:`family_checks` runs the identities of ``basis.validate_family`` the
+plain way, on Fractions and polynomials: end derivatives as Fractions, one
+weighted sum per reproduced power, and one reflection per member.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from gridsplines.exact import solve_linear_system
+from gridsplines.exact import RationalPolynomial, solve_linear_system, weighted_sum
 
 
 def direct_evaluate(data, cell, fracs, n, g):
@@ -75,3 +80,48 @@ def _tensor_power(values, exponents):
     for v, e in zip(values, exponents):
         out *= Fraction(v) ** e
     return out
+
+
+def family_checks(beta):
+    """The (name, passed, detail) list ``basis.validate_family`` must report for ``beta``."""
+    checks = []
+    g, m, n = beta.g, beta.m, beta.n
+    nodes = range(-g, g + 2)
+    label = f"({n},{beta.q})"
+
+    ends = {offset: beta.poly(offset).end_derivatives(m + 1) for offset in nodes}
+    no_data = ([0] * (m + 1),) * 2  # the zero polynomial beyond the stencil
+
+    bad = [
+        offset
+        for offset in nodes
+        for side, want in ((0, int(offset == 0)), (1, int(offset == 1)))
+        if ends[offset][side][0] != want
+    ]
+    checks.append((f"{label} node interpolation", not bad, f"offsets {bad}" if bad else ""))
+
+    total = weighted_sum(beta.polys, [1] * len(beta.polys))
+    ok = total == RationalPolynomial.constant(1)
+    checks.append((f"{label} partition of unity", ok, "" if ok else f"sum = {total}"))
+
+    bad = [
+        (l, offset)
+        for l in range(m + 1)
+        for offset in range(-g, g + 3)
+        if ends.get(offset, no_data)[1][l] != ends.get(offset - 1, no_data)[0][l]
+    ]
+    checks.append((f"{label} smoothness chain", not bad, f"(order, offset) {bad}" if bad else ""))
+
+    bad = [offset for offset in nodes if beta.poly(offset) != beta.poly(1 - offset).reflected()]
+    checks.append((f"{label} reflection symmetry", not bad, f"offsets {bad}" if bad else ""))
+
+    bad = [offset for offset in nodes if beta.poly(offset).degree > n]
+    checks.append((f"{label} degree bound", not bad, f"offsets {bad}" if bad else ""))
+
+    bad = [
+        p
+        for p in range(min(n, 2 * g) + 1)
+        if weighted_sum(beta.polys, [offset**p for offset in nodes]) != RationalPolynomial.monomial(p)
+    ]
+    checks.append((f"{label} monomial reproduction", not bad, f"powers {bad}" if bad else ""))
+    return checks

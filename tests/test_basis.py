@@ -10,6 +10,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from exact_oracle import family_checks
 from gridsplines import basis, cli, field
 from gridsplines.basis import (
     MAX_NODES,
@@ -294,6 +295,39 @@ def test_validate_family_catches_partition_defect():
     report = validate_family(BetaFamily(n=beta.n, q=beta.q, polys=tuple(polys)))
     assert not report.ok
     assert any("partition" in name for name, _ in report.failures())
+
+
+# every kind run_validation(19, 12) checks
+VALIDATED_KINDS = [(n, q) for q in range(4, MAX_NODES + 1, 2) for n in range(1, min(2 * q - 3, MAX_ORDER) + 1, 2)]
+
+
+def test_validate_family_reports_what_the_plain_checks_report_on_every_validated_kind():
+    assert len(VALIDATED_KINDS) == 34
+    for n, q in VALIDATED_KINDS:
+        beta = derive_beta(SplineKind(n, q))
+        assert validate_family(beta).checks == family_checks(beta), (n, q)
+
+
+@pytest.mark.parametrize(
+    "n,q,changes",
+    [
+        (5, 4, [(0, poly(0, 1))]),  # the centre member plus x, as `validate --inject-defect` does
+        (9, 6, [(-2, poly(Fraction(1, 3)))]),  # the far member -g, by a constant
+        (5, 4, [(1, RationalPolynomial.monomial(7, -2))]),  # a degree above n
+        (13, 8, [(2, RationalPolynomial.monomial(4, Fraction(-5, 7)))]),  # one reflection pair, (-1, 2), breaks
+        (9, 6, [(1, poly(0, 0, 0, 1)), (0, poly(1, -3, 3, -1))]),  # x**3 and its mirror: reflection holds
+        (13, 8, [(-3, poly(0, Fraction(1, 2))), (3, poly(0, Fraction(-1, 2)))]),  # weight moved: unity holds
+    ],
+)
+def test_validate_family_reports_what_the_plain_checks_report_on_perturbed_families(n, q, changes):
+    beta = derive_beta(SplineKind(n, q))
+    polys = list(beta.polys)
+    for offset, change in changes:
+        polys[offset + beta.g] = polys[offset + beta.g] + change
+    perturbed = BetaFamily(n=n, q=q, polys=tuple(polys))
+    report = validate_family(perturbed)
+    assert not report.ok
+    assert report.checks == family_checks(perturbed)
 
 
 @pytest.mark.parametrize("n,q", [(3, 4), (5, 6), (9, 6)])

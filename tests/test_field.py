@@ -119,6 +119,9 @@ def test_out_of_domain_names_cell_and_axis_on_both_paths():
     with pytest.raises(OutOfDomain) as batched:
         evaluate_many(f, np.array([(1.5, 1.0), point]), kind)
     assert str(batched.value) == want
+    with pytest.raises(OutOfDomain) as partitioned:
+        partitioned_evaluate(f, point, kind, 0, 3)
+    assert str(partitioned.value) == want
 
 
 @pytest.mark.parametrize(
@@ -133,6 +136,7 @@ def test_out_of_domain_carries_point_cell_axis_and_extent(point, cell, axis, ext
         lambda: evaluate_derivative(f, point, kind, (1, 2)),
         lambda: evaluate_many(f, np.array([(1.5, 1.0), point]), kind),
         lambda: evaluate_many(f, np.array([point]), kind, (0, 1)),
+        lambda: partitioned_evaluate(f, point, kind, 0, 3),
     ]
     without_point = [
         lambda: evaluate_at_cell(f, cell, (0.5, 0.5), kind),
@@ -847,3 +851,16 @@ def test_container_rejects_bad_grid(tmp_path, h, named):
     path.write_bytes(container_header(dims, h) + b"\x00" * 8 * int(np.prod(dims)))
     with pytest.raises(ValueError, match=f"bad.gfd: {named}"):
         load_field(path)
+
+
+@pytest.mark.parametrize("n,q", [(5, 4), (9, 6), (7, 8), (13, 8)])
+def test_derivative_convergence_order_is_min_n_2g_plus_one_minus_l(n, q):
+    # 1-D sin(2 pi x), periodic on [0, 1); its order-l derivative is (2 pi)**l sin(2 pi x + l pi / 2)
+    kind = SplineKind(n, q)
+    x = np.random.default_rng(20261).uniform(0.0, 1.0, size=(4000, 1))
+    fields = [GridField.sample(lambda c: np.sin(2 * np.pi * c[0]), (cells,), 1 / cells) for cells in (16, 32, 64)]
+    for l in range(min(kind.m, 3) + 1):
+        exact = (2 * np.pi) ** l * np.sin(2 * np.pi * x[:, 0] + l * np.pi / 2)
+        errors = [np.max(np.abs(evaluate_many(f, x, kind, (l,)) - exact)) for f in fields]
+        observed = math.log2(errors[1] / errors[2])
+        assert abs(observed - (min(n, 2 * kind.g) + 1 - l)) <= 0.1, (l, errors)
