@@ -220,7 +220,7 @@ class BetaFamily:
     def m(self) -> int:
         return (self.n - 1) // 2
 
-    @property
+    @cached_property  # read on every scalar call
     def g(self) -> int:
         return (self.q - 2) // 2
 

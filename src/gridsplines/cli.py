@@ -30,7 +30,7 @@ from .basis import (
 )
 from .errors import InvalidKind, InvalidOrder, OutOfDomain
 from .exact import RationalPolynomial, rational_from_str
-from .field import PERIODIC, GridField, evaluate, evaluate_many, load_field
+from .field import PERIODIC, GridField, evaluate, evaluate_derivative, evaluate_many, load_field
 from .stencil import derive_stencil
 
 
@@ -194,9 +194,11 @@ def write_convergence_csv(rows, stream) -> None:
 BENCH_REPEATS = 5
 
 
-def run_benchmark(field: GridField, kind: SplineKind, points, warmup: int = 200):
+def run_benchmark(field: GridField, kind: SplineKind, points, warmup: int = 200, orders=None):
     """Time scalar :func:`evaluate` per point and one :func:`evaluate_many` call, interleaved BENCH_REPEATS times.
 
+    With per-axis derivative ``orders``, the scalar path is
+    :func:`evaluate_derivative` and the batched call passes the orders.
     Returns, per path, the min and median ns/evaluation over the repeats and
     the evaluations/second of the median; for the batched path also the
     minor page faults (``ru_minflt``) of its median call.  ``bitwise_identical``
@@ -204,19 +206,24 @@ def run_benchmark(field: GridField, kind: SplineKind, points, warmup: int = 200)
     """
     points = np.asarray(points, dtype=np.float64)
     tuples = [tuple(p) for p in points.tolist()]
-    for p in tuples[:warmup]:  # derives the family outside the timed loops
-        evaluate(field, p, kind)
-    evaluate_many(field, points[:warmup], kind)
+
+    def scalar_pass(tuples):
+        if orders is None:
+            return [evaluate(field, p, kind) for p in tuples]
+        return [evaluate_derivative(field, p, kind, orders) for p in tuples]
+
+    scalar_pass(tuples[:warmup])  # derives the family outside the timed loops
+    evaluate_many(field, points[:warmup], kind, orders)
     seconds = {"scalar": [], "batched": []}
     faults = []
     identical = True
     for _ in range(BENCH_REPEATS):
         start = time.perf_counter()
-        scalar = [evaluate(field, p, kind) for p in tuples]
+        scalar = scalar_pass(tuples)
         seconds["scalar"].append(time.perf_counter() - start)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        batched = evaluate_many(field, points, kind)
+        batched = evaluate_many(field, points, kind, orders)
         seconds["batched"].append(time.perf_counter() - start)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         identical = identical and np.array(scalar).tobytes() == batched.tobytes()
@@ -347,9 +354,11 @@ def cmd_bench(args) -> int:
     if not all(map(math.isfinite, extents)):
         raise ValueError(f"{args.field}: field extent {extents} is not finite")
     points = rng.uniform(0.0, extents, size=(args.points, field.ndim))
-    report = run_benchmark(field, kind, points)
+    orders = None if args.order is None else (args.order,) * field.ndim
+    report = run_benchmark(field, kind, points, orders=orders)
     grid_text = "x".join(str(d) for d in field.dims)
-    print(f"kind {kind}, grid {grid_text}, {len(points)} evaluations, {report['repeats']} interleaved repeats")
+    what = "evaluations" if orders is None else f"order-{args.order} derivatives"
+    print(f"kind {kind}, grid {grid_text}, {len(points)} {what}, {report['repeats']} interleaved repeats")
     for path, stats in report["paths"].items():
         faults = f"  {stats['minor_faults']} minor faults in the median call" if "minor_faults" in stats else ""
         print(
@@ -400,6 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_positive_int, default=20000)
     p.add_argument("--seed", type=_int_at_least(0), default=2024)
     p.add_argument("--field", help="evaluate a saved field container instead of a synthetic one")
+    p.add_argument(
+        "--order", type=_int_at_least(0), help="derivative order on every axis: evaluate_derivative, not evaluate"
+    )
     p.set_defaults(func=cmd_bench)
     return parser
 

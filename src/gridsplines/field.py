@@ -10,10 +10,11 @@ Every scalar interpolant here is that one sum, :func:`_accumulate`: a
 patch of inputs against one weight vector per axis, walked row-major with
 the last axis innermost.  Each term is the input times the weight product
 taken left to right across the axes, added to a sum that starts at 0.0.
-:func:`evaluate` and :func:`evaluate_derivative` walk the (q,)*D node
-patch.  The two parts of :func:`partitioned_evaluate` walk the two slabs of
-that patch on either side of the split, in the same order, so each part
-holds exactly the terms, and the rounding, of its slab.
+The scalar entries check their arguments, then run one private core,
+:func:`_at_cell`, on the (q,)*D node patch; the two parts of
+:func:`partitioned_evaluate` walk its two slabs on either side of the split,
+in the same order, so each part holds exactly the terms, and the rounding,
+of its slab.
 :func:`evaluate_hermite` walks the (2(m+1),)*D patch of endpoint data in
 the alpha form's member order: index l <= m along an axis is order l at
 cell end 0, index 2m + 1 - l order l at cell end 1.
@@ -34,12 +35,13 @@ so that every stencil, wrapped or not, is one box of the padded array.
 Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
 bytes; one workspace, which the Horner loop and every patch step write with
 ``out=``; and each block's per-point coordinate and index arrays, about
-26 * D bytes a point.  The workspace holds the block's weights,
-BLOCK_WEIGHTS * 8 bytes or one sub-chunk's where that is more; the gather
-offsets (int64, then the float weight tensor; before both, the weights'
-scratch) and the terms, CHUNK_TERMS * 8 bytes each; and a q-th of that for
-the weight product before the last axis.  For a 3-D (5,4) kind on a 32**3
-grid that is 335 + 672 + about 80 KiB.
+26 * D bytes a point, and 8 more while the block before's corners are held.
+The workspace holds the block's weights, BLOCK_WEIGHTS * 8 bytes or one
+sub-chunk's where that is more; the gather offsets (int64, then the float
+weight tensor; before both, the weights' scratch) and the terms,
+CHUNK_TERMS * 8 bytes each; and a q-th of that for the weight product before
+the last axis.  For a 3-D (5,4) kind on a 32**3 grid that is 335 + 672 +
+about 86 KiB.
 
 The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
@@ -141,8 +143,8 @@ class GridField:
         return cls(data=data, h=h, boundary=boundary)
 
 
-# The scalar path builds one CellCoordinates and one LocalPatch per call; as
-# NamedTuples they cost about a third less to build than frozen dataclasses.
+# The scalar path builds one CellCoordinates and one LocalPatch per call; tuple.__new__
+# builds them at under half the cost of their generated __new__.
 class CellCoordinates(NamedTuple):
     """Integer cell indices plus in-cell fractions, one pair per axis."""
 
@@ -173,8 +175,7 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     h = field.h
     if len(point) != len(h):
         raise ValueError(f"point has {len(point)} coordinates, field has {len(h)} axes")
-    cells = []
-    fracs = []
+    cells, fracs = [], []
     for x, hj in zip(point, h):
         u = x / hj
         if not abs(u) < _CELL_LIMIT:  # len(cells) is the axis: no enumerate on the hot path
@@ -186,7 +187,7 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
             frac = 0.0
         cells.append(c)
         fracs.append(frac)
-    return CellCoordinates(tuple(cells), tuple(fracs))
+    return tuple.__new__(CellCoordinates, (tuple(cells), tuple(fracs)))
 
 
 def _invalid_point(point, axis: int, x, u) -> InvalidPoint:
@@ -236,7 +237,7 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     values = data[tuple(box)]
     for axis, idx in wrapped:
         values = values.take(idx, axis=axis)
-    return LocalPatch(q, values)
+    return tuple.__new__(LocalPatch, (q, values))
 
 
 def _accumulate(values, gammas) -> float:
@@ -264,8 +265,8 @@ def _check_fractions(frac) -> None:
             raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
 
 
-def _orders_and_scale(field: GridField, orders, lookup) -> tuple:
-    """``lookup(axis, l)`` for each axis's derivative order l (all 0 for None), and the factor prod h_j**-l_j.
+def _orders_and_scale(field: GridField, orders, lookup, family, frac) -> tuple:
+    """``lookup(family, l, x)`` for each axis's derivative order l (all 0 for None) and fraction x, and prod h_j**-l_j.
 
     The lookup checks l (basis._require_derivative_order) before h**-l, which
     overflows for absurd orders; a non-integer order's error names its axis.
@@ -275,17 +276,33 @@ def _orders_and_scale(field: GridField, orders, lookup) -> tuple:
         orders = (0,) * len(h)
     elif len(orders) != len(h):
         raise ValueError(f"need one derivative order per axis, got {len(orders)}")
-    found = []
-    scale = 1.0
-    for hj, lj in zip(h, orders):  # len(found) is the axis
+    found, scale = [], 1.0
+    for hj, lj, x in zip(h, orders, frac):  # len(found) is the axis
         try:
-            found.append(lookup(len(found), lj))
+            found.append(lookup(family, lj, x))
         except DerivativeTooHigh:
             raise
         except ValueError:
             raise ValueError(f"derivative order {lj!r} on axis {len(found)} is not an integer") from None
         scale *= hj ** (-lj)
     return found, scale
+
+
+def _weights_and_patch(field, point, cell, frac, orders, family):
+    """The weights, prod h_j**-l_j and the (q,)*D patch at a checked cell."""
+    gammas, scale = _orders_and_scale(field, orders, beta_eval, family, frac)
+    try:
+        return gammas, scale, gather_local(field, cell, family.g).values
+    except OutOfDomain as exc:
+        if point is None:
+            raise
+        raise exc._at_point(point) from None
+
+
+def _at_cell(field, point, cell, frac, orders, family):
+    """The scalar core: the fused sum of patch and weights, times the factor."""
+    gammas, scale, values = _weights_and_patch(field, point, cell, frac, orders, family)
+    return _accumulate(values.ravel().tolist(), gammas) * scale
 
 
 def evaluate_at_cell(
@@ -295,21 +312,17 @@ def evaluate_at_cell(
     kind: SplineKind,
     orders: Sequence[int] = None,
 ) -> float:
-    """Evaluate with explicitly given cell coordinates.
+    """Evaluate at explicitly given cell coordinates, once they are checked.
 
-    This is the fixed-cell core of :func:`evaluate`; it is also the tool for
-    probing one-sided limits at cell boundaries (frac = 1.0 in the left cell
-    versus frac = 0.0 in the right cell).  ``cell``, ``frac`` and ``orders``
+    The tool for one-sided limits at cell boundaries: frac = 1.0 in the left
+    cell versus frac = 0.0 in the right.  ``cell``, ``frac`` and ``orders``
     need one entry per axis, and every fraction must lie in [0, 1].
     """
     family = derive_beta(kind)
-    ndim = len(field.h)
-    if len(cell) != ndim or len(frac) != ndim:
+    if not len(cell) == len(frac) == len(field.h):
         raise ValueError(f"need one cell index and one fraction per axis, got {len(cell)} and {len(frac)}")
     _check_fractions(frac)
-    gammas, scale = _orders_and_scale(field, orders, lambda axis, l: beta_eval(family, l, frac[axis]))
-    values = gather_local(field, cell, family.g).values.ravel().tolist()
-    return _accumulate(values, gammas) * scale
+    return _at_cell(field, None, cell, frac, orders, family)
 
 
 def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> float:
@@ -320,10 +333,7 @@ def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> floa
     tensor product of those weights.
     """
     cell, frac = grid_coordinates(point, field)
-    try:
-        return evaluate_at_cell(field, cell, frac, kind)
-    except OutOfDomain as exc:
-        raise exc._at_point(point) from None
+    return _at_cell(field, point, cell, frac, None, derive_beta(kind))
 
 
 def evaluate_derivative(
@@ -334,16 +344,12 @@ def evaluate_derivative(
 ) -> float:
     """Interpolated mixed partial derivative, orders given per axis.
 
-    The per-axis weights come from the derivative Horner arrays; the sum is
-    rescaled by the grid constants (chain rule for the unit-cell variable).
-    Orders above m are rejected because the interpolant would not be
-    continuous there.
+    The per-axis weights are those of the orders' frozen forms; the sum is
+    rescaled by prod h_j**-l_j (the chain rule for the unit-cell variable).
+    Orders above m are rejected: the interpolant is not continuous there.
     """
     cell, frac = grid_coordinates(point, field)
-    try:
-        return evaluate_at_cell(field, cell, frac, kind, tuple(orders))
-    except OutOfDomain as exc:
-        raise exc._at_point(point) from None
+    return _at_cell(field, point, cell, frac, tuple(orders), derive_beta(kind))
 
 
 def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[int] = None) -> np.ndarray:
@@ -360,7 +366,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     cell range, :class:`OutOfDomain` where a strict stencil leaves the grid.
     """
     family = derive_beta(kind)
-    tables, scale = _orders_and_scale(field, orders, lambda axis, l: family.form(l).table)
+    tables, scale = _orders_and_scale(field, orders, _table, family, itertools.repeat(None))  # tables need no fraction
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
@@ -393,6 +399,10 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     return out
 
 
+def _table(family, order: int, _) -> np.ndarray:
+    return family.form(order).table
+
+
 def _layout(ndim: int, q: int) -> tuple:
     """Points per sub-chunk (CHUNK_TERMS patch terms) and per block (whole sub-chunks, BLOCK_WEIGHTS weights)."""
     step = max(2, CHUNK_TERMS // q**ndim)
@@ -411,7 +421,7 @@ def _spans(count: int, step: int):
 
 
 def _block_weights(field, pts, kind, strides, limit, horner, weights) -> tuple:
-    """Per-point steps of :func:`evaluate_at_cell`: patch corners in the flat ext, and (D, q, points) weights.
+    """Per-point steps of :func:`_at_cell`: patch corners in the flat ext, and (D, q, points) weights.
 
     The first bad point raises what the scalar path raises.  A corner at or
     past ``limit``, where its patch would leave ext, raises IndexError: the
@@ -446,7 +456,7 @@ def _block_weights(field, pts, kind, strides, limit, horner, weights) -> tuple:
 
 
 def _contract(flat, offsets, base, gammas, front, terms, partial, out) -> None:
-    """Patch steps of :func:`evaluate_at_cell` for a sub-chunk, each in place: gather, weight, sum into ``out``.
+    """Patch steps of :func:`_at_cell` for a sub-chunk, each in place: gather, weight, sum into ``out``.
 
     The weight tensor goes into ``front`` once the gather is done with the
     offsets there; from D = 3 on, the products before it alternate between
@@ -484,13 +494,9 @@ def partitioned_evaluate(
     if not 0 <= split_axis < field.ndim:
         raise ValueError(f"split_axis {split_axis!r} is not an axis of a field with {field.ndim} axes")
     family = derive_beta(kind)
-    cc = grid_coordinates(point, field)
-    try:
-        values = gather_local(field, cc.cell, family.g).values
-    except OutOfDomain as exc:
-        raise exc._at_point(point) from None
-    gammas = [beta_eval(family, 0, x) for x in cc.frac]
-    cut = min(max(split_index - (cc.cell[split_axis] - family.g), 0), family.q)
+    cell, frac = grid_coordinates(point, field)
+    gammas, _, values = _weights_and_patch(field, point, cell, frac, None, family)
+    cut = min(max(split_index - (cell[split_axis] - family.g), 0), family.q)
     sums = []
     for slab in (slice(None, cut), slice(cut, None)):
         weights = gammas[:split_axis] + [gammas[split_axis][slab]] + gammas[split_axis + 1 :]

@@ -1,4 +1,4 @@
-"""Brute-force oracles: the tensor interpolant, and the exact family checks.
+"""Brute-force oracles: the tensor interpolant, the exact family checks, and exact weights on float data.
 
 :func:`direct_evaluate` is independent of the per-axis machinery under test:
 the full multidimensional Taylor system and the full cell-polynomial system
@@ -9,6 +9,9 @@ the linear solver with the library.
 :func:`family_checks` runs the identities of ``basis.validate_family`` the
 plain way, on Fractions and polynomials: end derivatives as Fractions, one
 weighted sum per reproduced power, and one reflection per member.
+
+:func:`exact_weights_sum` is the float path's sum with every weight and
+every operation exact, on the same cell, fractions and node values.
 """
 
 import itertools
@@ -16,6 +19,7 @@ import math
 from fractions import Fraction
 
 from gridsplines.exact import RationalPolynomial, solve_linear_system, weighted_sum
+from gridsplines.field import gather_local, grid_coordinates
 
 
 def direct_evaluate(data, cell, fracs, n, g):
@@ -125,3 +129,23 @@ def family_checks(beta):
     ]
     checks.append((f"{label} monomial reproduction", not bad, f"powers {bad}" if bad else ""))
     return checks
+
+
+def exact_weights_sum(field, point, family, orders):
+    """The scalar path's interpolant with exact weights: a Fraction.
+
+    The cell, the fractions and the node patch are the float path's own
+    (a float fraction is exact as a Fraction); the weights are the exact
+    basis polynomials' derivatives at those fractions, and the sum over the
+    patch and the factor prod h_j**-l_j are exact too.
+    """
+    cc = grid_coordinates(point, field)
+    polys = [
+        [family.poly(offset).derivative(l) for offset in range(-family.g, family.g + 2)] for l in orders
+    ]
+    weights = [[p(Fraction(x)) for p in axis] for axis, x in zip(polys, cc.frac)]
+    values = gather_local(field, cc.cell, family.g).values.ravel().tolist()
+    total = Fraction(0)
+    for v, ws in zip(values, itertools.product(*weights)):
+        total += Fraction(v) * math.prod(ws)
+    return total * math.prod(Fraction(h) ** -l for h, l in zip(field.h, orders))

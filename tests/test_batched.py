@@ -238,6 +238,37 @@ def test_peak_memory_does_not_grow_with_the_point_count():
     assert peaks[0] == peaks[1]
 
 
+def test_peak_memory_matches_the_documented_formula():
+    # the field module's formula: the padded copy, the workspace, and per point of a block about 26 * D bytes
+    # of coordinate and index arrays, plus 8 for the block before's patch corners; 4000 points fill whole blocks
+    kind = SplineKind(5, 4)
+    dims, count = (32,) * 3, 4000
+    field = GridField(np.random.default_rng(0).standard_normal(dims), h=1 / 32)
+    points = np.random.default_rng(1).random((count, 3))
+    step, block = _layout(3, kind.q)
+    span = min(step, count) * kind.q**3
+    padded = 8 * int(np.prod([d + kind.q - 1 for d in dims]))
+    workspace = 8 * (min(block, count) * 3 * kind.q + 2 * span + span // kind.q)
+    formula = padded + workspace + (26 * 3 + 8) * min(block, count)
+    # tracing allocates a few KiB more (offsets, Horner rows, Python objects); a spare block-sized float array,
+    # 8 * D bytes a point, adds 24 KiB
+    slack = 12 * 1024
+    # numpy's ufunc buffers (64 KiB each by default) are held down, so that the arrays of the module show
+    old = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        evaluate_many(field, points, kind)  # warm
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluate_many(field, points, kind)
+        peak = tracemalloc.get_traced_memory()[1] - before - 8 * count
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(old)
+    assert 0 <= peak - formula <= slack, (peak, formula)
+
+
 def test_patch_range_is_checked_per_point_before_the_gather():
     # the gather reads with mode="wrap"; handed an array its patches leave, the per-point stage must raise
     field = GridField(np.zeros((6, 6)), h=1.0)

@@ -42,6 +42,12 @@ def test_scalar_stages_are_called_through_module_globals(monkeypatch):
 
             monkeypatch.setattr(field_module, attr, counted)
     field = field_module.GridField(np.arange(16.0), h=0.5)
-    field_module.evaluate_derivative(field, (3.3,), SplineKind(5, 4), (1,))
-    field_module.evaluate(field, (3.3,), SplineKind(5, 4))
-    assert calls == {"evaluate_at_cell": 2, "grid_coordinates": 2, "gather_local": 2, "beta_eval": 2}
+    kind = SplineKind(5, 4)
+    # evaluate and evaluate_derivative run the private core after grid_coordinates, not evaluate_at_cell
+    field_module.evaluate_derivative(field, (3.3,), kind, (1,))
+    field_module.evaluate(field, (3.3,), kind)
+    assert calls == {"grid_coordinates": 2, "gather_local": 2, "beta_eval": 2}
+    field_module.evaluate_at_cell(field, (6,), (0.6,), kind, (1,))
+    assert calls == {"evaluate_at_cell": 1, "grid_coordinates": 2, "gather_local": 3, "beta_eval": 3}
+    field_module.partitioned_evaluate(field, (3.3,), kind, 0, 6)
+    assert calls == {"evaluate_at_cell": 1, "grid_coordinates": 3, "gather_local": 4, "beta_eval": 4}

@@ -258,6 +258,21 @@ def test_bench_reports_min_median_and_faults_of_interleaved_repeats(capsys):
     assert "minor_faults" not in report["paths"]["scalar"]
 
 
+def test_bench_order_times_evaluate_derivative_against_evaluate_many(capsys):
+    rc = main(["bench", "--dims", "2", "--n", "9", "--q", "6", "--grid", "16", "--points", "40", "--order", "3"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "kind (9,6), grid 16x16, 40 order-3 derivatives, 5 interleaved repeats"
+    assert lines[3] == "  batched vs scalar bitwise identical: True"
+
+    field = GridField(np.random.default_rng(2).standard_normal((9, 9)), h=(0.5, 0.25))
+    points = np.random.default_rng(3).uniform(0.0, 2.25, size=(40, 2))
+    assert run_benchmark(field, SplineKind(5, 4), points, orders=(2, 1))["bitwise_identical"]
+    # an order above m is the library's error, reported like any other
+    assert main(["bench", "--dims", "1", "--n", "5", "--q", "4", "--grid", "8", "--points", "4", "--order", "3"]) == 2
+    assert "error: derivative order 3 not in 0..2 for kind (5,4)" in capsys.readouterr().err
+
+
 def test_bench_wide_stencil_bitwise_identical(capsys):
     rc = main(
         ["bench", "--dims", "1", "--n", "5", "--q", "6", "--grid", "16", "--points", "32", "--seed", "3"]
@@ -305,6 +320,7 @@ def test_bench_narrow_stencil_outpaces_wide_one():
         (["bench", "--h", "one"], "argument --h: expected a number"),
         (["bench", "--h", "1e308", "--grid", "8"], "argument --h: the synthetic field's extent --grid * --h"),
         (["converge", "--h-coarse", "1/0"], "argument --h-coarse: expected a spacing such as 1/16, got '1/0'"),
+        (["bench", "--order", "-1"], "argument --order: must be at least 0"),
     ],
 )
 def test_cli_rejects_nonpositive_arguments(args, named, capsys):

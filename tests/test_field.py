@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from exact_oracle import direct_evaluate
-from gridsplines.basis import SplineKind
+from exact_oracle import direct_evaluate, exact_weights_sum
+from gridsplines.basis import SplineKind, derive_beta
 from gridsplines.errors import DerivativeTooHigh, InvalidKind, InvalidPoint, OutOfDomain
 from gridsplines.field import (
     PERIODIC,
@@ -398,6 +398,40 @@ def test_evaluate_at_cell_checks_its_arguments():
         evaluate_at_cell(f, (3, 3), (0.5,), kind)
     # both ends of the unit interval stay legal: frac = 1.0 is the left-hand limit at the next node
     assert evaluate_at_cell(f, (3,), (1.0,), kind) == evaluate_at_cell(f, (4,), (0.0,), kind) == 4.0
+
+
+_F = GridField(np.zeros((8, 6)), h=(1.0, 0.5), boundary=STRICT)
+_K, _HERMITE = SplineKind(5, 4), SplineKind(5)
+_OUTSIDE, _NAN = (3.25, 2.75), (3.25, float("nan"))  # cell (3, 5): its axis-1 stencil leaves the grid
+PRECEDENCE = [
+    # evaluate and evaluate_derivative: point, then kind, then orders (length, then per axis in axis
+    # order: integer, then range), then the domain, named with the point
+    ("point|kind", lambda: evaluate(_F, _NAN, _HERMITE), InvalidPoint, "not finite"),
+    ("length|kind", lambda: evaluate(_F, (3.25,), _HERMITE), ValueError, "point has 1 coordinates"),
+    ("kind|domain", lambda: evaluate(_F, _OUTSIDE, _HERMITE), InvalidKind, "no node count"),
+    ("d:point|kind", lambda: evaluate_derivative(_F, _NAN, _HERMITE, (0,)), InvalidPoint, "not finite"),
+    ("d:kind|orders", lambda: evaluate_derivative(_F, _OUTSIDE, _HERMITE, (0,)), InvalidKind, "no node count"),
+    ("d:length|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1.5,)), ValueError, "per axis, got 1"),
+    ("d:integer|range", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1.5, 9)), ValueError, "1.5 on axis 0"),
+    ("d:range|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (9, 1.5)), DerivativeTooHigh, "order 9"),
+    ("d:integer|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (0, 1.5)), ValueError, "1.5 on axis 1"),
+    ("d:range|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (0, 3)), DerivativeTooHigh, "order 3"),
+    ("d:domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1, 2)), OutOfDomain, r"^point \(3\.25, 2\.75\): cell"),
+    # evaluate_at_cell: kind, then the cell and fraction lengths, fractions, orders, then the domain (no point)
+    ("c:kind|length", lambda: evaluate_at_cell(_F, (3,), (0.5, 0.5), _HERMITE), InvalidKind, "no node count"),
+    ("c:length|fraction", lambda: evaluate_at_cell(_F, (3,), (7.5, 0.5), _K), ValueError, "got 1 and 2"),
+    ("c:fraction|orders", lambda: evaluate_at_cell(_F, (3, 5), (7.5, 0.5), _K, (0,)), ValueError, "fraction 7.5"),
+    ("c:orders|domain", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5), _K, (3, 0)), DerivativeTooHigh, "order 3"),
+    ("c:domain", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5), _K, (1, 2)), OutOfDomain, r"^cell \(3, 5\)"),
+]
+
+
+@pytest.mark.parametrize("call,error,match", [p[1:] for p in PRECEDENCE], ids=[p[0] for p in PRECEDENCE])
+def test_scalar_entries_keep_their_error_precedence(call, error, match):
+    # each case is bad in two adjacent steps (one, the last, only in the domain): the earlier step's error wins
+    with pytest.raises(error, match=match) as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_field_data_is_immutable():
@@ -864,3 +898,22 @@ def test_derivative_convergence_order_is_min_n_2g_plus_one_minus_l(n, q):
         errors = [np.max(np.abs(evaluate_many(f, x, kind, (l,)) - exact)) for f in fields]
         observed = math.log2(errors[1] / errors[2])
         assert abs(observed - (min(n, 2 * kind.g) + 1 - l)) <= 0.1, (l, errors)
+
+
+def test_high_order_derivatives_stay_near_the_float_data_floor():
+    # (19,12) orders 4 and 6 of sin(2 pi x): the float path's error against the exact derivative, over that of
+    # the exact weights summed exactly on the same float data, which no float form can beat.  300 points
+    # measured at most 5.7x (h = 1/512, where the data's rounding dominates); the 60 points here, 6.4x.
+    # The bound is 2x the 5.7x.
+    kind = SplineKind(19, 12)
+    family = derive_beta(kind)
+    xs = np.random.default_rng(20261).uniform(0.0, 1.0, size=60).tolist()
+    for cells in (64, 512):
+        f = GridField.sample(lambda c: np.sin(2 * np.pi * c[0]), (cells,), 1 / cells)
+        for l in (4, 6):
+            exact = [(2 * math.pi) ** l * math.sin(2 * math.pi * x + l * math.pi / 2) for x in xs]
+            floats = [evaluate_derivative(f, (x,), kind, (l,)) for x in xs]
+            exacts = [float(exact_weights_sum(f, (x,), family, (l,))) for x in xs]
+            floor = max(abs(v - e) for v, e in zip(exacts, exact))
+            error = max(abs(v - e) for v, e in zip(floats, exact))
+            assert error <= 2 * 5.7 * floor, (cells, l, error, floor)
