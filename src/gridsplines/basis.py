@@ -17,8 +17,10 @@ zero-padded ``table`` batched ones (:func:`stacked_weights`), each built on
 first use.  A beta family has one form per derivative order 0..m
 (:meth:`BetaFamily.form`), an alpha family one form over all its members;
 none is built before the first evaluation, so exact derivation and
-validation never pay for them.  The monomial arrays of
-:meth:`BetaFamily.horner_by_order` and ``export_records`` are not evaluated.
+validation never pay for them.  Every float comes from one conversion,
+:meth:`RationalPolynomial.horner_coeffs`: the frozen parts, and the
+monomial arrays of :meth:`BetaFamily.horner_by_order` and
+``export_records``, which are not evaluated.
 Validation compares integer numerators, and :func:`alpha_closed_form` is an
 integer convolution over l!.
 """
@@ -234,7 +236,7 @@ class BetaFamily:
 
         Evaluation does not run these: it runs :meth:`form`.
         """
-        return tuple(zip(*(p.horner_chain(self.m + 1) for p in self.polys)))
+        return tuple(tuple(p.derivative(l).horner_coeffs() for p in self.polys) for l in range(self.m + 1))
 
     def form(self, order: int) -> FrozenForm:
         """The float form of derivative order ``order``, weights in node order."""
@@ -347,6 +349,8 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
 
 
 def _require_grid_kind(kind: SplineKind) -> None:
+    if not isinstance(kind, SplineKind):
+        raise InvalidKind(f"kind {kind!r} is not a SplineKind: build one with SplineKind(n, q)")
     if kind.q is None:
         raise InvalidKind(f"kind {kind} has no node count q: the grid-spline basis needs a kind (n, q)")
 

@@ -192,9 +192,11 @@ def write_convergence_csv(rows, stream) -> None:
 
 # Interleaved timings per path in run_benchmark: an odd count, so the median is one of the runs.
 BENCH_REPEATS = 5
+# Points each path evaluates once before the timed loops, which derives the family and builds its forms.
+BENCH_WARMUP = 200
 
 
-def run_benchmark(field: GridField, kind: SplineKind, points, warmup: int = 200, orders=None):
+def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
     """Time scalar :func:`evaluate` per point and one :func:`evaluate_many` call, interleaved BENCH_REPEATS times.
 
     With per-axis derivative ``orders``, the scalar path is
@@ -212,8 +214,8 @@ def run_benchmark(field: GridField, kind: SplineKind, points, warmup: int = 200,
             return [evaluate(field, p, kind) for p in tuples]
         return [evaluate_derivative(field, p, kind, orders) for p in tuples]
 
-    scalar_pass(tuples[:warmup])  # derives the family outside the timed loops
-    evaluate_many(field, points[:warmup], kind, orders)
+    scalar_pass(tuples[:BENCH_WARMUP])
+    evaluate_many(field, points[:BENCH_WARMUP], kind, orders)
     seconds = {"scalar": [], "batched": []}
     faults = []
     identical = True
@@ -273,16 +275,6 @@ def _int_at_least(minimum: int):
 
 
 _positive_int = _int_at_least(1)
-
-
-def _positive_finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
 
 
 def cmd_export(args) -> int:
@@ -348,7 +340,7 @@ def cmd_bench(args) -> int:
         field = load_field(args.field)
     else:
         dims = (args.grid,) * args.dims
-        field = GridField(rng.standard_normal(dims), h=args.h, boundary=PERIODIC)
+        field = GridField(rng.standard_normal(dims), h=1.0, boundary=PERIODIC)
     kind = SplineKind(args.n, args.q)
     extents = [d * hj for d, hj in zip(field.dims, field.h)]
     if not all(map(math.isfinite, extents)):
@@ -400,12 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("bench", help="evaluation throughput on a seeded workload")
+    # no abbreviations, so that an unknown option such as --h is an error rather than --help, which exits 0
+    p = sub.add_parser("bench", help="evaluation throughput on a seeded workload", allow_abbrev=False)
     p.add_argument("--dims", type=_positive_int, default=3)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--q", type=int, default=4)
     p.add_argument("--grid", type=_positive_int, default=32, help="nodes per axis for the synthetic field")
-    p.add_argument("--h", type=_positive_finite_float, default=1.0, help="grid constant for the synthetic field")
     p.add_argument("--points", type=_positive_int, default=20000)
     p.add_argument("--seed", type=_int_at_least(0), default=2024)
     p.add_argument("--field", help="evaluate a saved field container instead of a synthetic one")
@@ -419,12 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_bench and not args.field and not math.isfinite(args.grid * args.h):
-        parser.error(f"argument --h: the synthetic field's extent --grid * --h = {args.grid} * {args.h!r} is infinite")
     try:
         return args.func(args)
-    except (InvalidKind, InvalidOrder, OutOfDomain, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InvalidKind, InvalidOrder, OutOfDomain, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

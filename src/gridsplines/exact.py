@@ -12,12 +12,11 @@ An affine substitution is an integer Taylor shift: scale, shift by 1 with
 additions only (synthetic division), scale again; no binomial sums.  End
 data (``end_numerators``) and polynomials over one common denominator stay
 integers too, for the exact checks to compare.  Values cross the module
-boundary as Fractions: ``coeffs`` (built on first read) and
-``end_derivatives`` are lowest-terms Fraction views, and the solver, which
-scales each augmented row to integers and runs fraction-free (Bareiss)
-elimination, returns Fractions.  All are the values plain Fraction
-arithmetic gives, so they and the ``"num/den"`` export strings do not
-depend on the representation.
+boundary as Fractions: ``coeffs`` (built on first read) is a lowest-terms
+Fraction view, and the solver, which scales each augmented row to integers
+and runs fraction-free (Bareiss) elimination, returns Fractions.  Both are
+the values plain Fraction arithmetic gives, so they and the ``"num/den"``
+export strings do not depend on the representation.
 """
 
 import math
@@ -191,11 +190,6 @@ class RationalPolynomial:
         chain = list(self._derivative_numerators(orders))
         return [a[0] if a else 0 for a in chain], [sum(a) for a in chain], self._den
 
-    def end_derivatives(self, orders: int) -> tuple:
-        """:meth:`end_numerators` as two lists of Fractions."""
-        at_zero, at_one, den = self.end_numerators(orders)
-        return [Fraction(a, den) for a in at_zero], [Fraction(a, den) for a in at_one]
-
     def __call__(self, x):
         """Horner evaluation; exact for Fraction input, float for float input."""
         acc = Fraction(0)
@@ -239,16 +233,8 @@ class RationalPolynomial:
         return self.compose_affine(-1, 1)
 
     def horner_coeffs(self) -> tuple:
-        """Float coefficients in degree-descending order, ready for Horner loops."""
-        return self.horner_chain(1)[0]
-
-    def horner_chain(self, orders: int) -> list:
-        """:meth:`horner_coeffs` of the derivatives of orders 0..orders-1.
-
-        Each float is an integer numerator divided by the denominator, which
-        rounds correctly, as float(Fraction) does.
-        """
-        return [tuple(x / self._den for x in reversed(a)) for a in self._derivative_numerators(orders)]
+        """Float coefficients, degree-descending for Horner loops; each rounds as float(Fraction) does."""
+        return tuple(x / self._den for x in reversed(self._num))
 
     def __str__(self):
         if self.is_zero():

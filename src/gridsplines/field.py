@@ -35,13 +35,13 @@ so that every stencil, wrapped or not, is one box of the padded array.
 Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
 bytes; one workspace, which the Horner loop and every patch step write with
 ``out=``; and each block's per-point coordinate and index arrays, about
-26 * D bytes a point, and 8 more while the block before's corners are held.
+26 * D bytes a point.
 The workspace holds the block's weights, BLOCK_WEIGHTS * 8 bytes or one
 sub-chunk's where that is more; the gather offsets (int64, then the float
 weight tensor; before both, the weights' scratch) and the terms,
 CHUNK_TERMS * 8 bytes each; and a q-th of that for the weight product before
 the last axis.  For a 3-D (5,4) kind on a 32**3 grid that is 335 + 672 +
-about 86 KiB.
+about 78 KiB.
 
 The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
@@ -395,6 +395,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
         base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], (horner, odd), work)
         for a, b in _spans(hi - lo, step):
             _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, partial, out[lo + a : lo + b])
+        del base  # free the corners before the next block's per-point stage runs
     out *= scale
     return out
 

@@ -86,6 +86,12 @@ def _tensor_power(values, exponents):
     return out
 
 
+def _end_derivatives(p, orders):
+    """The derivatives of orders 0..orders-1 at x = 0 and at x = 1, each evaluated exactly, as two lists."""
+    chain = [p.derivative(l) for l in range(orders)]
+    return [d(Fraction(0)) for d in chain], [d(Fraction(1)) for d in chain]
+
+
 def family_checks(beta):
     """The (name, passed, detail) list ``basis.validate_family`` must report for ``beta``."""
     checks = []
@@ -93,7 +99,7 @@ def family_checks(beta):
     nodes = range(-g, g + 2)
     label = f"({n},{beta.q})"
 
-    ends = {offset: beta.poly(offset).end_derivatives(m + 1) for offset in nodes}
+    ends = {offset: _end_derivatives(beta.poly(offset), m + 1) for offset in nodes}
     no_data = ([0] * (m + 1),) * 2  # the zero polynomial beyond the stencil
 
     bad = [

@@ -194,8 +194,8 @@ def test_solve_hermite_meets_random_endpoint_data(seed):
         assert len(polys) == len(rows)
         for row, p in zip(rows, polys):
             assert p.degree <= n
-            at_zero, at_one = p.end_derivatives((n + 1) // 2)
-            assert at_zero + at_one == row
+            at_zero, at_one, den = p.end_numerators((n + 1) // 2)
+            assert [Fraction(a, den) for a in at_zero + at_one] == row
     assert _solve_hermite(5, [[0] * 6]) == [RationalPolynomial()]
 
 
@@ -416,6 +416,19 @@ def test_beta_direct_matches_the_full_hermite_solve(n, q):
     ]
     want = tuple(RationalPolynomial(x) for x in solve_linear_system(hermite_matrix(n), impulses))
     assert derive_beta_direct(kind).polys == want
+
+
+def test_monomial_horner_arrays_are_the_rounded_derivative_coefficients():
+    # the benchmark counts its flops from these arrays; each is the derivative's exact coefficients, rounded
+    for n, q in SUPPORTED_KINDS:
+        beta = derive_beta(SplineKind(n, q))
+        want = tuple(
+            tuple(tuple(float(c) for c in reversed(p.derivative(l).coeffs)) for p in beta.polys) for l in range(beta.m + 1)
+        )
+        got = beta.horner_by_order
+        assert [[list(map(float.hex, node)) for node in order] for order in got] == [
+            [list(map(float.hex, node)) for node in order] for order in want
+        ], (n, q)
 
 
 def exact_digest(kinds) -> str:

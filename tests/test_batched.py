@@ -210,11 +210,8 @@ def test_strict_error_names_the_first_bad_point_of_a_later_block(ndim, nq, order
             assert str(batched.value) == str(scalar.value)
 
 
-def test_peak_memory_does_not_grow_with_the_point_count():
-    # one workspace per call, sized by the kind and the field, not by the number of points
-    kind = SplineKind(5, 4)
-    field = GridField(np.random.default_rng(0).standard_normal((32,) * 3), h=1 / 32)
-    batches = [np.random.default_rng(count).random((count, 3)) for count in (4000, 40000)]
+def _call_peaks(field, kind, batches) -> list:
+    """:func:`evaluate_many`'s traced peak for each batch, after a warm call at every size."""
 
     def peak(points):
         """The traced peak of one call, less its result array, over the traced size just before it."""
@@ -232,15 +229,33 @@ def test_peak_memory_does_not_grow_with_the_point_count():
     try:
         for points in batches:
             evaluate_many(field, points, kind)
-        peaks = [peak(points) for points in batches]
+        return [peak(points) for points in batches]
     finally:
         tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_the_point_count():
+    # one workspace per call, sized by the kind and the field, not by the number of points
+    kind = SplineKind(5, 4)
+    field = GridField(np.random.default_rng(0).standard_normal((32,) * 3), h=1 / 32)
+    peaks = _call_peaks(field, kind, [np.random.default_rng(count).random((count, 3)) for count in (4000, 40000)])
     assert peaks[0] == peaks[1]
+    # both counts above span several blocks; one block against three shows an array a block keeps while the
+    # next block's per-point stage runs (8 bytes a point: 64 KiB for the 8 192-point blocks of 1-D q = 4)
+    kind = SplineKind(3, 4)
+    block = _layout(1, kind.q)[1]
+    field = GridField(np.random.default_rng(0).standard_normal(4096), h=1 / 4096)
+    old = np.setbufsize(16)  # numpy's ufunc buffers held down, so that the arrays of the module show
+    try:
+        peaks = _call_peaks(field, kind, [np.random.default_rng(n).random((n * block, 1)) for n in (1, 3)])
+    finally:
+        np.setbufsize(old)
+    assert abs(peaks[1] - peaks[0]) <= 1024, peaks
 
 
 def test_peak_memory_matches_the_documented_formula():
     # the field module's formula: the padded copy, the workspace, and per point of a block about 26 * D bytes
-    # of coordinate and index arrays, plus 8 for the block before's patch corners; 4000 points fill whole blocks
+    # of coordinate and index arrays; 4000 points fill whole blocks
     kind = SplineKind(5, 4)
     dims, count = (32,) * 3, 4000
     field = GridField(np.random.default_rng(0).standard_normal(dims), h=1 / 32)
@@ -249,7 +264,7 @@ def test_peak_memory_matches_the_documented_formula():
     span = min(step, count) * kind.q**3
     padded = 8 * int(np.prod([d + kind.q - 1 for d in dims]))
     workspace = 8 * (min(block, count) * 3 * kind.q + 2 * span + span // kind.q)
-    formula = padded + workspace + (26 * 3 + 8) * min(block, count)
+    formula = padded + workspace + 26 * 3 * min(block, count)
     # tracing allocates a few KiB more (offsets, Horner rows, Python objects); a spare block-sized float array,
     # 8 * D bytes a point, adds 24 KiB
     slack = 12 * 1024

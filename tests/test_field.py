@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import struct
 import tempfile
 from fractions import Fraction
@@ -409,6 +410,8 @@ PRECEDENCE = [
     ("point|kind", lambda: evaluate(_F, _NAN, _HERMITE), InvalidPoint, "not finite"),
     ("length|kind", lambda: evaluate(_F, (3.25,), _HERMITE), ValueError, "point has 1 coordinates"),
     ("kind|domain", lambda: evaluate(_F, _OUTSIDE, _HERMITE), InvalidKind, "no node count"),
+    ("point|tuple kind", lambda: evaluate(_F, _NAN, (5, 4)), InvalidPoint, "not finite"),
+    ("tuple kind|domain", lambda: evaluate(_F, _OUTSIDE, (5, 4)), InvalidKind, r"kind \(5, 4\) is not a SplineKind"),
     ("d:point|kind", lambda: evaluate_derivative(_F, _NAN, _HERMITE, (0,)), InvalidPoint, "not finite"),
     ("d:kind|orders", lambda: evaluate_derivative(_F, _OUTSIDE, _HERMITE, (0,)), InvalidKind, "no node count"),
     ("d:length|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1.5,)), ValueError, "per axis, got 1"),
@@ -457,6 +460,15 @@ def test_evaluate_requires_grid_kind():
     f = GridField(np.zeros(8), h=(1.0,))
     with pytest.raises(InvalidKind):
         evaluate(f, (0.5,), SplineKind(5))
+
+
+@pytest.mark.parametrize("kind", [(5, 4), "5,4", None])
+def test_a_kind_that_is_not_a_spline_kind_raises_invalid_kind(kind):
+    f = GridField(np.zeros(8), h=(1.0,))
+    named = re.escape(f"kind {kind!r} is not a SplineKind")
+    for call in (lambda: derive_beta(kind), lambda: evaluate(f, (0.5,), kind), lambda: evaluate_many(f, [[0.5]], kind)):
+        with pytest.raises(InvalidKind, match=named):
+            call()
 
 
 def test_2d_evaluate_matches_direct_tensor_system():
