@@ -12,15 +12,15 @@ and the reflection that maps each to its mirror (beta node o to node 1 - o,
 alpha member (0, l) to (1, l)).  It freezes each member expanded about the
 cell midpoint, split into even and odd parts in (x - 1/2)**2; one Horner
 pass over each part gives both members of a pair, with well-conditioned
-coefficients.  A straight-line ``kernel`` serves scalar calls and a
-zero-padded ``table`` batched ones (:func:`stacked_weights`), each built on
-first use.  A beta family has one form per derivative order 0..m
-(:meth:`BetaFamily.form`), an alpha family one form over all its members;
-none is built before the first evaluation, so exact derivation and
-validation never pay for them.  Every float comes from one conversion,
-:meth:`RationalPolynomial.horner_coeffs`: the frozen parts, and the
-monomial arrays of :meth:`BetaFamily.horner_by_order` and
-``export_records``, which are not evaluated.
+coefficients.  A straight-line ``kernel``, compiled on first use, serves
+scalar calls; batched calls stack the parts of one form per axis into a
+zero-padded table (:func:`stacked_table`) for :func:`stacked_weights`.  A
+beta family has one form per derivative order 0..m (:meth:`BetaFamily.form`),
+an alpha family one form over all its members; none is built before the
+first evaluation, so exact derivation and validation never pay for them.
+Every float comes from one conversion, :meth:`RationalPolynomial.horner_coeffs`:
+the frozen parts, and the monomial arrays of :meth:`BetaFamily.horner_by_order`
+and ``export_records``, which are not evaluated.
 Validation compares integer numerators, and :func:`alpha_closed_form` is an
 integer convolution over l!.
 """
@@ -29,13 +29,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder
-from .exact import RationalPolynomial, _common_numerators, _is_integer, rational_to_str, solve_linear_system
-from .exact import weighted_sum
+from .exact import RationalPolynomial, _cached_on_int, _common_numerators, _is_integer, rational_to_str
+from .exact import solve_linear_system, weighted_sum
 from .stencil import derive_stencil
 
 MAX_ORDER = 19  # largest validated odd order n
@@ -49,26 +49,24 @@ def _require_valid_order(n) -> None:
 
 @dataclass(frozen=True)
 class SplineKind:
-    """Validated interpolation scheme: order n, plus node count q for grid splines.
+    """Validated grid-spline scheme: odd order n and even node count q.
 
-    ``q`` is None for a pure derivative-matching (Hermite) scheme.  For grid
-    splines the smoothness order m = (n-1)/2 may not exceed the stencil
-    exactness 2g, i.e. n <= 2q - 3.
+    The smoothness order m = (n-1)/2 may not exceed the stencil exactness
+    2g, i.e. n <= 2q - 3.  The endpoint-data (Hermite) basis needs the order
+    alone: :func:`derive_alpha` takes n.
     """
 
     n: int
-    q: "int | None" = None
+    q: int
 
     def __post_init__(self):
         _require_valid_order(self.n)
         object.__setattr__(self, "n", int(self.n))  # a numpy integer is stored as the plain int
-        if self.q is not None:
-            q = self.q
-            if not _is_integer(q) or q % 2 or q < 4 or q > MAX_NODES:
-                raise InvalidKind(f"node count must be an even integer in 4..{MAX_NODES}, got {q!r}")
-            object.__setattr__(self, "q", int(q))
-            if self.n > 2 * q - 3:
-                raise InvalidKind(f"order {self.n} exceeds 2q-3 = {2 * q - 3} for q = {q}")
+        if not _is_integer(self.q) or self.q % 2 or self.q < 4 or self.q > MAX_NODES:
+            raise InvalidKind(f"node count must be an even integer in 4..{MAX_NODES}, got {self.q!r}")
+        object.__setattr__(self, "q", int(self.q))
+        if self.n > 2 * self.q - 3:
+            raise InvalidKind(f"order {self.n} exceeds 2q-3 = {2 * self.q - 3} for q = {self.q}")
         object.__setattr__(self, "_hash", hash((self.n, self.q)))  # every scalar call hashes the kind
 
     def __hash__(self):
@@ -80,12 +78,12 @@ class SplineKind:
         return (self.n - 1) // 2
 
     @property
-    def g(self):
-        """Stencil half-width, or None for pure Hermite kinds."""
-        return None if self.q is None else (self.q - 2) // 2
+    def g(self) -> int:
+        """Stencil half-width."""
+        return (self.q - 2) // 2
 
     def __str__(self):
-        return f"({self.n},{self.q})" if self.q is not None else f"(n={self.n})"
+        return f"({self.n},{self.q})"
 
 
 @lru_cache(maxsize=None)
@@ -119,15 +117,7 @@ class FrozenForm:
     s = t * t, each part by Horner from its leading coefficient,
     ``(c_0 * s + c_1) * s + ...``, then o = t * (O's value) and the sums and
     differences (``repr`` writes each coefficient back exactly).
-
-    The read-only ``table`` has one column per part, the E_k then the O_k,
-    padded in front with zeros to the common length, for Horner down its
-    rows (:func:`stacked_weights`).  Padding changes no bit: for finite x,
-    s = t * t is +0.0 or positive, so ``0.0 * s + 0.0`` is +0.0 and the
-    accumulator stays +0.0 through the padding; at the first real
-    coefficient c it becomes ``0.0 * s + c``, which is c (a frozen
-    coefficient is never -0.0: an integer numerator 0 over d gives +0.0),
-    where the kernel starts.
+    :func:`stacked_table` lays the same parts out for batched calls.
     """
 
     def __init__(self, members, signs, order=0):
@@ -155,23 +145,31 @@ class FrozenForm:
         exec(compile("\n".join(lines), "<FrozenForm kernel>", "exec"), namespace)
         return namespace["kernel"]
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        columns = [even for even, _ in self.parts] + [odd for _, odd in self.parts]
-        width = max(len(c) for c in columns)
-        table = np.array([(0.0,) * (width - len(c)) + c for c in columns]).T.copy()
-        table.setflags(write=False)
-        return table
+
+def stacked_table(forms) -> tuple:
+    """One form per axis as the Horner table of :func:`stacked_weights`: ``(rows, odd)``.
+
+    ``rows[:, j, :, 0]`` holds form j's ``parts``, the E_k then the O_k,
+    padded in front with zeros to one length; ``odd[j]`` is true where form
+    j has sign -1 (mirrors o - e).  Padding changes no bit: for finite x,
+    s = t * t is +0.0 or positive, so ``0.0 * s + 0.0`` stays +0.0 through
+    the padding, and at the first real coefficient c, ``0.0 * s + c`` is c
+    (a frozen coefficient is never -0.0: a numerator 0 over d gives +0.0),
+    where the kernel starts.
+    """
+    columns = [[even for even, _ in f.parts] + [odd for _, odd in f.parts] for f in forms]
+    width = max(len(c) for axis in columns for c in axis)
+    rows = np.array([[(0.0,) * (width - len(c)) + c for c in axis] for axis in columns])
+    return rows.transpose(2, 0, 1)[..., None], [f.signs[0] < 0 for f in forms]
 
 
 def stacked_weights(rows, odd, x, out, scratch) -> None:
     """Every axis's :meth:`FrozenForm.kernel` at many points, bit for bit: the kernel's steps on whole arrays.
 
-    ``rows`` stacks one beta form's ``table`` per axis, (rows, D, q, 1),
-    padded in front to one length; ``odd[j]`` is true where axis j's form has
-    sign -1.  x, (D, points), is overwritten with t; the weights go to
-    ``out``, (D, q, points), which also holds the Horner loop; ``scratch``
-    holds s and one axis's mirrors, (D + q / 2) * points floats.
+    ``rows`` and ``odd`` are the :func:`stacked_table` of one form per axis.
+    x, (D, points), is overwritten with t; the weights go to ``out``,
+    (D, q, points), which also holds the Horner loop; ``scratch`` holds s
+    and one axis's mirrors, (D + q / 2) * points floats.
     """
     half, size = out.shape[1] // 2, x.size
     t = np.subtract(x, 0.5, out=x)
@@ -289,23 +287,6 @@ def _solve_hermite(n: int, rows) -> list:
     return polys
 
 
-def _cached_on_int(derive):
-    """``lru_cache`` of a one-argument derivation, keyed on ``int(n)`` for any integer n.
-
-    ``lru_cache`` keys a numpy integer apart from the equal int.  The result
-    keeps the cache's ``cache_info`` and ``cache_clear``, and ``__wrapped__``
-    is the uncached derivation.
-    """
-    cached = lru_cache(maxsize=None)(derive)
-
-    @wraps(derive)
-    def lookup(n):
-        return cached(int(n) if _is_integer(n) else n)
-
-    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
-    return lookup
-
-
 @_cached_on_int
 def derive_alpha(n: int) -> AlphaFamily:
     """Solve the endpoint value/derivative conditions for each basis member.
@@ -351,8 +332,6 @@ def alpha_closed_form(n: int, l: int, i: int) -> RationalPolynomial:
 def _require_grid_kind(kind: SplineKind) -> None:
     if not isinstance(kind, SplineKind):
         raise InvalidKind(f"kind {kind!r} is not a SplineKind: build one with SplineKind(n, q)")
-    if kind.q is None:
-        raise InvalidKind(f"kind {kind} has no node count q: the grid-spline basis needs a kind (n, q)")
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ export strings do not depend on the representation.
 import math
 import numbers
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Sequence, Union
 
 from .errors import SingularMatrix
@@ -61,6 +61,23 @@ def _rational(value):
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _cached_on_int(derive):
+    """``lru_cache`` of a one-argument derivation, keyed on ``int(n)`` for any integer n.
+
+    ``lru_cache`` keys a numpy integer apart from the equal int.  The result
+    keeps the cache's ``cache_info`` and ``cache_clear``, and ``__wrapped__``
+    is the uncached derivation.
+    """
+    cached = lru_cache(maxsize=None)(derive)
+
+    @wraps(derive)
+    def lookup(n):
+        return cached(int(n) if _is_integer(n) else n)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
 
 
 def _require_count(name: str, value) -> None:

@@ -34,14 +34,14 @@ so that every stencil, wrapped or not, is one box of the padded array.
 
 Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
 bytes; one workspace, which the Horner loop and every patch step write with
-``out=``; and each block's per-point coordinate and index arrays, about
-26 * D bytes a point.
+``out=``; each block's per-point coordinate and index arrays, about 26 * D
+bytes a point; and NumPy's ufunc iterator buffer, np.getbufsize() floats.
 The workspace holds the block's weights, BLOCK_WEIGHTS * 8 bytes or one
 sub-chunk's where that is more; the gather offsets (int64, then the float
 weight tensor; before both, the weights' scratch) and the terms,
 CHUNK_TERMS * 8 bytes each; and a q-th of that for the weight product before
 the last axis.  For a 3-D (5,4) kind on a 32**3 grid that is 335 + 672 +
-about 78 KiB.
+about 78 KiB, and the buffer (64 KiB at the default size) adds about 60 KiB.
 
 The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SplineKind, beta_eval, derive_alpha, derive_beta, stacked_weights
+from .basis import SplineKind, beta_eval, derive_alpha, derive_beta, stacked_table, stacked_weights
 from .errors import DerivativeTooHigh, InvalidPoint, OutOfDomain
 from .exact import _is_integer
 
@@ -96,18 +96,21 @@ class GridField:
         data = np.array(self.data, dtype=np.float64, order="C")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        h = self.h if isinstance(self.h, (tuple, list, np.ndarray)) else (self.h,) * data.ndim
-        h = tuple(float(v) for v in h)
+        h = self.h if isinstance(self.h, (tuple, list)) or np.ndim(self.h) else (self.h,) * data.ndim  # 0-d: a scalar
         if data.ndim == 0:
             raise ValueError("field data has no axes: a grid needs at least one axis")
         if len(h) != data.ndim:
             raise ValueError(f"need one grid constant per axis: got {len(h)} for {data.ndim} axes")
         for axis, v in enumerate(h):
+            try:
+                v = float(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"grid constant {v!r} on axis {axis} is not a number") from None
             if not 0.0 < v < math.inf:
                 raise ValueError(f"grid constant {v!r} on axis {axis} is not positive and finite")
         if 0 in data.shape:
             raise ValueError(f"axis {data.shape.index(0)} has extent 0: every axis needs at least one node")
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", tuple(map(float, h)))
         if self.boundary not in (PERIODIC, STRICT):
             raise ValueError(f"boundary must be {PERIODIC!r} or {STRICT!r}, got {self.boundary!r}")
 
@@ -130,8 +133,7 @@ class GridField:
         node on that axis, a constant function a scalar.
         """
         dims = tuple(int(d) for d in dims)
-        h = h if isinstance(h, (tuple, list, np.ndarray)) else (h,) * len(dims)
-        h = tuple(float(v) for v in h)
+        h = cls(np.empty((1,) * len(dims)), h).h  # the constructor's checks, on a one-node grid
         coords = np.meshgrid(*(np.arange(d) * hj for d, hj in zip(dims, h)), indexing="ij", sparse=True)
         values = np.asarray(func(tuple(coords)), dtype=np.float64)
         try:
@@ -206,7 +208,8 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     basic slice, so a patch inside the grid is a read-only view of
     ``field.data``.  Only a periodic stencil that crosses an edge is gathered
     through indices taken modulo the extent, which wrap as often as needed
-    when the extent is smaller than q.
+    when the extent is smaller than q, from any integer cell index; one that
+    is not an integer (a bool included) raises ValueError naming its axis.
     """
     data = field.data
     shape = data.shape
@@ -214,19 +217,24 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
         raise ValueError(f"stencil half-width g {g!r} is not an integer >= 1")
     if len(cell) != len(shape):
         raise ValueError(f"cell has {len(cell)} indices, field has {len(shape)} axes")
+    g = int(g)  # a numpy integer would overflow the node range of a cell index near 2**63
     q = 2 * g + 2
     box = []
     wrapped = []
     for c, extent in zip(cell, shape):  # len(box) is the axis
+        if type(c) is not int:
+            if not _is_integer(c):
+                raise ValueError(f"cell index {c!r} on axis {len(box)} is not an integer")
+            c = int(c)
         start = c - g
         stop = start + q
         if 0 <= start and stop <= extent:
             box.append(slice(start, stop))
         elif field.boundary == PERIODIC:
-            wrapped.append((len(box), np.arange(start, stop) % extent))
+            wrapped.append((len(box), (start % extent + np.arange(q)) % extent))
             box.append(slice(None))
         else:
-            where = tuple(int(v) for v in cell)
+            where = tuple(int(v) if _is_integer(v) else v for v in cell)  # a later axis's bad index stays as given
             raise OutOfDomain(
                 f"cell {where}: stencil nodes [{start}, {stop}) on axis {len(box)}"
                 f" leave its node range 0..{extent - 1}",
@@ -316,7 +324,7 @@ def evaluate_at_cell(
 
     The tool for one-sided limits at cell boundaries: frac = 1.0 in the left
     cell versus frac = 0.0 in the right.  ``cell``, ``frac`` and ``orders``
-    need one entry per axis, and every fraction must lie in [0, 1].
+    need one entry per axis: the cell indices integers, the fractions in [0, 1].
     """
     family = derive_beta(kind)
     if not len(cell) == len(frac) == len(field.h):
@@ -366,18 +374,13 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     cell range, :class:`OutOfDomain` where a strict stencil leaves the grid.
     """
     family = derive_beta(kind)
-    tables, scale = _orders_and_scale(field, orders, _table, family, itertools.repeat(None))  # tables need no fraction
+    forms, scale = _orders_and_scale(field, orders, lambda beta, l, _: beta.form(l), family, itertools.repeat(None))
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
     if len(pts) == 1:  # np.add.reduce sums a single column pairwise, not row by row
         return evaluate_many(field, pts[[0, 0]], kind, orders)[:1]
     g, q, ndim = family.g, family.q, field.ndim
-    horner = np.zeros((max(len(t) for t in tables), ndim, q, 1))  # every axis's Horner rows, zero-padded in front
-    for j, table in enumerate(tables):
-        horner[len(horner) - len(table) :, j, :, 0] = table
-    # the axes whose mirror weights are o - e rather than e - o: the odd derivative orders
-    odd = [family.form(l).signs[0] < 0 for l in ((0,) * ndim if orders is None else orders)]
     # with g ghost nodes below and g + 1 above, every periodic stencil is one box of ext
     ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
     strides = np.array(ext.strides) // ext.itemsize
@@ -391,17 +394,14 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     front, terms, partial = np.split(work[gamma:], [span, 2 * span])
     out = np.empty(len(pts))
     flat = ext.ravel()
+    horner = stacked_table(forms)
     for lo, hi in _spans(len(pts), block):
-        base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], (horner, odd), work)
+        base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], horner, work)
         for a, b in _spans(hi - lo, step):
             _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, partial, out[lo + a : lo + b])
         del base  # free the corners before the next block's per-point stage runs
     out *= scale
     return out
-
-
-def _table(family, order: int, _) -> np.ndarray:
-    return family.form(order).table
 
 
 def _layout(ndim: int, q: int) -> tuple:

@@ -9,9 +9,8 @@ globally smooth.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .exact import _is_integer, solve_linear_system
+from .exact import _cached_on_int, _is_integer, solve_linear_system
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class StencilTable:
         return self.coeffs[order][offset + g]
 
 
-@lru_cache(maxsize=None)
+@_cached_on_int
 def derive_stencil(g: int) -> StencilTable:
     """Solve the symmetric interpolation system on nodes -g..g.
 

@@ -25,6 +25,7 @@ from gridsplines.basis import (
     derive_beta,
     derive_beta_direct,
     export_records,
+    stacked_table,
     stacked_weights,
     validate_family,
 )
@@ -43,7 +44,7 @@ def poly(*coeffs):
 
 
 def test_kind_accepts_supported_range():
-    assert SplineKind(1).m == 0
+    assert SplineKind(1, 4).m == 0
     assert SplineKind(19, 12).g == 5
     assert SplineKind(9, 6).m == 4
 
@@ -156,7 +157,6 @@ def test_alpha_cache_keys_a_numpy_integer_order_as_the_int():
 def test_equal_kinds_hash_equal_and_share_one_derivation():
     kind, twin = SplineKind(19, 12), SplineKind(np.int64(19), 12)
     assert kind == twin and kind is not twin and hash(kind) == hash(twin) == hash((19, 12))
-    assert hash(SplineKind(5)) == hash((5, None))
     assert repr(kind) == "SplineKind(n=19, q=12)" and str(kind) == "(19,12)"
     derive_beta(kind)
     before = derive_beta.cache_info()
@@ -276,10 +276,8 @@ def test_derivation_routes_agree(n, q):
 
 
 def test_beta_requires_node_count():
-    with pytest.raises(InvalidKind):
-        derive_beta(SplineKind(5))
-    with pytest.raises(InvalidKind):
-        derive_beta_direct(SplineKind(5))
+    with pytest.raises(InvalidKind, match="got None"):
+        SplineKind(5, None)
 
 
 @pytest.mark.parametrize("n,q", [(5, 4), (3, 6), (9, 6), (13, 8)])
@@ -495,12 +493,10 @@ def loop_alpha_weights(alpha, x):
 
 def stacked_loop(forms, points):
     """evaluate_many's per-point Horner stage for one form per axis, all at the given points."""
-    rows = np.zeros((max(len(f.table) for f in forms), len(forms), forms[0].table.shape[1], 1))
-    for j, f in enumerate(forms):
-        rows[len(rows) - len(f.table) :, j, :, 0] = f.table
+    rows, odd = stacked_table(forms)
     x = np.array([points] * len(forms), dtype=np.float64)
     out = np.empty((len(forms), rows.shape[2], len(points)))
-    stacked_weights(rows, [f.signs[0] < 0 for f in forms], x, out, np.empty(x.size + out.size))
+    stacked_weights(rows, odd, x, out, np.empty(x.size + out.size))
     return out
 
 
@@ -543,8 +539,9 @@ def test_table_pads_unequal_arrays_in_front():
     members = [poly(3, -2, 5), poly(Fraction(7, 3)), poly(-1, 4, 0, 1), poly()]
     form = FrozenForm(members, (1, -1, -1, 1))
     assert [(len(e), len(o)) for e, o in form.parts] == [(2, 1), (1, 0), (2, 2), (0, 0)]
-    assert form.table.shape == (2, 8)
-    assert form.table[0].tolist()[:4] == [form.parts[0][0][0], 0.0, form.parts[2][0][0], 0.0]
+    rows, odd = stacked_table([form])
+    assert rows.shape == (2, 1, 8, 1) and odd == [False]
+    assert rows[0, 0, :4, 0].tolist() == [form.parts[0][0][0], 0.0, form.parts[2][0][0], 0.0]
     points = [x for x in oracle_points(5) if 0.0 <= x <= 1.0]
     for x in points:
         assert bits(form.kernel(x)) == bits(loop_paired(tuple(members), form.signs, 0, x)), x
@@ -552,7 +549,7 @@ def test_table_pads_unequal_arrays_in_front():
         t = x - 0.5
         s = t * t
         acc = [0.0] * 8
-        for row in form.table:
+        for row in rows[:, 0, :, 0]:
             acc = [a * s + c for a, c in zip(acc, row.tolist())]
         e, o = acc[:4], [t * v for v in acc[4:]]
         mirrors = [a - b if sign > 0 else b - a for a, b, sign in zip(e, o, form.signs)]
@@ -644,7 +641,7 @@ def test_derivation_and_validation_build_no_kernel(monkeypatch):
     derived += [derive_alpha.__wrapped__(19), derive_beta.__wrapped__(SplineKind(19, 12))]
     assert not [family for family in derived if {"form", "_forms", "horner_by_order"} & vars(family).keys()]
 
-    # a scalar evaluation compiles kernels only, a batched one builds tables only
+    # a scalar evaluation compiles kernels (on the parts), a batched one builds the parts only
     kind = SplineKind(5, 4)
     scalar, batched, alpha = derive_beta.__wrapped__(kind), derive_beta.__wrapped__(kind), derive_alpha.__wrapped__(5)
     grid = field.GridField(np.arange(8.0), h=0.125)
@@ -658,8 +655,8 @@ def test_derivation_and_validation_build_no_kernel(monkeypatch):
     field.evaluate_many(grid, [[0.3], [0.4]], kind, (1,))
 
     def built(form):
-        return "kernel" in vars(form), "table" in vars(form)
+        return "kernel" in vars(form), "parts" in vars(form)
 
-    assert [built(scalar.form(l)) for l in (0, 1, 2)] == [(True, False), (True, False), (False, False)]
-    assert built(alpha.form) == (True, False)
+    assert [built(scalar.form(l)) for l in (0, 1, 2)] == [(True, True), (True, True), (False, False)]
+    assert built(alpha.form) == (True, True)
     assert [built(batched.form(l)) for l in (0, 1, 2)] == [(False, False), (False, True), (False, False)]

@@ -103,6 +103,28 @@ def test_gather_accepts_numpy_half_width():
     assert np.array_equal(gather_local(f, (4, 4), np.int64(2)).values, gather_local(f, (4, 4), 2).values)
 
 
+@pytest.mark.parametrize("boundary", [PERIODIC, STRICT])
+@pytest.mark.parametrize("cell", [3.5, 0.5, 3.0, True, np.float64(3.0), "3", None], ids=repr)
+def test_cell_index_that_is_not_an_integer_is_rejected(boundary, cell):
+    f = GridField(np.arange(16.0), h=0.5, boundary=boundary)
+    named = f"cell index {re.escape(repr(cell))} on axis 1 is not an integer"
+    with pytest.raises(ValueError, match=named):
+        gather_local(GridField(np.zeros((16, 16)), h=0.5, boundary=boundary), (3, cell), 1)
+    with pytest.raises(ValueError, match=named.replace("axis 1", "axis 0")):
+        evaluate_at_cell(f, (cell,), (0.5,), SplineKind(5, 4))
+
+
+def test_cell_index_beyond_int64_wraps_on_a_periodic_field_and_leaves_a_strict_one():
+    f, kind = GridField(np.arange(16.0), h=0.5), SplineKind(5, 4)
+    strict = GridField(np.arange(16.0), h=0.5, boundary=STRICT)
+    for cell in (2**63 - 1, 10**30, -(2**63), np.int64(2**63 - 1), -(10**30) + 3):
+        want = gather_local(f, (int(cell) % 16,), 1).values.tolist()
+        assert gather_local(f, (cell,), 1).values.tolist() == gather_local(f, (cell,), np.int64(1)).values.tolist() == want
+        assert evaluate_at_cell(f, (cell,), (0.5,), kind) == evaluate_at_cell(f, (int(cell) % 16,), (0.5,), kind)
+        with pytest.raises(OutOfDomain, match=f"cell \\({int(cell)},\\)"):
+            evaluate_at_cell(strict, (cell,), (0.5,), kind)
+
+
 def test_gather_strict_raises_at_edge():
     f = GridField(np.arange(8.0), h=(1.0,), boundary=STRICT)
     with pytest.raises(OutOfDomain):
@@ -330,6 +352,33 @@ def test_field_rejects_grid_constant_that_is_not_positive_and_finite(bad):
         GridField(np.zeros(4), h=bad)
 
 
+@pytest.mark.parametrize("h", [np.array(0.5), np.float32(0.5), (np.array(0.5), 0.5), np.array([0.5, 0.5])])
+def test_field_takes_a_0d_array_or_numpy_scalar_grid_constant(h):
+    want = GridField(np.zeros((4, 4)), h=0.5)
+    assert GridField(np.zeros((4, 4)), h=h).h == want.h == (0.5, 0.5)
+    assert GridField.sample(lambda p: 0.0, (4, 4), h).h == want.h
+
+
+@pytest.mark.parametrize("bad", [None, "half", [1.0, 2.0], object()])
+def test_grid_constant_that_is_not_a_number_is_rejected(bad):
+    named = f"grid constant {re.escape(repr(bad))} on axis 1 is not a number"
+    with pytest.raises(ValueError, match=named):
+        GridField(np.zeros((4, 4)), h=(1.0, bad))
+    with pytest.raises(ValueError, match=named):
+        GridField.sample(lambda p: 0.0, (4, 4), (1.0, bad))
+    if not isinstance(bad, list):  # a list is one constant per axis
+        with pytest.raises(ValueError, match=named.replace("axis 1", "axis 0")):
+            GridField(np.zeros(4), h=bad)
+        with pytest.raises(ValueError, match=named.replace("axis 1", "axis 0")):
+            GridField.sample(lambda p: 0.0, (4,), bad)
+
+
+def test_sample_checks_the_grid_constants_before_it_calls_func():
+    for h in (0.0, (1.0,), None):
+        with pytest.raises(ValueError):
+            GridField.sample(lambda p: pytest.fail("func called"), (4, 4), h)
+
+
 def test_field_rejects_data_without_axes():
     for h in ((), 1.0):
         with pytest.raises(ValueError, match="no axes"):
@@ -402,29 +451,31 @@ def test_evaluate_at_cell_checks_its_arguments():
 
 
 _F = GridField(np.zeros((8, 6)), h=(1.0, 0.5), boundary=STRICT)
-_K, _HERMITE = SplineKind(5, 4), SplineKind(5)
+_K, _TUPLE = SplineKind(5, 4), (5, 4)
 _OUTSIDE, _NAN = (3.25, 2.75), (3.25, float("nan"))  # cell (3, 5): its axis-1 stencil leaves the grid
 PRECEDENCE = [
     # evaluate and evaluate_derivative: point, then kind, then orders (length, then per axis in axis
     # order: integer, then range), then the domain, named with the point
-    ("point|kind", lambda: evaluate(_F, _NAN, _HERMITE), InvalidPoint, "not finite"),
-    ("length|kind", lambda: evaluate(_F, (3.25,), _HERMITE), ValueError, "point has 1 coordinates"),
-    ("kind|domain", lambda: evaluate(_F, _OUTSIDE, _HERMITE), InvalidKind, "no node count"),
-    ("point|tuple kind", lambda: evaluate(_F, _NAN, (5, 4)), InvalidPoint, "not finite"),
-    ("tuple kind|domain", lambda: evaluate(_F, _OUTSIDE, (5, 4)), InvalidKind, r"kind \(5, 4\) is not a SplineKind"),
-    ("d:point|kind", lambda: evaluate_derivative(_F, _NAN, _HERMITE, (0,)), InvalidPoint, "not finite"),
-    ("d:kind|orders", lambda: evaluate_derivative(_F, _OUTSIDE, _HERMITE, (0,)), InvalidKind, "no node count"),
+    ("length|kind", lambda: evaluate(_F, (3.25,), _TUPLE), ValueError, "point has 1 coordinates"),
+    ("point|tuple kind", lambda: evaluate(_F, _NAN, _TUPLE), InvalidPoint, "not finite"),
+    ("tuple kind|domain", lambda: evaluate(_F, _OUTSIDE, _TUPLE), InvalidKind, "not a SplineKind"),
+    ("d:point|kind", lambda: evaluate_derivative(_F, _NAN, _TUPLE, (0,)), InvalidPoint, "not finite"),
+    ("d:kind|orders", lambda: evaluate_derivative(_F, _OUTSIDE, _TUPLE, (0,)), InvalidKind, "not a SplineKind"),
     ("d:length|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1.5,)), ValueError, "per axis, got 1"),
     ("d:integer|range", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1.5, 9)), ValueError, "1.5 on axis 0"),
     ("d:range|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (9, 1.5)), DerivativeTooHigh, "order 9"),
     ("d:integer|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (0, 1.5)), ValueError, "1.5 on axis 1"),
     ("d:range|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (0, 3)), DerivativeTooHigh, "order 3"),
     ("d:domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1, 2)), OutOfDomain, r"^point \(3\.25, 2\.75\): cell"),
-    # evaluate_at_cell: kind, then the cell and fraction lengths, fractions, orders, then the domain (no point)
-    ("c:kind|length", lambda: evaluate_at_cell(_F, (3,), (0.5, 0.5), _HERMITE), InvalidKind, "no node count"),
+    # evaluate_at_cell: kind, then the cell and fraction lengths, fractions, orders, then per axis in axis
+    # order the cell index (an integer) and the domain (no point)
+    ("c:kind|length", lambda: evaluate_at_cell(_F, (3,), (0.5, 0.5), _TUPLE), InvalidKind, "not a SplineKind"),
     ("c:length|fraction", lambda: evaluate_at_cell(_F, (3,), (7.5, 0.5), _K), ValueError, "got 1 and 2"),
     ("c:fraction|orders", lambda: evaluate_at_cell(_F, (3, 5), (7.5, 0.5), _K, (0,)), ValueError, "fraction 7.5"),
     ("c:orders|domain", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5), _K, (3, 0)), DerivativeTooHigh, "order 3"),
+    ("c:orders|cell", lambda: evaluate_at_cell(_F, (3.5, 5), (0.5, 0.5), _K, (3, 0)), DerivativeTooHigh, "order 3"),
+    ("c:cell|domain", lambda: evaluate_at_cell(_F, (3.5, 5), (0.5, 0.5), _K), ValueError, "3.5 on axis 0"),
+    ("c:domain|cell", lambda: evaluate_at_cell(_F, (9, 2.5), (0.5, 0.5), _K), OutOfDomain, r"^cell \(9, 2\.5\): .* axis 0"),
     ("c:domain", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5), _K, (1, 2)), OutOfDomain, r"^cell \(3, 5\)"),
 ]
 
@@ -454,12 +505,6 @@ def test_linear_field_reproduced():
     f = GridField.sample(lambda p: p[0], (40,), 0.25, STRICT)
     for x in (1.1, 3.7, 8.45):
         assert abs(evaluate(f, (x,), SplineKind(3, 4)) - x) <= 1e-12 * abs(x)
-
-
-def test_evaluate_requires_grid_kind():
-    f = GridField(np.zeros(8), h=(1.0,))
-    with pytest.raises(InvalidKind):
-        evaluate(f, (0.5,), SplineKind(5))
 
 
 @pytest.mark.parametrize("kind", [(5, 4), "5,4", None])
@@ -708,7 +753,7 @@ def test_evaluate_many_rejects_bad_arguments():
     with pytest.raises(DerivativeTooHigh):
         evaluate_many(f, np.zeros((3, 2)), kind, orders=(0, 3))
     with pytest.raises(InvalidKind):
-        evaluate_many(f, np.zeros((3, 2)), SplineKind(5))
+        evaluate_many(f, np.zeros((3, 2)), (5, 4))
 
 
 BAD_COORDINATES = [

@@ -88,3 +88,10 @@ def test_weight_accepts_numpy_integers():
 def test_half_width_that_is_not_a_positive_integer_is_rejected(g):
     with pytest.raises(ValueError, match=f"stencil half-width {g!r} is not an integer >= 1"):
         derive_stencil(g)
+
+
+def test_cache_keys_a_numpy_integer_half_width_as_the_int():
+    assert derive_stencil(np.int64(1)) is derive_stencil(1) is derive_stencil(np.int32(1))
+    table = derive_stencil(np.int16(3))
+    assert type(table.g) is int and table is derive_stencil(3)
+    assert derive_stencil.__wrapped__(2) == derive_stencil(2) and "hits" in derive_stencil.cache_info()._asdict()
