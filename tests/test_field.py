@@ -459,6 +459,8 @@ PRECEDENCE = [
     ("length|kind", lambda: evaluate(_F, (3.25,), _TUPLE), ValueError, "point has 1 coordinates"),
     ("point|tuple kind", lambda: evaluate(_F, _NAN, _TUPLE), InvalidPoint, "not finite"),
     ("tuple kind|domain", lambda: evaluate(_F, _OUTSIDE, _TUPLE), InvalidKind, "not a SplineKind"),
+    ("point|kind", lambda: evaluate(_F, _NAN, None), InvalidPoint, "not finite"),
+    ("kind|domain", lambda: evaluate(_F, _OUTSIDE, None), InvalidKind, "kind None is not a SplineKind"),
     ("d:point|kind", lambda: evaluate_derivative(_F, _NAN, _TUPLE, (0,)), InvalidPoint, "not finite"),
     ("d:kind|orders", lambda: evaluate_derivative(_F, _OUTSIDE, _TUPLE, (0,)), InvalidKind, "not a SplineKind"),
     ("d:length|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1.5,)), ValueError, "per axis, got 1"),
