@@ -1,6 +1,8 @@
 """Command-line behaviors: export, validate, converge, bench."""
 
 import csv
+import hashlib
+import io
 import json
 import math
 import re
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from gridsplines import basis, cli, stencil
 from gridsplines.basis import SplineKind, derive_beta
-from gridsplines.cli import FUNCTIONS, main, run_benchmark, run_convergence, run_validation
+from gridsplines.cli import FUNCTIONS, ConvergenceRow, main, run_benchmark, run_convergence, run_validation
 from gridsplines.exact import RationalPolynomial, rational_from_str
 from gridsplines.field import GridField, evaluate, evaluate_many, save_field
 
@@ -67,6 +69,21 @@ def test_export_csv_columns(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "q", "i", "coeffs_exact", "coeffs_horner"]
     assert len(rows) == 5
+
+
+# The Horner floats are correctly rounded integer quotients, so these bytes do not depend on the platform.
+@pytest.mark.parametrize(
+    "n,q,fmt,sha256",
+    [
+        (5, 4, "json", "f59cc0f242b83acc1bc3530996ace10d156306827723229fc7f4bfa675957eb7"),
+        (5, 4, "csv", "248c2edc639e869444341bd3f2a619a1bb28a09a1f8834a77868cc38b20790c3"),
+        (19, 12, "csv", "a5ae9e777fb12e12ec23f214ed5513ee8e0a90ab6d22bd8fba1b76d99553fa8c"),
+    ],
+)
+def test_export_bytes_are_pinned(tmp_path, n, q, fmt, sha256):
+    out = tmp_path / f"beta.{fmt}"
+    assert main(["export", "--n", str(n), "--q", str(q), "--out", str(out), "--format", fmt]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_validate_passes(capsys):
@@ -188,6 +205,22 @@ def test_converge_csv_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_convergence_csv_text_is_pinned():
+    rows = [
+        ConvergenceRow(kind=(5, 4), h=0.125, max_error=1.5e-05),
+        ConvergenceRow(kind=(19, 12), h=1 / 3, max_error=0.1 + 0.2, observed_order=3.0000000000000004),
+        ConvergenceRow(kind=(3, 4), h=0.0625, max_error=0.0, observed_order=None),
+    ]
+    stream = io.StringIO()
+    cli.write_convergence_csv(rows, stream)
+    assert stream.getvalue() == (
+        "kind,h,max_error,observed_order\n"
+        '"(5,4)",0.125,1.5e-05,\n'
+        '"(19,12)",0.3333333333333333,0.30000000000000004,3.0000000000000004\n'
+        '"(3,4)",0.0625,0.0,\n'
+    )
 
 
 def test_converge_order_for_sin():

@@ -914,6 +914,13 @@ def container_header(dims, h=None, boundary=0) -> bytes:
     )
 
 
+def test_save_field_writes_the_header_then_the_little_endian_payload(tmp_path):
+    data = np.arange(6.0).reshape(2, 3) / 7.0
+    path = tmp_path / "field.gfd"
+    save_field(GridField(data, h=(0.5, 0.1), boundary=STRICT), path)
+    assert path.read_bytes() == container_header((2, 3), (0.5, 0.1), 1) + data.astype("<f8").tobytes()
+
+
 def test_container_rejects_short_header(tmp_path):
     path = tmp_path / "short.gfd"
     header = container_header((4, 5))
