@@ -11,7 +11,7 @@ import math
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .basis import (
     export_records,
     validate_family,
 )
-from .errors import InvalidKind, InvalidOrder, OutOfDomain
 from .exact import RationalPolynomial, rational_from_str
 from .field import PERIODIC, GridField, evaluate, evaluate_derivative, evaluate_many, load_field
 from .stencil import derive_stencil
@@ -177,17 +176,10 @@ def _require_finite(values, h, locate) -> None:
 
 
 def write_convergence_csv(rows, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["kind", "h", "max_error", "observed_order"])
-    for row in rows:
-        writer.writerow(
-            [
-                f"({row.kind[0]},{row.kind[1]})",
-                repr(row.h),
-                repr(row.max_error),
-                "" if row.observed_order is None else repr(row.observed_order),
-            ]
-        )
+    """One CSV line per row, under the field names; csv writes None as an empty field and a float as its repr."""
+    writer = csv.DictWriter(stream, [f.name for f in fields(ConvergenceRow)], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({**vars(row), "kind": "({},{})".format(*row.kind)} for row in rows)
 
 
 # Interleaved timings per path in run_benchmark: an odd count, so the median is one of the runs.
@@ -285,18 +277,10 @@ def cmd_export(args) -> int:
             json.dump(records, fh, indent=2)
             fh.write("\n")
         else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "q", "i", "coeffs_exact", "coeffs_horner"])
-            for rec in records:
-                writer.writerow(
-                    [
-                        rec["n"],
-                        rec["q"],
-                        rec["i"],
-                        ";".join(rec["coeffs_exact"]),
-                        ";".join(repr(v) for v in rec["coeffs_horner"]),
-                    ]
-                )
+            writer = csv.DictWriter(fh, list(records[0]), lineterminator="\n")
+            writer.writeheader()
+            for rec in records:  # the list fields joined with ";"
+                writer.writerow({k: ";".join(map(str, v)) if isinstance(v, list) else v for k, v in rec.items()})
     print(f"wrote {len(records)} records for kind {kind} to {args.out}")
     return 0
 
@@ -413,7 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidKind, InvalidOrder, OutOfDomain, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -527,18 +527,19 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
 
 
 _MAGIC = b"GRIDFLD1"
-_BOUNDARY_CODE = {PERIODIC: 0, STRICT: 1}
-_BOUNDARY_NAME = {0: PERIODIC, 1: STRICT}
+_BOUNDARIES = (PERIODIC, STRICT)  # indexed by the container's boundary code
+
+
+def _header(ndim: int) -> str:
+    """The container header's struct format: magic, axis count, extents, grid constants, boundary code."""
+    return f"<8sI{ndim}I{ndim}dB"
 
 
 def save_field(field: GridField, path) -> None:
     """Write the binary field container (layout documented in the README)."""
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", field.ndim))
-        fh.write(struct.pack(f"<{field.ndim}I", *field.dims))
-        fh.write(struct.pack(f"<{field.ndim}d", *field.h))
-        fh.write(struct.pack("<B", _BOUNDARY_CODE[field.boundary]))
+        code = _BOUNDARIES.index(field.boundary)
+        fh.write(struct.pack(_header(field.ndim), _MAGIC, field.ndim, *field.dims, *field.h, code))
         fh.write(np.ascontiguousarray(field.data, dtype="<f8").tobytes())
 
 
@@ -561,18 +562,14 @@ def load_field(path) -> GridField:
     end = off + 4 + 12 * ndim + 1
     if len(raw) < end:
         raise ValueError(f"{path}: truncated header: {ndim} axes need {end} bytes, file has {len(raw)}")
-    dims = struct.unpack_from(f"<{ndim}I", raw, off + 4)
-    h = struct.unpack_from(f"<{ndim}d", raw, off + 4 + 4 * ndim)
-    (bcode,) = struct.unpack_from("<B", raw, end - 1)
-    off = end
-    if bcode not in _BOUNDARY_NAME:
+    _, _, *values, bcode = struct.unpack_from(_header(ndim), raw)
+    if bcode >= len(_BOUNDARIES):
         raise ValueError(f"{path}: unknown boundary code {bcode}")
-    count = math.prod(dims)
-    expected = off + 8 * count
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated or oversized payload ({len(raw)} vs {expected} bytes)")
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(dims)
+    count = math.prod(values[:ndim])
+    if len(raw) != end + 8 * count:
+        raise ValueError(f"{path}: truncated or oversized payload ({len(raw)} vs {end + 8 * count} bytes)")
+    data = np.frombuffer(raw, dtype="<f8", count=count, offset=end).reshape(values[:ndim])
     try:
-        return GridField(data=data, h=h, boundary=_BOUNDARY_NAME[bcode])
+        return GridField(data=data, h=values[ndim:], boundary=_BOUNDARIES[bcode])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
