@@ -329,7 +329,14 @@ def cmd_bench(args) -> int:
     extents = [d * hj for d, hj in zip(field.dims, field.h)]
     if not all(map(math.isfinite, extents)):
         raise ValueError(f"{args.field}: field extent {extents} is not finite")
-    points = rng.uniform(0.0, extents, size=(args.points, field.ndim))
+    low, high = 0.0, extents
+    if field.boundary != PERIODIC:  # draw each coordinate where its strict stencil fits
+        short = [(axis, d) for axis, d in enumerate(field.dims) if d < kind.q]
+        if short:
+            raise ValueError(f"{args.field}: axis {short[0][0]} has {short[0][1]} nodes, fewer than q = {kind.q}")
+        low = [kind.g * hj for hj in field.h]
+        high = [(d - kind.g - 1) * hj for d, hj in zip(field.dims, field.h)]
+    points = rng.uniform(low, high, size=(args.points, field.ndim))
     orders = None if args.order is None else (args.order,) * field.ndim
     report = run_benchmark(field, kind, points, orders=orders)
     grid_text = "x".join(str(d) for d in field.dims)

@@ -93,6 +93,8 @@ class GridField:
     boundary: str = PERIODIC
 
     def __post_init__(self):
+        if np.iscomplexobj(self.data):
+            raise ValueError("field data is complex: a grid field holds real samples")
         data = np.array(self.data, dtype=np.float64, order="C")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -130,12 +132,16 @@ class GridField:
         ``i * h_j`` of each axis shaped to broadcast against the others (a
         sparse ``np.meshgrid``), and returns values that broadcast to
         ``dims``: a function of one axis need only return one value per
-        node on that axis, a constant function a scalar.
+        node on that axis, a constant function a scalar.  An extent that is
+        not an integer >= 1 raises ValueError before ``func`` is called.
         """
-        dims = tuple(int(d) for d in dims)
+        for axis, d in enumerate(dims):
+            if not (_is_integer(d) and d >= 1):
+                raise ValueError(f"extent {d!r} on axis {axis} is not an integer >= 1")
+        dims = tuple(map(int, dims))
         h = cls(np.empty((1,) * len(dims)), h).h  # the constructor's checks, on a one-node grid
         coords = np.meshgrid(*(np.arange(d) * hj for d, hj in zip(dims, h)), indexing="ij", sparse=True)
-        values = np.asarray(func(tuple(coords)), dtype=np.float64)
+        values = np.asarray(func(tuple(coords)))
         try:
             data = np.broadcast_to(values, dims)
         except ValueError:
@@ -375,6 +381,8 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     """
     family = derive_beta(kind)
     forms, scale = _orders_and_scale(field, orders, lambda beta, l, _: beta.form(l), family, itertools.repeat(None))
+    if np.iscomplexobj(points):
+        raise ValueError("points are complex: a point has real coordinates")
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")

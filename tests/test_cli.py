@@ -405,6 +405,32 @@ def test_bench_rejects_a_container_whose_extent_is_not_finite(tmp_path, capsys):
     assert f"{path}: field extent [inf] is not finite" in capsys.readouterr().err
 
 
+def test_bench_draws_strict_container_points_where_every_stencil_fits(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "strict.gfd"
+    save_field(GridField(np.random.default_rng(5).standard_normal((40, 40)), h=(0.5, 0.25), boundary="strict"), path)
+    for args in (["--n", "5", "--q", "4"], ["--n", "19", "--q", "12", "--order", "3"]):
+        assert main(["bench", "--field", str(path), "--points", "200"] + args) == 0
+        assert "bitwise identical: True" in capsys.readouterr().out
+    drawn = []
+    report = {"repeats": 1, "paths": {}, "bitwise_identical": True}
+    monkeypatch.setattr(cli, "run_benchmark", lambda field, kind, points, orders: drawn.append(points) or report)
+    assert main(["bench", "--field", str(path), "--points", "4000", "--n", "19", "--q", "12"]) == 0
+    (points,) = drawn  # g = 5: cells 5..33 of 40 nodes
+    assert (points >= [5 * 0.5, 5 * 0.25]).all() and (points < [34 * 0.5, 34 * 0.25]).all()
+
+
+def test_bench_rejects_a_strict_container_narrower_than_the_stencil(tmp_path, capsys):
+    path = tmp_path / "narrow.gfd"
+    save_field(GridField(np.zeros((40, 6)), h=1.0, boundary="strict"), path)
+    assert main(["bench", "--field", str(path), "--n", "13", "--q", "8", "--points", "4"]) == 2
+    assert f"{path}: axis 1 has 6 nodes, fewer than q = 8" in capsys.readouterr().err
+
+
+def test_converge_rejects_a_complex_function():
+    with pytest.raises(ValueError, match="field data is complex"):
+        run_convergence(lambda p: np.exp(2j * np.pi * p[0]), 1, [(5, 4)], [1 / 8], 10, seed=0)
+
+
 def test_catalog_functions_are_unit_periodic():
     for name, func in FUNCTIONS.items():
         for x in (0.13, 0.77):

@@ -385,6 +385,32 @@ def test_field_rejects_data_without_axes():
             GridField(np.array(3.0), h=h)
 
 
+def test_field_rejects_complex_data():
+    with pytest.raises(ValueError, match="field data is complex"):
+        GridField(np.full(8, 1 + 2j), h=1.0)
+
+
+def test_sample_rejects_a_complex_function():
+    with pytest.raises(ValueError, match="field data is complex"):
+        GridField.sample(lambda p: np.exp(1j * p[0]), (8,), 0.125)
+
+
+def test_evaluate_many_rejects_complex_points():
+    f = GridField(np.zeros(8), h=1.0)
+    with pytest.raises(ValueError, match="points are complex"):
+        evaluate_many(f, np.full((3, 1), 1.5 + 0.5j), SplineKind(5, 4))
+
+
+@pytest.mark.parametrize("extent,shown", [(8.7, "8.7"), (True, "True"), (0, "0"), (-3, "-3"), (4.0, "4.0")])
+def test_sample_rejects_an_extent_that_is_not_a_positive_integer(extent, shown):
+    with pytest.raises(ValueError, match=re.escape(f"extent {shown} on axis 1 is not an integer >= 1")):
+        GridField.sample(lambda p: pytest.fail("func called"), (4, extent), 0.125)
+
+
+def test_sample_takes_numpy_integer_extents():
+    assert GridField.sample(lambda p: p[0], (np.int64(3), np.uint8(2)), 0.5).dims == (3, 2)
+
+
 def test_field_rejects_zero_extent_axis():
     with pytest.raises(ValueError, match="axis 1 has extent 0"):
         GridField(np.zeros((4, 0)), h=1.0)
