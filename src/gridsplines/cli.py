@@ -331,9 +331,9 @@ def cmd_bench(args) -> int:
         raise ValueError(f"{args.field}: field extent {extents} is not finite")
     low, high = 0.0, extents
     if field.boundary != PERIODIC:  # draw each coordinate where its strict stencil fits
-        short = [(axis, d) for axis, d in enumerate(field.dims) if d < kind.q]
-        if short:
-            raise ValueError(f"{args.field}: axis {short[0][0]} has {short[0][1]} nodes, fewer than q = {kind.q}")
+        for axis, d in enumerate(field.dims):
+            if d < kind.q:
+                raise ValueError(f"{args.field}: axis {axis} has {d} nodes, fewer than q = {kind.q}")
         low = [kind.g * hj for hj in field.h]
         high = [(d - kind.g - 1) * hj for d, hj in zip(field.dims, field.h)]
     points = rng.uniform(low, high, size=(args.points, field.ndim))
