@@ -279,7 +279,7 @@ def cmd_export(args) -> int:
         else:
             writer = csv.DictWriter(fh, list(records[0]), lineterminator="\n")
             writer.writeheader()
-            for rec in records:  # the list fields joined with ";"
+            for rec in records:
                 writer.writerow({k: ";".join(map(str, v)) if isinstance(v, list) else v for k, v in rec.items()})
     print(f"wrote {len(records)} records for kind {kind} to {args.out}")
     return 0
