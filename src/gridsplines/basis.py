@@ -34,8 +34,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder
-from .exact import RationalPolynomial, _cached_on_int, _common_numerators, _is_integer, rational_to_str
-from .exact import solve_linear_system, weighted_sum
+from .exact import RationalPolynomial, _cached_on_int, _common_numerators, _is_integer, _over_common_denominator
+from .exact import rational_to_str, solve_linear_system, weighted_sum
 from .stencil import derive_stencil
 
 MAX_ORDER = 19  # largest validated odd order n
@@ -256,34 +256,43 @@ def _require_derivative_order(beta: BetaFamily, order: int) -> None:
         raise DerivativeTooHigh(f"derivative order {order} not in 0..{beta.m} for kind ({beta.n},{beta.q})")
 
 
+@_cached_on_int
+def _hermite_inverse(n: int) -> tuple:
+    """Order n's endpoint system, eliminated once: ``(at_one, inverse, den)``.
+
+    ``at_one[l][k]`` = perm(k, l), the order-l datum of x**k at 1; its columns
+    m+1..n are F[l][j] = perm(m+1+j, l), and F**-1 = ``inverse`` / ``den``.
+    """
+    size = (n - 1) // 2 + 1
+    at_one = [[math.perm(k, l) for k in range(n + 1)] for l in range(size)]
+    columns = solve_linear_system([p[size:] for p in at_one], [[int(r == c) for r in range(size)] for c in range(size)])
+    flat, den = _over_common_denominator([x for row in zip(*columns) for x in row])
+    return at_one, [flat[r * size : (r + 1) * size] for r in range(size)], den
+
+
 def _solve_hermite(n: int, rows) -> list:
     """The degree <= n polynomials with the given endpoint data, one per data row.
 
     A row holds the order-0..m data at cell end 0, then at cell end 1.  At
     x = 0 the order-l datum is l! c_l, so c_0..c_m follow from the row
-    directly.  What they leave of the end-1 data fixes c_(m+1)..c_n through
-    the (m+1)-square falling-factorial system F[l][j] = perm(m+1+j, l),
-    solved for every row in one call.  Each row is scaled to integers by
-    D = lcm(row denominators) * m!, which makes every D c_l with l <= m an
-    integer.
+    directly.  What they leave of the end-1 data fixes c_(m+1)..c_n: one
+    integer product with the order's :func:`_hermite_inverse`.  Each row is
+    scaled to integers by D = lcm(row denominators) * m!, which makes every
+    D c_l with l <= m an integer.  Being linear, a wrong inverse would spoil
+    both derivation routes alike, so route agreement cannot catch it;
+    ``alpha_closed_form`` and the random endpoint-data test do.
     """
-    m = (n - 1) // 2
-    size = m + 1
+    size = (n - 1) // 2 + 1
+    at_one, inverse, den = _hermite_inverse(n)
     factorials = [math.factorial(l) for l in range(size)]
-    at_one = [[math.perm(k, l) for k in range(n + 1)] for l in range(size)]  # row l: order-l data of x**k at 1
-    heads, rests, scales = [], [], []
+    polys = []
     for row in rows:
-        scale = math.lcm(*(v.denominator for v in row)) * factorials[m]
+        scale = math.lcm(*(v.denominator for v in row)) * factorials[-1]
         data = [v.numerator * (scale // v.denominator) for v in row]
         head = [d // f for d, f in zip(data, factorials)]  # D c_0 .. D c_m
-        rests.append([d - sum(map(operator.mul, p[:size], head)) for d, p in zip(data[size:], at_one)])
-        heads.append(head)
-        scales.append(scale)
-    polys = []
-    for head, tail, scale in zip(heads, solve_linear_system([p[size:] for p in at_one], rests), scales):
-        den = math.lcm(*(x.denominator for x in tail))  # tail holds D c_(m+1) .. D c_n
-        numerators = [c * den for c in head] + [x.numerator * (den // x.denominator) for x in tail]
-        polys.append(RationalPolynomial._over(numerators, scale * den))
+        rest = [d - sum(map(operator.mul, p[:size], head)) for d, p in zip(data[size:], at_one)]
+        tail = [sum(map(operator.mul, r, rest)) for r in inverse]  # den D c_(m+1) .. den D c_n
+        polys.append(RationalPolynomial._over([c * den for c in head] + tail, scale * den))
     return polys
 
 
@@ -294,15 +303,14 @@ def derive_alpha(n: int) -> AlphaFamily:
     Member (i, l) is the unique degree <= n polynomial whose order-l
     derivative is 1 at cell end i, all other endpoint data being zero.  The
     unit data rows go through :func:`_solve_hermite`: the end-0 data give
-    the low half of the coefficients outright, and one elimination of the
-    (m+1)-square falling-factorial system gives the high half of every member.
+    the low half of the coefficients outright, and the order's one
+    falling-factorial elimination, shared with the direct beta route, the rest.
     """
     _require_valid_order(n)
     n = int(n)
     m = (n - 1) // 2
     # the unit data rows in condition order (end i, then order l)
-    units = [[int(r == c) for r in range(n + 1)] for c in range(n + 1)]
-    polys = _solve_hermite(n, units)
+    polys = _solve_hermite(n, [[int(r == c) for r in range(n + 1)] for c in range(n + 1)])
     return AlphaFamily(n=n, polys=(tuple(polys[: m + 1]), tuple(polys[m + 1 :])))
 
 
@@ -360,10 +368,10 @@ def derive_beta_direct(kind: SplineKind) -> BetaFamily:
     Sets f to the unit impulse at each node, computes the centered-difference
     data that impulse produces at both cell ends, and solves the endpoint
     system for the resulting cell polynomial with :func:`_solve_hermite`:
-    the end-0 data fix the low half of the coefficients, and one elimination
-    of the (m+1)-square falling-factorial system takes every node's impulse
-    for the high half.  Must agree exactly with :func:`derive_beta`; the
-    agreement is exercised by the test suite.
+    the end-0 data fix the low half of the coefficients, and the inverse of
+    the (m+1)-square falling-factorial system, eliminated once per order n
+    and shared with :func:`derive_alpha`, gives the high half.  Must agree
+    exactly with :func:`derive_beta`; validation checks that agreement.
     """
     _require_grid_kind(kind)
     n, g, m = kind.n, kind.g, kind.m

@@ -21,6 +21,7 @@ from .basis import (
     BetaFamily,
     SplineKind,
     ValidationReport,
+    _hermite_inverse,
     alpha_closed_form,
     derive_alpha,
     derive_beta,
@@ -289,7 +290,7 @@ def cmd_validate(args) -> int:
     report = run_validation(args.max_n, args.max_q, inject_defect=args.inject_defect)
     print(report)
     print("cold seconds by phase: " + ", ".join(f"{phase} {s:.4f}" for phase, s in report.seconds.items()))
-    caches = (derive_alpha, derive_beta, derive_stencil)
+    caches = (derive_alpha, _hermite_inverse, derive_beta, derive_stencil)
     print("caches: " + "; ".join(f"{fn.__name__} {fn.cache_info()}" for fn in caches))
     total = len(report.checks)
     failed = len(report.failures())

@@ -42,6 +42,7 @@ weight tensor; before both, the weights' scratch) and the terms,
 CHUNK_TERMS * 8 bytes each; and a q-th of that for the weight product before
 the last axis.  For a 3-D (5,4) kind on a 32**3 grid that is 335 + 672 +
 about 78 KiB, and the buffer (64 KiB at the default size) adds about 60 KiB.
+Past the weights it holds at least their scratch, (D + q/2) floats a point.
 
 The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
@@ -67,6 +68,7 @@ STRICT = "strict"
 # Scaled coordinates must lie strictly inside (-2**63, 2**63): then the cell
 # index, and every stencil offset from it, fits in an int64.
 _CELL_LIMIT = 2.0**63
+_COMPLEX = (complex, np.complexfloating)  # numpy's complex64 is no Python complex
 
 # Patch terms per sub-chunk of evaluate_many's patch stage: a sub-chunk holds
 # CHUNK_TERMS // q**D points (512 for a 3-D q = 4 kind), at least 2, so that the
@@ -177,8 +179,8 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
 
     Floor semantics: negative coordinates land in the correct cell.  A
     fraction that rounds up to 1.0 is folded into the next cell so the
-    invariant 0 <= frac < 1 always holds.  A coordinate that is not finite,
-    or whose cell index would not fit in an int64, raises :class:`InvalidPoint`.
+    invariant 0 <= frac < 1 always holds.  A complex or non-finite coordinate,
+    or one whose cell index would not fit an int64, raises :class:`InvalidPoint`.
     """
     h = field.h
     if len(point) != len(h):
@@ -186,7 +188,7 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     cells, fracs = [], []
     for x, hj in zip(point, h):
         u = x / hj
-        if not abs(u) < _CELL_LIMIT:  # len(cells) is the axis: no enumerate on the hot path
+        if not abs(u) < _CELL_LIMIT or type(u) is not float and isinstance(u, _COMPLEX):  # len(cells): the axis
             raise _invalid_point(point, len(cells), x, u)
         c = math.floor(u)  # an int
         frac = u - c
@@ -199,12 +201,14 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
 
 
 def _invalid_point(point, axis: int, x, u) -> InvalidPoint:
-    point = tuple(float(v) for v in point)
-    if math.isfinite(x):
+    point = tuple(complex(v) if isinstance(v, _COMPLEX) else float(v) for v in point)
+    if isinstance(x, _COMPLEX):
+        reason = "is complex: a point has real coordinates"
+    elif math.isfinite(x):
         reason = f"scales to cell coordinate {float(u):.3g}, beyond the int64 range"
     else:
         reason = "is not finite"
-    return InvalidPoint(f"point {point}: coordinate {float(x)!r} on axis {axis} {reason}", point=point, axis=axis)
+    return InvalidPoint(f"point {point}: coordinate {point[axis]!r} on axis {axis} {reason}", point=point, axis=axis)
 
 
 def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
@@ -395,10 +399,11 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
     step, block = _layout(ndim, q)
     span = min(step, len(pts)) * q**ndim
-    # one workspace: the block's weights, the gather offsets (then, as floats, the weight
-    # tensor), the terms, and the weight product before the last axis
-    gamma = min(block, len(pts)) * ndim * q
-    work = np.empty(gamma + 2 * span + span // q)
+    # one workspace: the block's weights, then the gather offsets (then, as floats, the weight tensor),
+    # the terms and the weight product before the last axis, or the weights' scratch where that is more
+    points = min(block, len(pts))
+    gamma = points * ndim * q
+    work = np.empty(gamma + max(2 * span + span // q, (ndim + q // 2) * points))
     front, terms, partial = np.split(work[gamma:], [span, 2 * span])
     out = np.empty(len(pts))
     flat = ext.ravel()

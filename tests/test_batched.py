@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsplines import field as field_module
 from gridsplines.basis import SplineKind
 from gridsplines.errors import OutOfDomain
 from gridsplines.field import (
@@ -208,6 +209,25 @@ def test_strict_error_names_the_first_bad_point_of_a_later_block(ndim, nq, order
             with pytest.raises(OutOfDomain) as batched:
                 evaluate_many(field, bad[:count], kind, orders)
             assert str(batched.value) == str(scalar.value)
+
+
+# (D, kind, points) where, with CHUNK_TERMS = 2**13 and BLOCK_WEIGHTS = 2**16, a block's per-axis weights
+# need more scratch, (D + q/2) floats a point, than the patch stage's 2 * span + span // q floats
+RETUNED_CASES = [(1, (5, 4), 7000), (2, (9, 6), 4000), (3, (5, 4), 4000), (4, (5, 4), 4000)]
+
+
+@pytest.mark.parametrize("ndim,nq,count", RETUNED_CASES)
+def test_workspace_holds_the_weights_scratch_under_retuned_constants(monkeypatch, ndim, nq, count):
+    monkeypatch.setattr(field_module, "CHUNK_TERMS", 1 << 13)
+    monkeypatch.setattr(field_module, "BLOCK_WEIGHTS", 1 << 16)
+    kind = SplineKind(*nq)
+    step, block = _layout(ndim, kind.q)
+    assert (ndim + kind.q // 2) * min(block, count) > 2 * step * kind.q**ndim + step * kind.q ** (ndim - 1)
+    rng = np.random.default_rng(ndim)
+    field = GridField(rng.standard_normal((9,) * ndim), h=0.5)
+    points = rng.uniform(-1.0, 6.0, size=(count, ndim))
+    want = [evaluate(field, p, kind) for p in points[::97].tolist()]
+    assert _bits(evaluate_many(field, points, kind)[::97]) == _bits(want)
 
 
 def _call_peaks(field, kind, batches) -> list:

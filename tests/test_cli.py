@@ -111,12 +111,15 @@ def test_run_validation_full_supported_range():
 def cold_derivation(monkeypatch):
     """Fresh, empty derivation caches at every call site a validation run reaches, so the run is cold."""
     alpha = lru_cache(maxsize=None)(basis.derive_alpha.__wrapped__)
+    hermite = lru_cache(maxsize=None)(basis._hermite_inverse.__wrapped__)
     beta = lru_cache(maxsize=None)(basis.derive_beta.__wrapped__)
     stencil_table = lru_cache(maxsize=None)(stencil.derive_stencil.__wrapped__)
     for module, name, fn in (
         (basis, "derive_alpha", alpha),
+        (basis, "_hermite_inverse", hermite),
         (basis, "derive_stencil", stencil_table),
         (cli, "derive_alpha", alpha),
+        (cli, "_hermite_inverse", hermite),
         (cli, "derive_beta", beta),
         (cli, "derive_stencil", stencil_table),
     ):
@@ -134,11 +137,10 @@ def test_validation_solves_each_hermite_system_at_its_reduced_size(cold_derivati
 
         monkeypatch.setattr(module, "solve_linear_system", counted)
     assert run_validation(19, 12).ok
-    assert len(calls) == 49
+    assert len(calls) == 15
     hermite = [matrix for module, matrix in calls if module is basis]
-    kinds = [(n, q) for q in range(4, 13, 2) for n in range(1, min(2 * q - 3, 19) + 1, 2)]
-    alpha_sizes = [(n + 1) // 2 for n in range(1, 20, 2)]
-    assert [len(matrix) for matrix in hermite] == alpha_sizes + [(n + 1) // 2 for n, _ in kinds]
+    # one falling-factorial elimination per odd order n, shared by its alpha and direct beta families
+    assert [len(matrix) for matrix in hermite] == [(n + 1) // 2 for n in range(1, 20, 2)]
     for matrix in hermite:
         size = len(matrix)
         assert matrix == [[math.perm(size + j, l) for j in range(size)] for l in range(size)]
@@ -157,6 +159,7 @@ def test_validate_prints_cold_phase_seconds_and_cache_counts(cold_derivation, ca
     assert all(float(s) >= 0.0 for s in seconds.groups()) and sum(map(float, seconds.groups())) > 0.0
     assert caches == (
         "caches: derive_alpha CacheInfo(hits=34, misses=10, maxsize=None, currsize=10); "
+        "_hermite_inverse CacheInfo(hits=34, misses=10, maxsize=None, currsize=10); "
         "derive_beta CacheInfo(hits=0, misses=34, maxsize=None, currsize=34); "
         "derive_stencil CacheInfo(hits=63, misses=5, maxsize=None, currsize=5)"
     )

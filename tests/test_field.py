@@ -401,6 +401,32 @@ def test_evaluate_many_rejects_complex_points():
         evaluate_many(f, np.full((3, 1), 1.5 + 0.5j), SplineKind(5, 4))
 
 
+SCALAR_ENTRIES = {
+    "evaluate": lambda f, point, kind: evaluate(f, point, kind),
+    "evaluate_derivative": lambda f, point, kind: evaluate_derivative(f, point, kind, (0, 1)),
+    "partitioned_evaluate": lambda f, point, kind: partitioned_evaluate(f, point, kind, 1, 3),
+}
+
+
+@pytest.mark.parametrize("entry", SCALAR_ENTRIES)
+@pytest.mark.parametrize("x", [np.complex128(1.5 + 0.5j), 1.5 + 0.5j, np.complex64(1.5)], ids=["np128", "py", "np64"])
+def test_scalar_entries_reject_a_complex_coordinate(entry, x):
+    # np.complex128 used to be read as its real part, with only a ComplexWarning; complex raised a raw TypeError
+    f = GridField(np.zeros((8, 8)), h=(1.0, 0.5))
+    with pytest.raises(InvalidPoint, match="is complex") as info:
+        SCALAR_ENTRIES[entry](f, (3.5, x), SplineKind(3, 4))
+    assert (info.value.point, info.value.axis) == ((3.5, complex(x)), 1)
+    assert f"{complex(x)!r} on axis 1" in str(info.value)
+
+
+@pytest.mark.parametrize("entry", SCALAR_ENTRIES)
+def test_scalar_entries_accept_float32_and_fraction_coordinates(entry):
+    f = GridField(np.random.default_rng(3).standard_normal((8, 8)), h=(1.0, 0.5))
+    want = SCALAR_ENTRIES[entry](f, (3.5, 1.25), SplineKind(3, 4))
+    for point in ((np.float32(3.5), np.float32(1.25)), (Fraction(7, 2), Fraction(5, 4))):
+        assert SCALAR_ENTRIES[entry](f, point, SplineKind(3, 4)) == want
+
+
 @pytest.mark.parametrize("extent,shown", [(8.7, "8.7"), (True, "True"), (0, "0"), (-3, "-3"), (4.0, "4.0")])
 def test_sample_rejects_an_extent_that_is_not_a_positive_integer(extent, shown):
     with pytest.raises(ValueError, match=re.escape(f"extent {shown} on axis 1 is not an integer >= 1")):
