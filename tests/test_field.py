@@ -402,7 +402,7 @@ def test_evaluate_many_rejects_complex_points():
 
 
 SCALAR_ENTRIES = {
-    "evaluate": lambda f, point, kind: evaluate(f, point, kind),
+    "evaluate": evaluate,
     "evaluate_derivative": lambda f, point, kind: evaluate_derivative(f, point, kind, (0, 1)),
     "partitioned_evaluate": lambda f, point, kind: partitioned_evaluate(f, point, kind, 1, 3),
 }
@@ -411,7 +411,6 @@ SCALAR_ENTRIES = {
 @pytest.mark.parametrize("entry", SCALAR_ENTRIES)
 @pytest.mark.parametrize("x", [np.complex128(1.5 + 0.5j), 1.5 + 0.5j, np.complex64(1.5)], ids=["np128", "py", "np64"])
 def test_scalar_entries_reject_a_complex_coordinate(entry, x):
-    # np.complex128 used to be read as its real part, with only a ComplexWarning; complex raised a raw TypeError
     f = GridField(np.zeros((8, 8)), h=(1.0, 0.5))
     with pytest.raises(InvalidPoint, match="is complex") as info:
         SCALAR_ENTRIES[entry](f, (3.5, x), SplineKind(3, 4))
