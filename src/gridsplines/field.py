@@ -21,28 +21,27 @@ cell end 0, index 2m + 1 - l order l at cell end 1.
 
 :func:`evaluate_many` performs the same floating-point operations in the
 same order as :func:`evaluate`, vectorised across points, and is therefore
-bitwise identical to it.  It runs in two stages.  The per-point stage
-(:func:`_block_weights`) runs once per block of points: coordinates, cell
-fold, patch corner and domain check, and every axis's weights at once
-(:func:`basis.stacked_weights`).  The patch stage
-(:func:`_contract`) runs over sub-chunks of the block: it gathers every patch
-with one flat ``take`` at precomputed row-major offsets, forms the weight
-tensor, and sums the (q**D, points) terms with one ``np.add.reduce`` that
-adds the rows in row-major patch order, starting from 0.0.  A periodic field
-is padded once per call with g ghost nodes below and g + 1 above each axis,
-so that every stencil, wrapped or not, is one box of the padded array.
+bitwise identical to it.  It runs one loop over blocks of points, each
+CHUNK_TERMS // q**D points (at least 2).  Per block, :func:`_block_weights`
+takes the coordinates, cell fold, patch corner and domain check, and every
+axis's weights at once (:func:`basis.stacked_weights`); then
+:func:`_contract` gathers every patch with one flat ``take`` at precomputed
+row-major offsets, forms the weight tensor, and sums the (q**D, points)
+terms with one ``np.add.reduce`` that adds the rows in row-major patch
+order, starting from 0.0.  A periodic field is padded once per call with g
+ghost nodes below and g + 1 above each axis, so that every stencil, wrapped
+or not, is one box of the padded array.
 
 Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
 bytes; one workspace, which the Horner loop and every patch step write with
 ``out=``; each block's per-point coordinate and index arrays, about 26 * D
 bytes a point; and NumPy's ufunc iterator buffer, np.getbufsize() floats.
-The workspace holds the block's weights, BLOCK_WEIGHTS * 8 bytes or one
-sub-chunk's where that is more; the gather offsets (int64, then the float
-weight tensor; before both, the weights' scratch) and the terms,
-CHUNK_TERMS * 8 bytes each; and a q-th of that for the weight product before
-the last axis.  For a 3-D (5,4) kind on a 32**3 grid that is 335 + 672 +
+For a block of P points the workspace holds the weights, D * q * P floats;
+the gather offsets (int64, then the float weight tensor; before both, the
+weights' scratch) and the terms, q**D * P floats each, at most CHUNK_TERMS;
+and a q-th of that for the weight product before the last axis.  For a 3-D
+(5,4) kind on a 32**3 grid, with 1 024-point blocks, that is 335 + 1 248 +
 about 78 KiB, and the buffer (64 KiB at the default size) adds about 60 KiB.
-Past the weights it holds at least their scratch, (D + q/2) floats a point.
 
 The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
@@ -70,14 +69,10 @@ STRICT = "strict"
 _CELL_LIMIT = 2.0**63
 _COMPLEX = (complex, np.complexfloating)  # numpy's complex64 is no Python complex
 
-# Patch terms per sub-chunk of evaluate_many's patch stage: a sub-chunk holds
-# CHUNK_TERMS // q**D points (512 for a 3-D q = 4 kind), at least 2, so that the
-# workspace's gather offsets and terms stay at 256 KiB each.
-CHUNK_TERMS = 1 << 15
-# Per-axis weights per block of its per-point stage: a block holds as many whole
-# sub-chunks as keep its D * q weights a point within BLOCK_WEIGHTS (1024 points,
-# 96 KiB, for a 3-D q = 4 kind), and at least one (2730 points, 256 KiB, for 1-D q = 12).
-BLOCK_WEIGHTS = 1 << 14
+# Patch terms per block of evaluate_many: a block holds CHUNK_TERMS // q**D points, at least 2 (1 024 for a
+# 3-D q = 4 kind, 37 for 3-D q = 12, 5 461 for 1-D q = 12), so that the workspace's gather offsets and terms
+# stay at 512 KiB each.
+CHUNK_TERMS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +274,13 @@ def _accumulate(values, gammas) -> float:
 
 def _check_fractions(frac) -> None:
     for axis, x in enumerate(frac):
-        if not 0.0 <= x <= 1.0:
+        try:
+            inside = 0.0 <= x <= 1.0
+        except TypeError:  # a Python complex, a string, None
+            inside = None
+        if inside is None or isinstance(x, _COMPLEX):  # numpy orders complex values lexicographically
+            raise ValueError(f"cell fraction {x!r} on axis {axis} is not a real number")
+        if not inside:
             raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
 
 
@@ -292,8 +293,13 @@ def _orders_and_scale(field: GridField, orders, lookup, family, frac) -> tuple:
     h = field.h
     if orders is None:
         orders = (0,) * len(h)
-    elif len(orders) != len(h):
-        raise ValueError(f"need one derivative order per axis, got {len(orders)}")
+    else:
+        try:
+            orders = tuple(orders)
+        except TypeError:
+            raise ValueError(f"derivative orders {orders!r} are not a sequence: need one order per axis") from None
+        if len(orders) != len(h):
+            raise ValueError(f"need one derivative order per axis, got {len(orders)}")
     found, scale = [], 1.0
     for hj, lj, x in zip(h, orders, frac):  # len(found) is the axis
         try:
@@ -367,7 +373,7 @@ def evaluate_derivative(
     Orders above m are rejected: the interpolant is not continuous there.
     """
     cell, frac = grid_coordinates(point, field)
-    return _at_cell(field, point, cell, frac, tuple(orders), derive_beta(kind))
+    return _at_cell(field, point, cell, frac, orders, derive_beta(kind))
 
 
 def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[int] = None) -> np.ndarray:
@@ -376,7 +382,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     ``points`` has shape (N, D).  The result, of shape (N,), is bit for bit
     what the scalar functions return point by point: each step repeats their
     floating-point operations in their order, vectorised across the points of
-    a block and of its patch sub-chunks (see BLOCK_WEIGHTS and CHUNK_TERMS).
+    a block (see CHUNK_TERMS).
     A periodic field is padded once per call, a temporary
     prod(d_j + q - 1) * 8 bytes, so pass all points in one call.
     Bad input raises what the scalar path raises for the first bad point:
@@ -397,41 +403,25 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
     strides = np.array(ext.strides) // ext.itemsize
     offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
-    step, block = _layout(ndim, q)
-    span = min(step, len(pts)) * q**ndim
-    # one workspace: the block's weights, then the gather offsets (then, as floats, the weight tensor),
-    # the terms and the weight product before the last axis, or the weights' scratch where that is more
+    block = max(2, CHUNK_TERMS // q**ndim)  # points
     points = min(block, len(pts))
-    gamma = points * ndim * q
-    work = np.empty(gamma + max(2 * span + span // q, (ndim + q // 2) * points))
+    gamma, span = points * ndim * q, points * q**ndim
+    # one workspace: the block's weights, then the gather offsets (then, as floats, the weight tensor), the
+    # terms and the weight product before the last axis; the weights' scratch, (D + q/2) floats a point, fits
+    # in the 2 * q**D + q**(D-1) floats a point after the weights
+    work = np.empty(gamma + 2 * span + span // q)
     front, terms, partial = np.split(work[gamma:], [span, 2 * span])
     out = np.empty(len(pts))
     flat = ext.ravel()
     horner = stacked_table(forms)
-    for lo, hi in _spans(len(pts), block):
+    for lo in range(0, len(pts), block):
+        hi = min(lo + block, len(pts))
+        lo = min(lo, hi - 2)  # a one-point tail is taken with its neighbour, computed twice to the same bits
         base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], horner, work)
-        for a, b in _spans(hi - lo, step):
-            _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, partial, out[lo + a : lo + b])
+        _contract(flat, offsets, base, gammas, front, terms, partial, out[lo:hi])
         del base  # free the corners before the next block's per-point stage runs
     out *= scale
     return out
-
-
-def _layout(ndim: int, q: int) -> tuple:
-    """Points per sub-chunk (CHUNK_TERMS patch terms) and per block (whole sub-chunks, BLOCK_WEIGHTS weights)."""
-    step = max(2, CHUNK_TERMS // q**ndim)
-    return step, step * max(1, BLOCK_WEIGHTS // (ndim * q * step))
-
-
-def _spans(count: int, step: int):
-    """Ranges of at most ``step`` covering range(count); a one-point tail is taken with its neighbour.
-
-    np.add.reduce sums a single column pairwise, not row by row; the
-    neighbour is computed twice, to the same bits.
-    """
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        yield (hi - 2 if hi - lo == 1 and lo else lo), hi
 
 
 def _block_weights(field, pts, kind, strides, limit, horner, weights) -> tuple:
@@ -470,7 +460,7 @@ def _block_weights(field, pts, kind, strides, limit, horner, weights) -> tuple:
 
 
 def _contract(flat, offsets, base, gammas, front, terms, partial, out) -> None:
-    """Patch steps of :func:`_at_cell` for a sub-chunk, each in place: gather, weight, sum into ``out``.
+    """Patch steps of :func:`_at_cell` for a block, each in place: gather, weight, sum into ``out``.
 
     The weight tensor goes into ``front`` once the gather is done with the
     offsets there; from D = 3 on, the products before it alternate between

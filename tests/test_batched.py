@@ -13,12 +13,10 @@ from gridsplines import field as field_module
 from gridsplines.basis import SplineKind
 from gridsplines.errors import OutOfDomain
 from gridsplines.field import (
-    CHUNK_TERMS,
     PERIODIC,
     STRICT,
     GridField,
     _block_weights,
-    _layout,
     evaluate,
     evaluate_derivative,
     evaluate_many,
@@ -32,6 +30,11 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _block(ndim: int, q: int) -> int:
+    """Points per block of evaluate_many under the CHUNK_TERMS in force."""
+    return max(2, field_module.CHUNK_TERMS // q**ndim)
 
 
 @st.composite
@@ -92,8 +95,9 @@ def test_strict_batched_raises_for_the_same_points(case):
 
 @pytest.mark.parametrize("n,q,ndim", [(5, 4, 3), (19, 12, 2), (9, 6, 1)])
 def test_chunk_boundaries(n, q, ndim):
+    # the default block size, with points several periods out and the top order on the first axis
     kind = SplineKind(n, q)
-    step = CHUNK_TERMS // q**ndim
+    step = _block(ndim, q)
     rng = np.random.default_rng(7)
     field = GridField(rng.standard_normal((13,) * ndim), h=(0.5,) * ndim)
     points = rng.uniform(-13.0, 26.0, size=(step + 1, ndim))
@@ -174,29 +178,27 @@ def test_batched_leaves_field_data_unchanged_and_read_only(boundary):
     assert not field.data.flags.writeable
 
 
-# (D, kind, orders): one sub-chunk per block for the first two, several for the last two
+# (D, kind, orders)
 BLOCK_CASES = [(1, (19, 12), (3,)), (2, (9, 6), (0, 4)), (3, (5, 4), (2, 0, 1)), (3, (19, 12), (0, 9, 1))]
 
 
 @pytest.mark.parametrize("ndim,nq,orders", BLOCK_CASES)
 def test_block_boundaries(ndim, nq, orders):
     kind = SplineKind(*nq)
-    step, block = _layout(ndim, kind.q)
+    block = _block(ndim, kind.q)
     rng = np.random.default_rng(ndim)
     field = GridField(rng.standard_normal((11,) * ndim), h=(0.25,) * ndim)
     points = rng.uniform(-2.75, 5.5, size=(2 * block + 1, ndim))
     want = [evaluate_derivative(field, p, kind, orders) for p in points.tolist()]
-    # block + 1 leaves one point in the second block; step + 1 and block + step + 1 end a block
-    # in a one-point sub-chunk wherever a block holds several sub-chunks
-    counts = {block - 1, block, block + 1, 2 * block + 1} | ({step + 1, block + step + 1} if block > step else set())
-    for count in sorted(counts):
+    # block + 1 and 2 * block + 1 leave one point in the last block, which is taken with its neighbour
+    for count in (0, 1, block - 1, block, block + 1, 2 * block + 1):
         assert _bits(evaluate_many(field, points[:count], kind, orders)) == _bits(want[:count]), count
 
 
 @pytest.mark.parametrize("ndim,nq,orders", BLOCK_CASES)
 def test_strict_error_names_the_first_bad_point_of_a_later_block(ndim, nq, orders):
     kind = SplineKind(*nq)
-    _, block = _layout(ndim, kind.q)
+    block = _block(ndim, kind.q)
     field = GridField(np.random.default_rng(0).standard_normal((14,) * ndim), h=1.0, boundary=STRICT)
     points = np.random.default_rng(1).uniform(6.0, 8.0, size=(block + 5, ndim))
     for first in (block, block + 2):  # the one-point tail of block + 1 points, and a point inside block two
@@ -211,23 +213,38 @@ def test_strict_error_names_the_first_bad_point_of_a_later_block(ndim, nq, order
             assert str(batched.value) == str(scalar.value)
 
 
-# (D, kind, points) where, with CHUNK_TERMS = 2**13 and BLOCK_WEIGHTS = 2**16, a block's per-axis weights
-# need more scratch, (D + q/2) floats a point, than the patch stage's 2 * span + span // q floats
+# (D, kind, points) spanning several blocks with CHUNK_TERMS = 2**13: 2 048, 227, 128 and 32 points a block
 RETUNED_CASES = [(1, (5, 4), 7000), (2, (9, 6), 4000), (3, (5, 4), 4000), (4, (5, 4), 4000)]
 
 
 @pytest.mark.parametrize("ndim,nq,count", RETUNED_CASES)
 def test_workspace_holds_the_weights_scratch_under_retuned_constants(monkeypatch, ndim, nq, count):
     monkeypatch.setattr(field_module, "CHUNK_TERMS", 1 << 13)
-    monkeypatch.setattr(field_module, "BLOCK_WEIGHTS", 1 << 16)
     kind = SplineKind(*nq)
-    step, block = _layout(ndim, kind.q)
-    assert (ndim + kind.q // 2) * min(block, count) > 2 * step * kind.q**ndim + step * kind.q ** (ndim - 1)
+    block = _block(ndim, kind.q)
+    span = block * kind.q**ndim
+    # a block's per-axis weights need (D + q/2) floats a point of scratch, which the patch area after them holds
+    assert (ndim + kind.q // 2) * block <= 2 * span + span // kind.q
     rng = np.random.default_rng(ndim)
     field = GridField(rng.standard_normal((9,) * ndim), h=0.5)
     points = rng.uniform(-1.0, 6.0, size=(count, ndim))
     want = [evaluate(field, p, kind) for p in points[::97].tolist()]
     assert _bits(evaluate_many(field, points, kind)[::97]) == _bits(want)
+
+
+@pytest.mark.parametrize("chunk_terms", [1, 1 << 13, 1 << 18])
+def test_chunk_terms_sweep_keeps_the_bits(monkeypatch, chunk_terms):
+    # 2-point blocks, smaller and larger blocks than the default: the block size changes no bit
+    monkeypatch.setattr(field_module, "CHUNK_TERMS", chunk_terms)
+    for ndim, nq in [(1, (5, 4)), (2, (9, 6)), (3, (5, 4)), (4, (5, 4))]:
+        kind = SplineKind(*nq)
+        block = _block(ndim, kind.q)
+        rng = np.random.default_rng(ndim)
+        field = GridField(rng.standard_normal((9,) * ndim), h=0.5)
+        points = rng.uniform(-1.0, 6.0, size=(2 * block + 1, ndim))  # ends in a one-point tail
+        picks = sorted({*range(0, len(points), 97), block - 1, block, len(points) - 2, len(points) - 1})
+        want = [evaluate(field, p, kind) for p in points[picks].tolist()]
+        assert _bits(evaluate_many(field, points, kind)[picks]) == _bits(want), (ndim, nq)
 
 
 def _call_peaks(field, kind, batches) -> list:
@@ -261,9 +278,9 @@ def test_peak_memory_does_not_grow_with_the_point_count():
     peaks = _call_peaks(field, kind, [np.random.default_rng(count).random((count, 3)) for count in (4000, 40000)])
     assert peaks[0] == peaks[1]
     # both counts above span several blocks; one block against three shows an array a block keeps while the
-    # next block's per-point stage runs (8 bytes a point: 64 KiB for the 8 192-point blocks of 1-D q = 4)
+    # next block's per-point stage runs (8 bytes a point: 128 KiB for the 16 384-point blocks of 1-D q = 4)
     kind = SplineKind(3, 4)
-    block = _layout(1, kind.q)[1]
+    block = _block(1, kind.q)
     field = GridField(np.random.default_rng(0).standard_normal(4096), h=1 / 4096)
     old = np.setbufsize(16)  # numpy's ufunc buffers held down, so that the arrays of the module show
     try:
@@ -280,8 +297,8 @@ def test_peak_memory_matches_the_documented_formula():
     dims, count = (32,) * 3, 4000
     field = GridField(np.random.default_rng(0).standard_normal(dims), h=1 / 32)
     points = np.random.default_rng(1).random((count, 3))
-    step, block = _layout(3, kind.q)
-    span = min(step, count) * kind.q**3
+    block = _block(3, kind.q)
+    span = min(block, count) * kind.q**3
     padded = 8 * int(np.prod([d + kind.q - 1 for d in dims]))
     workspace = 8 * (min(block, count) * 3 * kind.q + 2 * span + span // kind.q)
     formula = padded + workspace + 26 * 3 * min(block, count)

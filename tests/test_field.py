@@ -460,6 +460,19 @@ def test_non_integer_derivative_order_is_rejected_on_every_path():
     assert evaluate_derivative(f, (3.5, 3.5), kind, (np.int64(1), 0)) == dx
 
 
+@pytest.mark.parametrize("bad", [1, 1.5, np.int64(2)])
+def test_orders_that_are_not_a_sequence_are_rejected_on_every_path(bad):
+    f = GridField(np.arange(16.0), h=1.0)
+    kind = SplineKind(5, 4)
+    want = re.escape(f"derivative orders {bad!r} are not a sequence: need one order per axis")
+    with pytest.raises(ValueError, match=want):
+        evaluate_derivative(f, (1.5,), kind, bad)
+    with pytest.raises(ValueError, match=want):
+        evaluate_at_cell(f, (3,), (0.5,), kind, orders=bad)
+    with pytest.raises(ValueError, match=want):
+        evaluate_many(f, np.full((2, 1), 1.5), kind, bad)
+
+
 @pytest.mark.parametrize("bad", [True, False, np.True_])
 def test_bool_derivative_order_is_rejected_on_every_path(bad):
     f = GridField(np.arange(64.0).reshape(8, 8), h=1.0)
@@ -501,12 +514,24 @@ def test_evaluate_at_cell_checks_its_arguments():
     assert evaluate_at_cell(f, (3,), (1.0,), kind) == evaluate_at_cell(f, (4,), (0.0,), kind) == 4.0
 
 
+@pytest.mark.parametrize("bad", [np.complex128(0.5 + 0.5j), np.complex64(0.5), 0.5 + 0j, "0.5", None])
+def test_a_fraction_that_is_not_real_is_rejected(bad):
+    # numpy orders complex values lexicographically, so 0 <= 0.5+0.5j <= 1 holds for a numpy complex
+    for axis, frac in enumerate([(bad,), (0.5, bad)]):
+        want = re.escape(f"cell fraction {bad!r} on axis {axis} is not a real number")
+        f = GridField(np.arange(16.0 ** len(frac)).reshape((16,) * len(frac)), h=1.0)
+        with pytest.raises(ValueError, match=want):
+            evaluate_at_cell(f, (3,) * len(frac), frac, SplineKind(5, 4))
+        with pytest.raises(ValueError, match=want):
+            evaluate_hermite(lambda orders, node: 1.0, frac, 3)
+
+
 _F = GridField(np.zeros((8, 6)), h=(1.0, 0.5), boundary=STRICT)
 _K, _TUPLE = SplineKind(5, 4), (5, 4)
 _OUTSIDE, _NAN = (3.25, 2.75), (3.25, float("nan"))  # cell (3, 5): its axis-1 stencil leaves the grid
 PRECEDENCE = [
-    # evaluate and evaluate_derivative: point, then kind, then orders (length, then per axis in axis
-    # order: integer, then range), then the domain, named with the point
+    # evaluate and evaluate_derivative: point, then kind, then orders (a sequence, then length, then per axis
+    # in axis order: integer, then range), then the domain, named with the point
     ("length|kind", lambda: evaluate(_F, (3.25,), _TUPLE), ValueError, "point has 1 coordinates"),
     ("point|tuple kind", lambda: evaluate(_F, _NAN, _TUPLE), InvalidPoint, "not finite"),
     ("tuple kind|domain", lambda: evaluate(_F, _OUTSIDE, _TUPLE), InvalidKind, "not a SplineKind"),
@@ -515,6 +540,9 @@ PRECEDENCE = [
     ("d:point|kind", lambda: evaluate_derivative(_F, _NAN, _TUPLE, (0,)), InvalidPoint, "not finite"),
     ("d:kind|orders", lambda: evaluate_derivative(_F, _OUTSIDE, _TUPLE, (0,)), InvalidKind, "not a SplineKind"),
     ("d:length|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1.5,)), ValueError, "per axis, got 1"),
+    ("d:point|sequence", lambda: evaluate_derivative(_F, _NAN, _K, 1), InvalidPoint, "not finite"),
+    ("d:kind|sequence", lambda: evaluate_derivative(_F, _OUTSIDE, _TUPLE, 1), InvalidKind, "not a SplineKind"),
+    ("d:sequence|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, 1), ValueError, "orders 1 are not a sequence"),
     ("d:integer|range", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1.5, 9)), ValueError, "1.5 on axis 0"),
     ("d:range|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (9, 1.5)), DerivativeTooHigh, "order 9"),
     ("d:integer|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (0, 1.5)), ValueError, "1.5 on axis 1"),
@@ -525,6 +553,7 @@ PRECEDENCE = [
     ("c:kind|length", lambda: evaluate_at_cell(_F, (3,), (0.5, 0.5), _TUPLE), InvalidKind, "not a SplineKind"),
     ("c:length|fraction", lambda: evaluate_at_cell(_F, (3,), (7.5, 0.5), _K), ValueError, "got 1 and 2"),
     ("c:fraction|orders", lambda: evaluate_at_cell(_F, (3, 5), (7.5, 0.5), _K, (0,)), ValueError, "fraction 7.5"),
+    ("c:real|orders", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5j), _K, 1), ValueError, "0.5j on axis 1 is not a real"),
     ("c:orders|domain", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5), _K, (3, 0)), DerivativeTooHigh, "order 3"),
     ("c:orders|cell", lambda: evaluate_at_cell(_F, (3.5, 5), (0.5, 0.5), _K, (3, 0)), DerivativeTooHigh, "order 3"),
     ("c:cell|domain", lambda: evaluate_at_cell(_F, (3.5, 5), (0.5, 0.5), _K), ValueError, "3.5 on axis 0"),
