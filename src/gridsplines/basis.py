@@ -411,42 +411,38 @@ class ValidationReport:
 def validate_family(beta: BetaFamily) -> ValidationReport:
     """Run every exact identity the node-value family must satisfy, comparing integers only.
 
-    End data are numerators over each member's denominator.  x**p is reproduced (p = 0: partition of
-    unity) when sum_i o_i**p N[i][k] is d for k = p and 0 otherwise, N[i] being member i over the common d.
+    Reflection and the degree bound aside, every check reads one table N: the members over their common
+    denominator d, n + 1 wide or more, with zero rows at offsets -g-1 and g+2.  Times d, row i's order-l datum is
+    l! N[i][l] at x = 0 and sum_k perm(k, l) N[i][k] at x = 1.  x**p is reproduced (p = 0: partition of unity)
+    when sum_i o_i**p N[i][k] is d for k = p and 0 otherwise.
     """
     checks = []
     g, m, n = beta.g, beta.m, beta.n
     nodes = range(-g, g + 2)
     label = f"({n},{beta.q})"
 
-    ends = {offset: beta.poly(offset).end_numerators(m + 1) for offset in nodes}
-    no_data = ([0] * (m + 1), [0] * (m + 1), 1)  # the zero polynomial beyond the stencil
+    table, den = _common_numerators((RationalPolynomial(),) + beta.polys + (RationalPolynomial(),), n + 1)
+    falling = [[math.perm(k, l) for k in range(len(table[0]))] for l in range(m + 1)]
+    at_zero = [[math.factorial(l) * row[l] for l in range(m + 1)] for row in table]
+    at_one = [[sum(map(operator.mul, f, row)) for f in falling] for row in table]
 
     bad = [
         offset
-        for offset in nodes
-        for side, want in ((0, int(offset == 0)), (1, int(offset == 1)))
-        if ends[offset][side][0] != want * ends[offset][2]
+        for offset, low, high in zip(nodes, at_zero[1:], at_one[1:])
+        for value, want in ((low[0], offset == 0), (high[0], offset == 1))
+        if value != want * den
     ]
     checks.append((f"{label} node interpolation", not bad, f"offsets {bad}" if bad else ""))
 
-    top = min(n, 2 * g)
-    table, den = _common_numerators(beta.polys, top + 1)
-    columns = list(zip(*table))
-    powers = [[offset**p for offset in nodes] for p in range(top + 1)]
-    reproduced = [
-        [sum(map(operator.mul, w, column)) for column in columns] == [den * (k == p) for k in range(len(columns))]
-        for p, w in enumerate(powers)
-    ]
+    powers = [[offset**p for offset in nodes] for p in range(min(n, 2 * g) + 1)]
+    moments = [[sum(map(operator.mul, w, column)) for column in zip(*table[1:-1])] for w in powers]
+    reproduced = [row == [den * (k == p) for k in range(len(row))] for p, row in enumerate(moments)]
     ok = reproduced[0]
     detail = "" if ok else f"sum = {weighted_sum(beta.polys, [1] * len(beta.polys))}"
     checks.append((f"{label} partition of unity", ok, detail))
 
-    bad = []
-    for offset in range(-g, g + 3):
-        (_, at_one, right_den), (at_zero, _, left_den) = ends.get(offset, no_data), ends.get(offset - 1, no_data)
-        bad += [(l, offset) for l in range(m + 1) if at_one[l] * left_den != at_zero[l] * right_den]
-    bad.sort()
+    chain = list(zip(range(-g, g + 3), at_zero, at_one[1:]))  # member o at x = 1 meets member o - 1 at x = 0
+    bad = [(l, o) for l in range(m + 1) for o, low, high in chain if high[l] != low[l]]
     checks.append((f"{label} smoothness chain", not bad, f"(order, offset) {bad}" if bad else ""))
 
     # reflection is an involution, so the pair (o, 1 - o) passes or fails as one

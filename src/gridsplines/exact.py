@@ -9,14 +9,14 @@ polynomial, so equality and hashing compare it.  Products, weighted sums
 (which serve ``+``, ``-`` and scalar ``*``), affine substitutions and
 derivatives work on the integers, and each reduces its result by one gcd.
 An affine substitution is an integer Taylor shift: scale, shift by 1 with
-additions only (synthetic division), scale again; no binomial sums.  End
-data (``end_numerators``) and polynomials over one common denominator stay
-integers too, for the exact checks to compare.  Values cross the module
-boundary as Fractions: ``coeffs`` (built on first read) is a lowest-terms
-Fraction view, and the solver, which scales each augmented row to integers
-and runs fraction-free (Bareiss) elimination, returns Fractions.  Both are
-the values plain Fraction arithmetic gives, so they and the ``"num/den"``
-export strings do not depend on the representation.
+additions only (synthetic division), scale again; no binomial sums.  The
+exact checks compare polynomials over one common denominator, as integers
+too.  Values cross the module boundary as Fractions: ``coeffs`` (built on
+first read) is a lowest-terms Fraction view, and the solver, which scales
+each augmented row to integers and runs fraction-free (Bareiss)
+elimination, returns Fractions.  Both are the values plain Fraction
+arithmetic gives, so they and the ``"num/den"`` export strings do not
+depend on the representation.
 """
 
 import math
@@ -66,15 +66,17 @@ def _is_integer(value) -> bool:
 def _cached_on_int(derive):
     """``lru_cache`` of a one-argument derivation, keyed on ``int(n)`` for any integer n.
 
-    ``lru_cache`` keys a numpy integer apart from the equal int.  The result
-    keeps the cache's ``cache_info`` and ``cache_clear``, and ``__wrapped__``
-    is the uncached derivation.
+    ``lru_cache`` keys a numpy integer apart from the equal int.  Anything
+    else goes to the uncached derivation, whose checks reject it by name: a
+    list, which the cache could not hash, included.  The result keeps the
+    cache's ``cache_info`` and ``cache_clear``, and ``__wrapped__`` is the
+    uncached derivation.
     """
     cached = lru_cache(maxsize=None)(derive)
 
     @wraps(derive)
     def lookup(n):
-        return cached(int(n) if _is_integer(n) else n)
+        return cached(int(n)) if _is_integer(n) else derive(n)
 
     lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
     return lookup
@@ -185,27 +187,10 @@ class RationalPolynomial:
             out = out * self
         return out
 
-    def _derivative_numerators(self, count: int):
-        """Numerators of the derivatives of orders 0..count-1, all over ``self._den``."""
-        a = self._num
-        for order in range(count):
-            if order:
-                a = [k * x for k, x in enumerate(a[1:], 1)]
-            yield a
-
     def derivative(self, order: int = 1) -> "RationalPolynomial":
-        """Exact formal derivative of the given order."""
+        """Exact formal derivative of the given order: x**k becomes perm(k, order) x**(k - order)."""
         _require_count("derivative order", order)
-        *_, a = self._derivative_numerators(order + 1)
-        return RationalPolynomial._over(a, self._den)
-
-    def end_numerators(self, orders: int) -> tuple:
-        """Derivatives of orders 0..orders-1 at x = 0 and at x = 1, as two lists of numerators, and their denominator.
-
-        The order-l derivative's coefficients give l! c_l at 0 and their sum at 1.
-        """
-        chain = list(self._derivative_numerators(orders))
-        return [a[0] if a else 0 for a in chain], [sum(a) for a in chain], self._den
+        return RationalPolynomial._over([math.perm(k, order) * x for k, x in enumerate(self._num)][order:], self._den)
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction input, float for float input."""

@@ -178,12 +178,19 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     or one whose cell index would not fit an int64, raises :class:`InvalidPoint`.
     """
     h = field.h
-    if len(point) != len(h):
-        raise ValueError(f"point has {len(point)} coordinates, field has {len(h)} axes")
+    try:
+        if len(point) != len(h):
+            raise ValueError(f"point has {len(point)} coordinates, field has {len(h)} axes")
+    except TypeError:
+        raise ValueError(f"point {point!r} is not a sequence: need one coordinate per axis") from None
     cells, fracs = [], []
-    for x, hj in zip(point, h):
+    for x, hj in zip(point, h):  # len(cells): the axis
+        if type(x) is not float:  # a numpy float would divide in its own precision, so it is widened first
+            if isinstance(x, _COMPLEX):
+                raise _invalid_point(point, len(cells), x, x)
+            x = float(x) if isinstance(x, np.floating) else x
         u = x / hj
-        if not abs(u) < _CELL_LIMIT or type(u) is not float and isinstance(u, _COMPLEX):  # len(cells): the axis
+        if not abs(u) < _CELL_LIMIT:
             raise _invalid_point(point, len(cells), x, u)
         c = math.floor(u)  # an int
         frac = u - c
@@ -389,13 +396,18 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     :class:`InvalidPoint` for a coordinate not finite or beyond the int64
     cell range, :class:`OutOfDomain` where a strict stencil leaves the grid.
     """
-    family = derive_beta(kind)
-    forms, scale = _orders_and_scale(field, orders, lambda beta, l, _: beta.form(l), family, itertools.repeat(None))
     if np.iscomplexobj(points):
         raise ValueError("points are complex: a point has real coordinates")
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
+    try:
+        family = derive_beta(kind)
+        forms, scale = _orders_and_scale(field, orders, lambda beta, l, _: beta.form(l), family, itertools.repeat(None))
+    except (TypeError, ValueError):  # TypeError: a kind derive_beta's cache cannot hash, such as a list
+        for point in pts[:1].tolist():  # the scalar entries check the point before the kind and the orders
+            grid_coordinates(tuple(point), field)
+        raise
     if len(pts) == 1:  # np.add.reduce sums a single column pairwise, not row by row
         return evaluate_many(field, pts[[0, 0]], kind, orders)[:1]
     g, q, ndim = family.g, family.q, field.ndim
@@ -516,8 +528,11 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
     coordinate 0 or 1).  It is called exactly once per combination, i.e.
     2**D * (m+1)**D times.  ``point`` lives in the unit cell [0, 1]**D.
     """
-    if len(point) == 0:
-        raise ValueError("point has no coordinates: need one per axis")
+    try:
+        if len(point) == 0:
+            raise ValueError("point has no coordinates: need one per axis")
+    except TypeError:
+        raise ValueError(f"point {point!r} is not a sequence: need one coordinate per axis") from None
     _check_fractions(point)
     family = derive_alpha(n)
     # (order, cell end) of each member of AlphaFamily.form, in its order

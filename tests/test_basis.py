@@ -154,6 +154,15 @@ def test_alpha_cache_keys_a_numpy_integer_order_as_the_int():
     assert derive_alpha.__name__ == "derive_alpha" and derive_alpha.__wrapped__(3) == derive_alpha(3)
 
 
+def test_an_order_the_cache_cannot_hash_reaches_the_derivation_checks():
+    with pytest.raises(InvalidOrder, match=r"got \[3\]"):
+        derive_alpha([3])
+    with pytest.raises(InvalidOrder, match=r"got \[3\]"):
+        evaluate_hermite(lambda orders, node: 1.0, (0.5,), [3])
+    with pytest.raises(ValueError, match=r"half-width \[2\] is not an integer"):
+        derive_stencil([2])
+
+
 def test_equal_kinds_hash_equal_and_share_one_derivation():
     kind, twin = SplineKind(19, 12), SplineKind(np.int64(19), 12)
     assert kind == twin and kind is not twin and hash(kind) == hash(twin) == hash((19, 12))
@@ -194,8 +203,9 @@ def test_solve_hermite_meets_random_endpoint_data(seed):
         assert len(polys) == len(rows)
         for row, p in zip(rows, polys):
             assert p.degree <= n
-            at_zero, at_one, den = p.end_numerators((n + 1) // 2)
-            assert [Fraction(a, den) for a in at_zero + at_one] == row
+            at_zero = [p.derivative(l)(Fraction(0)) for l in range((n + 1) // 2)]
+            at_one = [p.derivative(l)(Fraction(1)) for l in range((n + 1) // 2)]
+            assert at_zero + at_one == row
     assert _solve_hermite(5, [[0] * 6]) == [RationalPolynomial()]
 
 
@@ -306,6 +316,10 @@ def test_validate_family_reports_what_the_plain_checks_report_on_every_validated
         assert validate_family(beta).checks == family_checks(beta), (n, q)
 
 
+# x**10 (1 - x)**9: its derivatives of orders 0..9 vanish at x = 0, and of orders 0..8 at x = 1
+_FLAT_AT_ZERO = RationalPolynomial.monomial(10) * poly(1, -1) ** 9
+
+
 @pytest.mark.parametrize(
     "n,q,changes",
     [
@@ -315,6 +329,7 @@ def test_validate_family_reports_what_the_plain_checks_report_on_every_validated
         (13, 8, [(2, RationalPolynomial.monomial(4, Fraction(-5, 7)))]),  # one reflection pair, (-1, 2), breaks
         (9, 6, [(1, poly(0, 0, 0, 1)), (0, poly(1, -3, 3, -1))]),  # x**3 and its mirror: reflection holds
         (13, 8, [(-3, poly(0, Fraction(1, 2))), (3, poly(0, Fraction(-1, 2)))]),  # weight moved: unity holds
+        (19, 12, [(0, _FLAT_AT_ZERO), (1, -_FLAT_AT_ZERO)]),  # moved between members: only order-9 data at x = 1
     ],
 )
 def test_validate_family_reports_what_the_plain_checks_report_on_perturbed_families(n, q, changes):

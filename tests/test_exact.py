@@ -276,14 +276,10 @@ def test_weighted_sum_matches_fraction_arithmetic(terms):
 @PROPERTY
 @given(polynomials, st.integers(0, 12))
 def test_derivatives_match_fraction_arithmetic(p, orders):
-    at0, at1, den = p.end_numerators(orders)
     coeffs = list(p.coeffs)
     for l in range(orders):
         assert p.derivative(l) == RationalPolynomial(coeffs)
-        assert Fraction(at0[l], den) == p.derivative(l)(Fraction(0))
-        assert Fraction(at1[l], den) == p.derivative(l)(Fraction(1))
         coeffs = _fraction_derivative(coeffs)
-    assert len(at0) == len(at1) == orders
     assert p.horner_coeffs() == tuple(float(c) for c in reversed(p.coeffs))
 
 

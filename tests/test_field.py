@@ -424,6 +424,15 @@ def test_scalar_entries_accept_float32_and_fraction_coordinates(entry):
     want = SCALAR_ENTRIES[entry](f, (3.5, 1.25), SplineKind(3, 4))
     for point in ((np.float32(3.5), np.float32(1.25)), (Fraction(7, 2), Fraction(5, 4))):
         assert SCALAR_ENTRIES[entry](f, point, SplineKind(3, 4)) == want
+    # at h = 0.1 a narrow float divided in its own precision lands on another cell fraction
+    f, kind = GridField(np.sin(np.arange(64.0) * 0.3).reshape(8, 8), h=0.1), SplineKind(5, 4)
+    for dtype in (np.float32, np.float16):
+        pts = np.random.default_rng(0).uniform(0.0, 0.8, (16, 2)).astype(dtype)
+        got = [SCALAR_ENTRIES[entry](f, tuple(p), kind) for p in pts]
+        assert got == [SCALAR_ENTRIES[entry](f, tuple(p.tolist()), kind) for p in pts]
+        if entry != "partitioned_evaluate":
+            orders = (0, 1) if entry == "evaluate_derivative" else None
+            assert np.array(got).tobytes() == evaluate_many(f, pts, kind, orders).tobytes()
 
 
 @pytest.mark.parametrize("extent,shown", [(8.7, "8.7"), (True, "True"), (0, "0"), (-3, "-3"), (4.0, "4.0")])
@@ -559,6 +568,19 @@ PRECEDENCE = [
     ("c:cell|domain", lambda: evaluate_at_cell(_F, (3.5, 5), (0.5, 0.5), _K), ValueError, "3.5 on axis 0"),
     ("c:domain|cell", lambda: evaluate_at_cell(_F, (9, 2.5), (0.5, 0.5), _K), OutOfDomain, r"^cell \(9, 2\.5\): .* axis 0"),
     ("c:domain", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5), _K, (1, 2)), OutOfDomain, r"^cell \(3, 5\)"),
+    # evaluate_many: the points' shape, then the first point, kind and orders as the scalar entries order them
+    # (a later bad point comes after the kind and orders), then the first bad point
+    ("m:shape|kind", lambda: evaluate_many(_F, [3.25], _TUPLE), ValueError, r"shape \(N, 2\), got \(1,\)"),
+    ("m:point|tuple kind", lambda: evaluate_many(_F, [_NAN, _OUTSIDE], _TUPLE), InvalidPoint, "not finite"),
+    ("m:point|text kind", lambda: evaluate_many(_F, [_NAN, _OUTSIDE], "x"), InvalidPoint, "not finite"),
+    ("m:point|list kind", lambda: evaluate_many(_F, [_NAN], [5, 4]), InvalidPoint, "not finite"),
+    ("m:point|integer", lambda: evaluate_many(_F, [_NAN, _OUTSIDE], _K, (1.5, 0)), InvalidPoint, "not finite"),
+    ("m:point|range", lambda: evaluate_many(_F, [_NAN, _OUTSIDE], _K, (3, 0)), InvalidPoint, "not finite"),
+    ("m:point|sequence", lambda: evaluate_many(_F, [_NAN], _K, 1), InvalidPoint, "not finite"),
+    ("m:kind|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _TUPLE), InvalidKind, "not a SplineKind"),
+    ("m:range|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _K, (3, 0)), DerivativeTooHigh, "order 3"),
+    ("m:range|domain", lambda: evaluate_many(_F, [_OUTSIDE, _OUTSIDE], _K, (3, 0)), DerivativeTooHigh, "order 3"),
+    ("m:domain|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _K), OutOfDomain, r"^point \(3\.25, 2\.75\)"),
 ]
 
 
@@ -568,6 +590,20 @@ def test_scalar_entries_keep_their_error_precedence(call, error, match):
     with pytest.raises(error, match=match) as info:
         call()
     assert type(info.value) is error
+
+
+def test_a_point_that_is_not_a_sequence_is_rejected():
+    f = GridField(np.zeros(8), h=1.0)
+    named = re.escape("point 1.5 is not a sequence: need one coordinate per axis")
+    for call in (
+        lambda: grid_coordinates(1.5, f),
+        lambda: evaluate(f, 1.5, SplineKind(5, 4)),
+        lambda: evaluate_derivative(f, 1.5, SplineKind(5, 4), (1,)),
+        lambda: partitioned_evaluate(f, 1.5, SplineKind(5, 4), 0, 3),
+        lambda: evaluate_hermite(lambda orders, node: 1.0, 1.5, 3),
+    ):
+        with pytest.raises(ValueError, match=named):
+            call()
 
 
 def test_field_data_is_immutable():
