@@ -51,13 +51,14 @@ flat offsets 0..(q-1)*sum(strides) past it, would leave the copy.
 
 import itertools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SplineKind, beta_eval, derive_alpha, derive_beta, stacked_table, stacked_weights
+from .basis import SplineKind, _require_grid_kind, beta_eval, derive_alpha, derive_beta, stacked_table, stacked_weights
 from .errors import DerivativeTooHigh, InvalidPoint, OutOfDomain
 from .exact import _is_integer
 
@@ -67,7 +68,7 @@ STRICT = "strict"
 # Scaled coordinates must lie strictly inside (-2**63, 2**63): then the cell
 # index, and every stencil offset from it, fits in an int64.
 _CELL_LIMIT = 2.0**63
-_COMPLEX = (complex, np.complexfloating)  # numpy's complex64 is no Python complex
+_REAL = (numbers.Real, np.bool_)  # numpy registers its integer and float types as numbers.Real, not np.bool_
 
 # Patch terms per block of evaluate_many: a block holds CHUNK_TERMS // q**D points, at least 2 (1 024 for a
 # 3-D q = 4 kind, 37 for 3-D q = 12, 5 461 for 1-D q = 12), so that the workspace's gather offsets and terms
@@ -174,21 +175,22 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
 
     Floor semantics: negative coordinates land in the correct cell.  A
     fraction that rounds up to 1.0 is folded into the next cell so the
-    invariant 0 <= frac < 1 always holds.  A complex or non-finite coordinate,
-    or one whose cell index would not fit an int64, raises :class:`InvalidPoint`.
+    invariant 0 <= frac < 1 always holds.  A coordinate that is not a real
+    number, or not finite, or whose cell index would not fit an int64, raises
+    :class:`InvalidPoint`.
     """
     h = field.h
     try:
         if len(point) != len(h):
             raise ValueError(f"point has {len(point)} coordinates, field has {len(h)} axes")
     except TypeError:
-        raise ValueError(f"point {point!r} is not a sequence: need one coordinate per axis") from None
+        raise _not_a_sequence("point", point, "coordinate") from None
     cells, fracs = [], []
     for x, hj in zip(point, h):  # len(cells): the axis
         if type(x) is not float:  # a numpy float would divide in its own precision, so it is widened first
-            if isinstance(x, _COMPLEX):
+            if not isinstance(x, _REAL):
                 raise _invalid_point(point, len(cells), x, x)
-            x = float(x) if isinstance(x, np.floating) else x
+            x = float(x)
         u = x / hj
         if not abs(u) < _CELL_LIMIT:
             raise _invalid_point(point, len(cells), x, u)
@@ -202,10 +204,18 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     return tuple.__new__(CellCoordinates, (tuple(cells), tuple(fracs)))
 
 
+def _not_a_sequence(name: str, value, item: str) -> ValueError:
+    return ValueError(f"{name} {value!r} is not a sequence: need one {item} per axis")
+
+
 def _invalid_point(point, axis: int, x, u) -> InvalidPoint:
-    point = tuple(complex(v) if isinstance(v, _COMPLEX) else float(v) for v in point)
-    if isinstance(x, _COMPLEX):
+    point = tuple(
+        float(v) if isinstance(v, _REAL) else complex(v) if isinstance(v, numbers.Complex) else v for v in point
+    )
+    if isinstance(point[axis], complex):
         reason = "is complex: a point has real coordinates"
+    elif not isinstance(x, _REAL):
+        reason = "is not a real number"
     elif math.isfinite(x):
         reason = f"scales to cell coordinate {float(u):.3g}, beyond the int64 range"
     else:
@@ -227,8 +237,11 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     shape = data.shape
     if not ((type(g) is int or _is_integer(g)) and g >= 1):
         raise ValueError(f"stencil half-width g {g!r} is not an integer >= 1")
-    if len(cell) != len(shape):
-        raise ValueError(f"cell has {len(cell)} indices, field has {len(shape)} axes")
+    try:
+        if len(cell) != len(shape):
+            raise ValueError(f"cell has {len(cell)} indices, field has {len(shape)} axes")
+    except TypeError:
+        raise _not_a_sequence("cell", cell, "index") from None
     g = int(g)  # a numpy integer would overflow the node range of a cell index near 2**63
     q = 2 * g + 2
     box = []
@@ -261,33 +274,25 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
 
 
 def _accumulate(values, gammas) -> float:
-    """Row-major weighted sum of the flat ``values`` against per-axis weights; last axis innermost."""
+    """Row-major sum of the flat ``values`` times per-axis weight products formed as :func:`_contract` forms them."""
     acc = 0.0
-    if len(gammas) == 1:
-        for v, gv in zip(values, gammas[0]):
-            acc += v * gv
-        return acc
-    pos = 0
-    last = gammas[-1]
-    for outer in itertools.product(*gammas[:-1]):
-        w = outer[0]
-        for v in outer[1:]:
-            w = w * v
-        for gv in last:
-            acc += values[pos] * (w * gv)
-            pos += 1
+    for v, w in zip(values, gammas[0] if len(gammas) == 1 else _weight_products(gammas)):
+        acc += v * w
     return acc
+
+
+def _weight_products(gammas) -> list:
+    weights = gammas[0]  # called at D > 1 only: in _accumulate the comprehension's closure cell costs every call
+    for gamma in gammas[1:]:
+        weights = [w * g for w in weights for g in gamma]  # row-major, ((gamma_0 * gamma_1) * ...) * gamma_{D-1}
+    return weights
 
 
 def _check_fractions(frac) -> None:
     for axis, x in enumerate(frac):
-        try:
-            inside = 0.0 <= x <= 1.0
-        except TypeError:  # a Python complex, a string, None
-            inside = None
-        if inside is None or isinstance(x, _COMPLEX):  # numpy orders complex values lexicographically
+        if not isinstance(x, _REAL):  # numpy orders complex values lexicographically: test the type, not 0 <= x
             raise ValueError(f"cell fraction {x!r} on axis {axis} is not a real number")
-        if not inside:
+        if not 0.0 <= x <= 1.0:
             raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
 
 
@@ -319,8 +324,13 @@ def _orders_and_scale(field: GridField, orders, lookup, family, frac) -> tuple:
     return found, scale
 
 
-def _weights_and_patch(field, point, cell, frac, orders, family):
+def _weights_and_patch(field, point, cell, frac, orders, kind):
     """The weights, prod h_j**-l_j and the (q,)*D patch at a checked cell."""
+    try:
+        family = derive_beta(kind)
+    except TypeError:  # a kind the cache cannot hash, such as a list
+        _require_grid_kind(kind)
+        raise
     gammas, scale = _orders_and_scale(field, orders, beta_eval, family, frac)
     try:
         return gammas, scale, gather_local(field, cell, family.g).values
@@ -330,9 +340,9 @@ def _weights_and_patch(field, point, cell, frac, orders, family):
         raise exc._at_point(point) from None
 
 
-def _at_cell(field, point, cell, frac, orders, family):
+def _at_cell(field, point, cell, frac, orders, kind):
     """The scalar core: the fused sum of patch and weights, times the factor."""
-    gammas, scale, values = _weights_and_patch(field, point, cell, frac, orders, family)
+    gammas, scale, values = _weights_and_patch(field, point, cell, frac, orders, kind)
     return _accumulate(values.ravel().tolist(), gammas) * scale
 
 
@@ -349,11 +359,14 @@ def evaluate_at_cell(
     cell versus frac = 0.0 in the right.  ``cell``, ``frac`` and ``orders``
     need one entry per axis: the cell indices integers, the fractions in [0, 1].
     """
-    family = derive_beta(kind)
+    _require_grid_kind(kind)
+    for name, value, item in (("cell", cell, "index"), ("frac", frac, "fraction")):
+        if not hasattr(value, "__len__"):
+            raise _not_a_sequence(name, value, item)
     if not len(cell) == len(frac) == len(field.h):
         raise ValueError(f"need one cell index and one fraction per axis, got {len(cell)} and {len(frac)}")
     _check_fractions(frac)
-    return _at_cell(field, None, cell, frac, orders, family)
+    return _at_cell(field, None, cell, frac, orders, kind)
 
 
 def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> float:
@@ -364,7 +377,7 @@ def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> floa
     tensor product of those weights.
     """
     cell, frac = grid_coordinates(point, field)
-    return _at_cell(field, point, cell, frac, None, derive_beta(kind))
+    return _at_cell(field, point, cell, frac, None, kind)
 
 
 def evaluate_derivative(
@@ -380,7 +393,7 @@ def evaluate_derivative(
     Orders above m are rejected: the interpolant is not continuous there.
     """
     cell, frac = grid_coordinates(point, field)
-    return _at_cell(field, point, cell, frac, orders, derive_beta(kind))
+    return _at_cell(field, point, cell, frac, orders, kind)
 
 
 def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[int] = None) -> np.ndarray:
@@ -393,12 +406,11 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     A periodic field is padded once per call, a temporary
     prod(d_j + q - 1) * 8 bytes, so pass all points in one call.
     Bad input raises what the scalar path raises for the first bad point:
-    :class:`InvalidPoint` for a coordinate not finite or beyond the int64
-    cell range, :class:`OutOfDomain` where a strict stencil leaves the grid.
+    :class:`InvalidPoint` for a coordinate that is not a real number, not
+    finite or beyond the int64 cell range, :class:`OutOfDomain` where a
+    strict stencil leaves the grid.
     """
-    if np.iscomplexobj(points):
-        raise ValueError("points are complex: a point has real coordinates")
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
     try:
@@ -407,7 +419,12 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     except (TypeError, ValueError):  # TypeError: a kind derive_beta's cache cannot hash, such as a list
         for point in pts[:1].tolist():  # the scalar entries check the point before the kind and the orders
             grid_coordinates(tuple(point), field)
+        _require_grid_kind(kind)
         raise
+    if pts.dtype.kind not in "biuf":  # object, complex, text...: each point must pass the scalar check
+        for point in pts.tolist():
+            grid_coordinates(tuple(point), field)
+    pts = pts.astype(np.float64, copy=False)
     if len(pts) == 1:  # np.add.reduce sums a single column pairwise, not row by row
         return evaluate_many(field, pts[[0, 0]], kind, orders)[:1]
     g, q, ndim = family.g, family.q, field.ndim
@@ -509,10 +526,10 @@ def partitioned_evaluate(
             raise ValueError(f"{name} {value!r} is not an integer")
     if not 0 <= split_axis < field.ndim:
         raise ValueError(f"split_axis {split_axis!r} is not an axis of a field with {field.ndim} axes")
-    family = derive_beta(kind)
+    _require_grid_kind(kind)
     cell, frac = grid_coordinates(point, field)
-    gammas, _, values = _weights_and_patch(field, point, cell, frac, None, family)
-    cut = min(max(split_index - (cell[split_axis] - family.g), 0), family.q)
+    gammas, _, values = _weights_and_patch(field, point, cell, frac, None, kind)
+    cut = min(max(split_index - (cell[split_axis] - kind.g), 0), kind.q)
     sums = []
     for slab in (slice(None, cut), slice(cut, None)):
         weights = gammas[:split_axis] + [gammas[split_axis][slab]] + gammas[split_axis + 1 :]
@@ -532,15 +549,18 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
         if len(point) == 0:
             raise ValueError("point has no coordinates: need one per axis")
     except TypeError:
-        raise ValueError(f"point {point!r} is not a sequence: need one coordinate per axis") from None
+        raise _not_a_sequence("point", point, "coordinate") from None
     _check_fractions(point)
     family = derive_alpha(n)
     # (order, cell end) of each member of AlphaFamily.form, in its order
     walk = [(l, 0) for l in range(family.m + 1)] + [(l, 1) for l in range(family.m, -1, -1)]
-    data = [
-        provider(tuple(l for l, _ in idx), tuple(i for _, i in idx))
-        for idx in itertools.product(walk, repeat=len(point))
-    ]
+    data = []
+    for idx in itertools.product(walk, repeat=len(point)):
+        orders, node = tuple(l for l, _ in idx), tuple(i for _, i in idx)
+        value = provider(orders, node)
+        if not isinstance(value, _REAL):
+            raise ValueError(f"provider value {value!r} for orders {orders} at node {node} is not a real number")
+        data.append(value)
     return _accumulate(data, [family.form.kernel(float(x)) for x in point])
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import struct
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -397,8 +398,11 @@ def test_sample_rejects_a_complex_function():
 
 def test_evaluate_many_rejects_complex_points():
     f = GridField(np.zeros(8), h=1.0)
-    with pytest.raises(ValueError, match="points are complex"):
+    named = re.escape("point ((1.5+0.5j),): coordinate (1.5+0.5j) on axis 0 is complex: a point has real coordinates")
+    with pytest.raises(InvalidPoint, match=named):
         evaluate_many(f, np.full((3, 1), 1.5 + 0.5j), SplineKind(5, 4))
+    with pytest.raises(InvalidPoint, match=named):  # the scalar path's message
+        evaluate(f, (np.complex128(1.5 + 0.5j),), SplineKind(5, 4))
 
 
 SCALAR_ENTRIES = {
@@ -560,6 +564,9 @@ PRECEDENCE = [
     # evaluate_at_cell: kind, then the cell and fraction lengths, fractions, orders, then per axis in axis
     # order the cell index (an integer) and the domain (no point)
     ("c:kind|length", lambda: evaluate_at_cell(_F, (3,), (0.5, 0.5), _TUPLE), InvalidKind, "not a SplineKind"),
+    ("c:kind|cell sequence", lambda: evaluate_at_cell(_F, 3, (0.5, 0.5), _TUPLE), InvalidKind, "not a SplineKind"),
+    ("c:cell sequence|fraction sequence", lambda: evaluate_at_cell(_F, 3, 0.5, _K), ValueError, "^cell 3 is not a"),
+    ("c:fraction sequence|length", lambda: evaluate_at_cell(_F, (3,), 0.5, _K), ValueError, r"^frac 0\.5 is not a seq"),
     ("c:length|fraction", lambda: evaluate_at_cell(_F, (3,), (7.5, 0.5), _K), ValueError, "got 1 and 2"),
     ("c:fraction|orders", lambda: evaluate_at_cell(_F, (3, 5), (7.5, 0.5), _K, (0,)), ValueError, "fraction 7.5"),
     ("c:real|orders", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5j), _K, 1), ValueError, "0.5j on axis 1 is not a real"),
@@ -581,6 +588,26 @@ PRECEDENCE = [
     ("m:range|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _K, (3, 0)), DerivativeTooHigh, "order 3"),
     ("m:range|domain", lambda: evaluate_many(_F, [_OUTSIDE, _OUTSIDE], _K, (3, 0)), DerivativeTooHigh, "order 3"),
     ("m:domain|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _K), OutOfDomain, r"^point \(3\.25, 2\.75\)"),
+    # gather_local: the half-width, then the cell (a sequence, then its length), then the domain
+    ("l:half-width|cell sequence", lambda: gather_local(_F, 3, 0), ValueError, "half-width g 0 is not an integer >= 1"),
+    ("l:cell sequence", lambda: gather_local(_F, 3, 1), ValueError, "^cell 3 is not a sequence: need one index per"),
+    ("l:length|domain", lambda: gather_local(_F, (3,), 1), ValueError, "cell has 1 indices, field has 2 axes"),
+    # partitioned_evaluate: split_axis and split_index (each an integer), the split axis, then kind, point, domain
+    ("p:split axis|index", lambda: partitioned_evaluate(_F, _NAN, _TUPLE, 0.5, 2.5), ValueError, "split_axis 0.5"),
+    ("p:split index|axis", lambda: partitioned_evaluate(_F, _NAN, _TUPLE, 5, 2.5), ValueError, "split_index 2.5"),
+    ("p:axis|kind", lambda: partitioned_evaluate(_F, _NAN, _TUPLE, 2, 3), ValueError, "split_axis 2 is not an axis"),
+    ("p:kind|point", lambda: partitioned_evaluate(_F, _NAN, _TUPLE, 1, 3), InvalidKind, "not a SplineKind"),
+    ("p:point|domain", lambda: partitioned_evaluate(_F, (99.0, math.nan), _K, 1, 3), InvalidPoint, "not finite"),
+    ("p:domain", lambda: partitioned_evaluate(_F, _OUTSIDE, _K, 1, 3), OutOfDomain, r"^point \(3\.25, 2\.75\): cell"),
+    # GridField: complex data, axes, the grid constants (their count, then per axis a number, then positive and
+    # finite), a zero extent, the boundary
+    ("g:complex|axes", lambda: GridField(np.array(1j), h=()), ValueError, "field data is complex"),
+    ("g:axes|count", lambda: GridField(np.array(3.0), h=(1.0,)), ValueError, "field data has no axes"),
+    ("g:count|constant", lambda: GridField(np.zeros((0, 4)), h=(None,)), ValueError, "got 1 for 2 axes"),
+    ("g:number|positive", lambda: GridField(np.zeros((0, 4)), h=(None, -1.0)), ValueError, "None on axis 0 is not a"),
+    ("g:positive|extent", lambda: GridField(np.zeros((0, 4)), h=(1.0, -1.0)), ValueError, "-1.0 on axis 1 is not pos"),
+    ("g:extent|boundary", lambda: GridField(np.zeros((4, 0)), h=1.0, boundary="x"), ValueError, "axis 1 has extent 0"),
+    ("g:boundary", lambda: GridField(np.zeros((4, 2)), h=1.0, boundary="x"), ValueError, "boundary must be"),
 ]
 
 
@@ -604,6 +631,61 @@ def test_a_point_that_is_not_a_sequence_is_rejected():
     ):
         with pytest.raises(ValueError, match=named):
             call()
+
+
+_NUMPY_REALS = (np.float64, np.float32, np.float16, np.longdouble, np.int64, np.uint8)
+COORDINATES = st.one_of(
+    st.floats(),
+    st.floats(-20.0, 20.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -2.0**63, 5e-324]),  # non-finite, huge and tiny
+    st.integers(),
+    st.builds(lambda t, x: t(x), st.sampled_from(_NUMPY_REALS), st.integers(0, 20)),
+    st.builds(np.float32, st.floats(-20.0, 20.0, width=32)),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.fractions(),
+    st.decimals(),
+    st.complex_numbers(),
+    st.complex_numbers(max_magnitude=20.0).map(np.complex128),
+    st.text(max_size=4),
+    st.none(),
+)
+_FIELDS = [GridField(np.sin(np.arange(48.0)).reshape(8, 6), h=(1.0, 0.5), boundary=b) for b in (PERIODIC, STRICT)]
+
+
+def _outcome(call):
+    """The result's bytes, or the class and message of the library error raised."""
+    try:
+        return np.float64(call()).tobytes()
+    except ValueError as exc:  # every library error is a ValueError
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.tuples(COORDINATES, COORDINATES), st.sampled_from(_FIELDS))
+def test_scalar_and_batched_paths_share_one_input_contract(point, f):
+    # a one-row object array: numpy would turn a row that mixes numbers and text into text
+    kind = SplineKind(5, 4)
+    scalar = _outcome(lambda: evaluate(f, point, kind))
+    assert _outcome(lambda: evaluate_many(f, np.array([point], dtype=object), kind)[0]) == scalar
+
+
+@pytest.mark.parametrize("bad", ["1.5", None, Decimal("1.5")])
+def test_both_paths_reject_a_coordinate_that_is_not_a_real_number(bad):
+    f, kind = GridField(np.sin(np.arange(64.0)).reshape(8, 8), h=1.0), SplineKind(5, 4)
+    named = re.escape(f"point (1.5, {bad!r}): coordinate {bad!r} on axis 1 is not a real number")
+    for call in (
+        lambda: evaluate(f, (1.5, bad), kind),
+        lambda: evaluate_many(f, np.array([(2.5, 1.5), (1.5, bad)], dtype=object), kind),
+    ):
+        with pytest.raises(InvalidPoint, match=named):
+            call()
+    # a text array is not parsed, and an object array of Fractions is read as their values
+    with pytest.raises(InvalidPoint, match=re.escape("coordinate '1.5' on axis 0 is not a real number")):
+        evaluate_many(f, [["1.5", "2.5"], ["2.5", "1.5"]], kind)
+    fractions = np.array([[Fraction(3, 2), Fraction(5, 2)], [Fraction(1, 3), 2]], dtype=object)
+    want = evaluate_many(f, [[1.5, 2.5], [1 / 3, 2.0]], kind)
+    assert evaluate_many(f, fractions, kind).tobytes() == want.tobytes() != np.zeros(2).tobytes()
 
 
 def test_field_data_is_immutable():
@@ -632,6 +714,22 @@ def test_a_kind_that_is_not_a_spline_kind_raises_invalid_kind(kind):
     for call in (lambda: derive_beta(kind), lambda: evaluate(f, (0.5,), kind), lambda: evaluate_many(f, [[0.5]], kind)):
         with pytest.raises(InvalidKind, match=named):
             call()
+
+
+LIST_KIND_ENTRIES = {
+    "evaluate": lambda f, kind: evaluate(f, (0.5,), kind),
+    "evaluate_derivative": lambda f, kind: evaluate_derivative(f, (0.5,), kind, (1,)),
+    "evaluate_at_cell": lambda f, kind: evaluate_at_cell(f, (3,), (0.5,), kind),
+    "partitioned_evaluate": lambda f, kind: partitioned_evaluate(f, (0.5,), kind, 0, 3),
+    "evaluate_many": lambda f, kind: evaluate_many(f, [[0.5], [1.5]], kind),
+}
+
+
+@pytest.mark.parametrize("entry", LIST_KIND_ENTRIES)
+def test_a_list_kind_raises_invalid_kind(entry):
+    # derive_beta's cache cannot hash a list; the entries turn its TypeError into the kind check's error
+    with pytest.raises(InvalidKind, match=re.escape("kind [5, 4] is not a SplineKind")):
+        LIST_KIND_ENTRIES[entry](GridField(np.zeros(8), h=(1.0,)), [5, 4])
 
 
 def test_2d_evaluate_matches_direct_tensor_system():
@@ -734,6 +832,19 @@ def test_hermite_rejects_bad_points():
         evaluate_hermite(provider, (float("nan"), 0.5), 3)
     # both ends of the cell stay legal
     assert evaluate_hermite(provider, (0.0, 1.0), 3) == 1.0
+
+
+@pytest.mark.parametrize("bad", ["x", None, Decimal("0.5"), 1 + 2j, np.complex128(1.0), np.array(1.0)])
+def test_hermite_rejects_a_provider_value_that_is_not_real(bad):
+    def provider(orders, node):
+        return bad if (orders, node) == ((1, 0), (1, 0)) else 1.0
+
+    want = re.escape(f"provider value {bad!r} for orders (1, 0) at node (1, 0) is not a real number")
+    with pytest.raises(ValueError, match=want):
+        evaluate_hermite(provider, (0.5, 0.25), 3)
+    # numpy and Python real numbers all pass
+    for good in (np.float32(1.0), np.int64(1), np.bool_(True), Fraction(1), True):
+        assert evaluate_hermite(lambda orders, node, v=good: v if orders == (0, 0) else 0.0, (0.5, 0.25), 3) == 1.0
 
 
 def test_hermite_consistent_with_grid_spline():
