@@ -6,10 +6,12 @@ the q**D node values the stencil needs (a view of the data wherever the
 stencil lies inside the grid), evaluates the per-axis basis weights, and
 accumulates one fused sum over the patch.
 
-Every scalar interpolant here is that one sum, :func:`_accumulate`: a
-patch of inputs against one weight vector per axis, walked row-major with
-the last axis innermost.  Each term is the input times the weight product
-taken left to right across the axes, added to a sum that starts at 0.0.
+Every scalar interpolant here is that one sum, :func:`_accumulate`: a patch of
+inputs against one weight vector per axis, multiplied out as :func:`_contract`
+forms its tensor (patch index (i_0..i_{D-1}) weighs ((gamma_0 * gamma_1) * ...)
+* gamma_{D-1}), each input times its weight added row-major, last axis
+innermost, to a sum that starts at 0.0.  Coordinates, cell fractions and
+provider values must be real numbers (numbers.Real, np.bool_) on every path.
 The scalar entries check their arguments, then run one private core,
 :func:`_at_cell`, on the (q,)*D node patch; the two parts of
 :func:`partitioned_evaluate` walk its two slabs on either side of the split,
