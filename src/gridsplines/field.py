@@ -413,6 +413,8 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     strict stencil leaves the grid.
     """
     pts = np.asarray(points)
+    if pts.dtype.kind not in "biuf":  # keep each value as given: numpy would turn a row of numbers and text into text
+        pts = np.asarray(points, dtype=object)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
     try:
@@ -423,7 +425,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
             grid_coordinates(tuple(point), field)
         _require_grid_kind(kind)
         raise
-    if pts.dtype.kind not in "biuf":  # object, complex, text...: each point must pass the scalar check
+    if pts.dtype == object:  # each point as given must pass the scalar check
         for point in pts.tolist():
             grid_coordinates(tuple(point), field)
     pts = pts.astype(np.float64, copy=False)

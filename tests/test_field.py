@@ -680,9 +680,18 @@ def test_both_paths_reject_a_coordinate_that_is_not_a_real_number(bad):
     ):
         with pytest.raises(InvalidPoint, match=named):
             call()
-    # a text array is not parsed, and an object array of Fractions is read as their values
+
+
+def test_evaluate_many_reads_each_coordinate_as_given():
+    f, kind = GridField(np.sin(np.arange(64.0)).reshape(8, 8), h=1.0), SplineKind(5, 4)
+    # a text array is not parsed, and a list row mixing numbers with text or complex values names the bad one
     with pytest.raises(InvalidPoint, match=re.escape("coordinate '1.5' on axis 0 is not a real number")):
         evaluate_many(f, [["1.5", "2.5"], ["2.5", "1.5"]], kind)
+    with pytest.raises(InvalidPoint, match=re.escape("point (1.5, 'x'): coordinate 'x' on axis 1 is not a real")):
+        evaluate_many(f, [[1.5, "x"], [2.5, 1.5]], kind)
+    with pytest.raises(InvalidPoint, match=re.escape("point (1.5, (2+1j)): coordinate (2+1j) on axis 1 is complex")):
+        evaluate_many(f, [[1.5, 2 + 1j], [2.5, 1.5]], kind)
+    # an object array of Fractions is read as their values
     fractions = np.array([[Fraction(3, 2), Fraction(5, 2)], [Fraction(1, 3), 2]], dtype=object)
     want = evaluate_many(f, [[1.5, 2.5], [1 / 3, 2.0]], kind)
     assert evaluate_many(f, fractions, kind).tobytes() == want.tobytes() != np.zeros(2).tobytes()
