@@ -413,7 +413,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     strict stencil leaves the grid.
     """
     pts = np.asarray(points)
-    if pts.dtype.kind not in "biuf":  # keep each value as given: numpy would turn a row of numbers and text into text
+    if pts.dtype.kind not in "biuf" and not isinstance(points, np.ndarray):  # a row of numbers and text became text
         pts = np.asarray(points, dtype=object)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
@@ -421,12 +421,12 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
         family = derive_beta(kind)
         forms, scale = _orders_and_scale(field, orders, lambda beta, l, _: beta.form(l), family, itertools.repeat(None))
     except (TypeError, ValueError):  # TypeError: a kind derive_beta's cache cannot hash, such as a list
-        for point in pts[:1].tolist():  # the scalar entries check the point before the kind and the orders
+        for point in pts[:1]:  # the scalar entries check the point before the kind and the orders
             grid_coordinates(tuple(point), field)
         _require_grid_kind(kind)
         raise
-    if pts.dtype == object:  # each point as given must pass the scalar check
-        for point in pts.tolist():
+    if pts.dtype.kind not in "biuf":  # object, complex, text, datetime: each point must pass the scalar check
+        for point in pts:
             grid_coordinates(tuple(point), field)
     pts = pts.astype(np.float64, copy=False)
     if len(pts) == 1:  # np.add.reduce sums a single column pairwise, not row by row

@@ -691,6 +691,12 @@ def test_evaluate_many_reads_each_coordinate_as_given():
         evaluate_many(f, [[1.5, "x"], [2.5, 1.5]], kind)
     with pytest.raises(InvalidPoint, match=re.escape("point (1.5, (2+1j)): coordinate (2+1j) on axis 1 is complex")):
         evaluate_many(f, [[1.5, 2 + 1j], [2.5, 1.5]], kind)
+    # an array keeps its values: a datetime64 array is not read as integer nanoseconds
+    stamps = np.array([[1, 2], [3, 4]], dtype="datetime64[ns]")
+    with pytest.raises(InvalidPoint, match=re.escape(f"coordinate {stamps[0, 0]!r} on axis 0 is not a real number")):
+        evaluate_many(f, stamps, kind)
+    with pytest.raises(InvalidPoint, match=re.escape(f"coordinate {stamps[0, 0]!r} on axis 0 is not a real number")):
+        evaluate(f, tuple(stamps[0]), kind)
     # an object array of Fractions is read as their values
     fractions = np.array([[Fraction(3, 2), Fraction(5, 2)], [Fraction(1, 3), 2]], dtype=object)
     want = evaluate_many(f, [[1.5, 2.5], [1 / 3, 2.0]], kind)
