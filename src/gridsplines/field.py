@@ -413,24 +413,20 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     strict stencil leaves the grid.
     """
     pts = np.asarray(points)
-    if pts.dtype.kind not in "biuf" and not isinstance(points, np.ndarray):  # a row of numbers and text became text
-        pts = np.asarray(points, dtype=object)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
     try:
         family = derive_beta(kind)
         forms, scale = _orders_and_scale(field, orders, lambda beta, l, _: beta.form(l), family, itertools.repeat(None))
     except (TypeError, ValueError):  # TypeError: a kind derive_beta's cache cannot hash, such as a list
-        for point in pts[:1]:  # the scalar entries check the point before the kind and the orders
-            grid_coordinates(tuple(point), field)
-        _require_grid_kind(kind)
-        raise
-    if pts.dtype.kind not in "biuf":  # object, complex, text, datetime: each point must pass the scalar check
-        for point in pts:
-            grid_coordinates(tuple(point), field)
+        if not len(pts):
+            _require_grid_kind(kind)
+            raise
+        family = None
+    if family is None or len(pts) < 2 or pts.dtype.kind not in "biuf":
+        # the scalar entry on the caller's own rows: its bits, or its error for the first bad point
+        return np.array([evaluate_derivative(field, tuple(p), kind, orders) for p in points])
     pts = pts.astype(np.float64, copy=False)
-    if len(pts) == 1:  # np.add.reduce sums a single column pairwise, not row by row
-        return evaluate_many(field, pts[[0, 0]], kind, orders)[:1]
     g, q, ndim = family.g, family.q, field.ndim
     # with g ghost nodes below and g + 1 above, every periodic stencil is one box of ext
     ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
