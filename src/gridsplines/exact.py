@@ -270,9 +270,10 @@ def solve_linear_system(matrix: Sequence[Sequence[RationalLike]], rhs) -> list:
     ``matrix`` is a square nested sequence of rationals.  ``rhs`` is either
     one right-hand side, a sequence of n rationals, and the result is its
     solution as a list of Fractions; or a sequence of right-hand sides, each
-    a list or tuple of n rationals, and the result is one solution list per
-    right-hand side, in order.  All right-hand sides ride along one forward
-    elimination, so each distinct matrix needs to be eliminated only once.
+    a sequence of n rationals (a list, a tuple, a row of a 2-D array), and
+    the result is one solution list per right-hand side, in order.  All
+    right-hand sides ride along one forward elimination, so each distinct
+    matrix needs to be eliminated only once.
 
     Each augmented row is scaled to integers by the lcm of its denominators,
     which leaves the solution unchanged, and eliminated with Bareiss's
@@ -287,7 +288,7 @@ def solve_linear_system(matrix: Sequence[Sequence[RationalLike]], rhs) -> list:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    single = not (len(rhs) and isinstance(rhs[0], (list, tuple)))
+    single = not len(rhs) or isinstance(rhs[0], (numbers.Number, str))  # else each entry is a right-hand side
     columns = [rhs] if single else rhs
     if any(len(b) != n for b in columns):
         raise ValueError("right-hand side length must match the matrix size")

@@ -11,7 +11,8 @@ inputs against one weight vector per axis, multiplied out as :func:`_contract`
 forms its tensor (patch index (i_0..i_{D-1}) weighs ((gamma_0 * gamma_1) * ...)
 * gamma_{D-1}), each input times its weight added row-major, last axis
 innermost, to a sum that starts at 0.0.  Coordinates, cell fractions and
-provider values must be real numbers (numbers.Real, np.bool_) on every path.
+provider values must be real numbers (numbers.Real or np.bool_, but not
+np.timedelta64) on every path.
 The scalar entries check their arguments, then run one private core,
 :func:`_at_cell`, on the (q,)*D node patch; the two parts of
 :func:`partitioned_evaluate` walk its two slabs on either side of the split,
@@ -21,9 +22,12 @@ of its slab.
 the alpha form's member order: index l <= m along an axis is order l at
 cell end 0, index 2m + 1 - l order l at cell end 1.
 
-:func:`evaluate_many` performs the same floating-point operations in the
-same order as :func:`evaluate`, vectorised across points, and is therefore
-bitwise identical to it.  It runs one loop over blocks of points, each
+:func:`evaluate_many` runs a batched engine on a bool, integer or float
+array of two or more points whose kind and orders are good, and hands every
+other call to :func:`evaluate_derivative`, one row at a time.  The engine
+performs the same floating-point operations in the same order as
+:func:`evaluate`, vectorised across points, and is therefore bitwise
+identical to it.  It runs one loop over blocks of points, each
 CHUNK_TERMS // q**D points (at least 2).  Per block, :func:`_block_weights`
 takes the coordinates, cell fold, patch corner and domain check, and every
 axis's weights at once (:func:`basis.stacked_weights`); then
@@ -178,8 +182,8 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     Floor semantics: negative coordinates land in the correct cell.  A
     fraction that rounds up to 1.0 is folded into the next cell so the
     invariant 0 <= frac < 1 always holds.  A coordinate that is not a real
-    number, or not finite, or whose cell index would not fit an int64, raises
-    :class:`InvalidPoint`.
+    number, or beyond the float range, or not finite, or whose cell index
+    would not fit an int64, raises :class:`InvalidPoint`.
     """
     h = field.h
     try:
@@ -190,9 +194,12 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     cells, fracs = [], []
     for x, hj in zip(point, h):  # len(cells): the axis
         if type(x) is not float:  # a numpy float would divide in its own precision, so it is widened first
-            if not isinstance(x, _REAL):
+            if not _is_real(x):
                 raise _invalid_point(point, len(cells), x, x)
-            x = float(x)
+            try:
+                x = float(x)
+            except OverflowError:  # an int or Fraction beyond the float range
+                raise _invalid_point(point, len(cells), x, x) from None
         u = x / hj
         if not abs(u) < _CELL_LIMIT:
             raise _invalid_point(point, len(cells), x, u)
@@ -210,14 +217,29 @@ def _not_a_sequence(name: str, value, item: str) -> ValueError:
     return ValueError(f"{name} {value!r} is not a sequence: need one {item} per axis")
 
 
+def _is_real(x) -> bool:
+    """The one real-number test: numbers.Real or np.bool_, not np.timedelta64 (numpy registers it as an integer)."""
+    return isinstance(x, _REAL) and not isinstance(x, np.timedelta64)
+
+
+def _shown(v):
+    """A coordinate as an error names it: a real as a float where one holds it, a complex as complex, else as given."""
+    if _is_real(v):
+        try:
+            return float(v)
+        except OverflowError:
+            return v
+    return complex(v) if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) else v
+
+
 def _invalid_point(point, axis: int, x, u) -> InvalidPoint:
-    point = tuple(
-        float(v) if isinstance(v, _REAL) else complex(v) if isinstance(v, numbers.Complex) else v for v in point
-    )
+    point = tuple(map(_shown, point))
     if isinstance(point[axis], complex):
         reason = "is complex: a point has real coordinates"
-    elif not isinstance(x, _REAL):
+    elif not _is_real(x):
         reason = "is not a real number"
+    elif not isinstance(point[axis], float):  # a real that float() overflows
+        reason = "is beyond the float range"
     elif math.isfinite(x):
         reason = f"scales to cell coordinate {float(u):.3g}, beyond the int64 range"
     else:
@@ -292,7 +314,7 @@ def _weight_products(gammas) -> list:
 
 def _check_fractions(frac) -> None:
     for axis, x in enumerate(frac):
-        if not isinstance(x, _REAL):  # numpy orders complex values lexicographically: test the type, not 0 <= x
+        if not _is_real(x):  # numpy orders complex values lexicographically: test the type, not 0 <= x
             raise ValueError(f"cell fraction {x!r} on axis {axis} is not a real number")
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
@@ -402,15 +424,17 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     """Batched :func:`evaluate_derivative` (:func:`evaluate` when ``orders`` is None).
 
     ``points`` has shape (N, D).  The result, of shape (N,), is bit for bit
-    what the scalar functions return point by point: each step repeats their
-    floating-point operations in their order, vectorised across the points of
-    a block (see CHUNK_TERMS).
-    A periodic field is padded once per call, a temporary
+    what the scalar functions return point by point.  A bool, integer or
+    float array of two or more points, with a good kind and orders, runs the
+    engine: each step repeats the scalar floating-point operations in their
+    order, vectorised across the points of a block (see CHUNK_TERMS).  Every
+    other call is :func:`evaluate_derivative` on each of the caller's rows.
+    A periodic field is padded once per engine call, a temporary
     prod(d_j + q - 1) * 8 bytes, so pass all points in one call.
     Bad input raises what the scalar path raises for the first bad point:
-    :class:`InvalidPoint` for a coordinate that is not a real number, not
-    finite or beyond the int64 cell range, :class:`OutOfDomain` where a
-    strict stencil leaves the grid.
+    :class:`InvalidPoint` for a coordinate that is not a real number, beyond
+    the float range, not finite or beyond the int64 cell range,
+    :class:`OutOfDomain` where a strict stencil leaves the grid.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
@@ -558,7 +582,7 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
     for idx in itertools.product(walk, repeat=len(point)):
         orders, node = tuple(l for l, _ in idx), tuple(i for _, i in idx)
         value = provider(orders, node)
-        if not isinstance(value, _REAL):
+        if not _is_real(value):
             raise ValueError(f"provider value {value!r} for orders {orders} at node {node} is not a real number")
         data.append(value)
     return _accumulate(data, [family.form.kernel(float(x)) for x in point])
@@ -592,12 +616,11 @@ def load_field(path) -> GridField:
         raw = fh.read()
     if raw[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path}: not a grid field container (bad magic)")
-    # the axis count comes first and fixes the header length: 4 + 12 * ndim + 1 bytes
     off = len(_MAGIC)
     if len(raw) < off + 4:
         raise ValueError(f"{path}: truncated header: the axis count needs {off + 4} bytes, file has {len(raw)}")
     (ndim,) = struct.unpack_from("<I", raw, off)
-    end = off + 4 + 12 * ndim + 1
+    end = struct.calcsize(_header(ndim))
     if len(raw) < end:
         raise ValueError(f"{path}: truncated header: {ndim} axes need {end} bytes, file has {len(raw)}")
     _, _, *values, bcode = struct.unpack_from(_header(ndim), raw)

@@ -107,6 +107,17 @@ def test_chunk_boundaries(n, q, ndim):
         assert _bits(evaluate_many(field, points[:count], kind, orders)) == _bits(want[:count])
 
 
+@pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float32, np.float64])
+def test_a_one_point_call_gives_the_scalar_bits(dtype):
+    kind = SplineKind(9, 6)
+    field = GridField(np.random.default_rng(11).standard_normal((9, 7)), h=(1.0, 0.5))
+    for row in ((True, False), (3, 5), (2.75, 1.3), (-7.1, 40.2)):
+        point = np.array([row]).astype(dtype)
+        for orders in (None, (0, 0), (2, 1)):
+            want = evaluate_derivative(field, tuple(point[0]), kind, orders)
+            assert _bits(evaluate_many(field, point, kind, orders)) == _bits([want]), (row, orders)
+
+
 def test_signed_zeros_match_scalar():
     # on an all -0.0 field the scalar sum's 0.0 start decides the sign of zero results
     field = GridField(np.full((6, 6), -0.0), h=(1.0, 0.5))

@@ -101,6 +101,16 @@ def test_multi_rhs_solve_matches_single_solves(data):
         assert x == solve_linear_system(A, b)
 
 
+def test_array_rows_are_several_right_hand_sides():
+    A = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    rhs = [[1, 0, 0], [0, 1, 0], [Fraction(1, 2), 2, -1]]
+    want = solve_linear_system(A, rhs)
+    # a 2-D array, or a list of 1-D arrays, is one right-hand side per row; a 1-D array is one right-hand side
+    assert solve_linear_system(A, np.array([[1, 0, 0], [0, 1, 0], [0.5, 2, -1]])) == want
+    assert solve_linear_system(A, [np.array(b, dtype=object) for b in rhs]) == want
+    assert solve_linear_system(A, np.array(rhs[0])) == want[0]
+
+
 @PROPERTY
 @given(st.data())
 def test_singular_matrix_raises_in_both_forms(data):

@@ -527,7 +527,7 @@ def test_evaluate_at_cell_checks_its_arguments():
     assert evaluate_at_cell(f, (3,), (1.0,), kind) == evaluate_at_cell(f, (4,), (0.0,), kind) == 4.0
 
 
-@pytest.mark.parametrize("bad", [np.complex128(0.5 + 0.5j), np.complex64(0.5), 0.5 + 0j, "0.5", None])
+@pytest.mark.parametrize("bad", [np.complex128(0.5 + 0.5j), np.complex64(0.5), 0.5 + 0j, "0.5", None, np.timedelta64(0, "ns")])
 def test_a_fraction_that_is_not_real_is_rejected(bad):
     # numpy orders complex values lexicographically, so 0 <= 0.5+0.5j <= 1 holds for a numpy complex
     for axis, frac in enumerate([(bad,), (0.5, bad)]):
@@ -588,6 +588,7 @@ PRECEDENCE = [
     ("m:range|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _K, (3, 0)), DerivativeTooHigh, "order 3"),
     ("m:range|domain", lambda: evaluate_many(_F, [_OUTSIDE, _OUTSIDE], _K, (3, 0)), DerivativeTooHigh, "order 3"),
     ("m:domain|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _K), OutOfDomain, r"^point \(3\.25, 2\.75\)"),
+    ("m:domain|later text row", lambda: evaluate_many(_F, [_OUTSIDE, ("x", 1.0)], _K), OutOfDomain, r"^point \(3\.25, 2\.75\)"),
     # gather_local: the half-width, then the cell (a sequence, then its length), then the domain
     ("l:half-width|cell sequence", lambda: gather_local(_F, 3, 0), ValueError, "half-width g 0 is not an integer >= 1"),
     ("l:cell sequence", lambda: gather_local(_F, 3, 1), ValueError, "^cell 3 is not a sequence: need one index per"),
@@ -670,7 +671,7 @@ def test_scalar_and_batched_paths_share_one_input_contract(point, f):
     assert _outcome(lambda: evaluate_many(f, np.array([point], dtype=object), kind)[0]) == scalar
 
 
-@pytest.mark.parametrize("bad", ["1.5", None, Decimal("1.5")])
+@pytest.mark.parametrize("bad", ["1.5", None, Decimal("1.5"), np.timedelta64(3, "ns"), np.timedelta64(2, "s")])
 def test_both_paths_reject_a_coordinate_that_is_not_a_real_number(bad):
     f, kind = GridField(np.sin(np.arange(64.0)).reshape(8, 8), h=1.0), SplineKind(5, 4)
     named = re.escape(f"point (1.5, {bad!r}): coordinate {bad!r} on axis 1 is not a real number")
@@ -679,6 +680,19 @@ def test_both_paths_reject_a_coordinate_that_is_not_a_real_number(bad):
         lambda: evaluate_many(f, np.array([(2.5, 1.5), (1.5, bad)], dtype=object), kind),
     ):
         with pytest.raises(InvalidPoint, match=named):
+            call()
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative", "fraction"])
+def test_both_paths_reject_a_coordinate_beyond_the_float_range(huge):
+    f, kind = GridField(np.sin(np.arange(64.0)).reshape(8, 8), h=1.0), SplineKind(5, 4)
+    named = re.escape(f"point (1.5, {huge!r}): coordinate {huge!r} on axis 1 is beyond the float range")
+    for call in (lambda: evaluate(f, (1.5, huge), kind), lambda: evaluate_many(f, [(2.5, 1.5), (1.5, huge)], kind)):
+        with pytest.raises(InvalidPoint, match=named):
+            call()
+    # naming an earlier bad coordinate does not convert the huge one
+    for call in (lambda: evaluate(f, (math.nan, huge), kind), lambda: evaluate_many(f, [(math.nan, huge)], kind)):
+        with pytest.raises(InvalidPoint, match=re.escape("coordinate nan on axis 0 is not finite")):
             call()
 
 
@@ -849,7 +863,9 @@ def test_hermite_rejects_bad_points():
     assert evaluate_hermite(provider, (0.0, 1.0), 3) == 1.0
 
 
-@pytest.mark.parametrize("bad", ["x", None, Decimal("0.5"), 1 + 2j, np.complex128(1.0), np.array(1.0)])
+@pytest.mark.parametrize(
+    "bad", ["x", None, Decimal("0.5"), 1 + 2j, np.complex128(1.0), np.array(1.0), np.timedelta64(1, "s")]
+)
 def test_hermite_rejects_a_provider_value_that_is_not_real(bad):
     def provider(orders, node):
         return bad if (orders, node) == ((1, 0), (1, 0)) else 1.0
