@@ -527,7 +527,9 @@ def test_evaluate_at_cell_checks_its_arguments():
     assert evaluate_at_cell(f, (3,), (1.0,), kind) == evaluate_at_cell(f, (4,), (0.0,), kind) == 4.0
 
 
-@pytest.mark.parametrize("bad", [np.complex128(0.5 + 0.5j), np.complex64(0.5), 0.5 + 0j, "0.5", None, np.timedelta64(0, "ns")])
+@pytest.mark.parametrize(
+    "bad", [np.complex128(0.5 + 0.5j), np.complex64(0.5), 0.5 + 0j, "0.5", None, np.timedelta64(0, "ns")]
+)
 def test_a_fraction_that_is_not_real_is_rejected(bad):
     # numpy orders complex values lexicographically, so 0 <= 0.5+0.5j <= 1 holds for a numpy complex
     for axis, frac in enumerate([(bad,), (0.5, bad)]):
