@@ -23,31 +23,33 @@ the alpha form's member order: index l <= m along an axis is order l at
 cell end 0, index 2m + 1 - l order l at cell end 1.
 
 :func:`evaluate_many` runs a batched engine on a bool, integer or float
-array of two or more points whose kind and orders are good, and hands every
-other call to :func:`evaluate_derivative`, one row at a time.  The engine
-performs the same floating-point operations in the same order as
-:func:`evaluate`, vectorised across points, and is therefore bitwise
-identical to it.  It runs one loop over blocks of points, each
-CHUNK_TERMS // q**D points (at least 2).  Per block, :func:`_block_weights`
-takes the coordinates, cell fold, patch corner and domain check, and every
-axis's weights at once (:func:`basis.stacked_weights`); then
-:func:`_contract` gathers every patch with one flat ``take`` at precomputed
-row-major offsets, forms the weight tensor, and sums the (q**D, points)
-terms with one ``np.add.reduce`` that adds the rows in row-major patch
-order, starting from 0.0.  A periodic field is padded once per call with g
+array (not longdouble) of two or more points whose kind and orders are
+good, and hands every other call to :func:`evaluate_derivative`, one row at
+a time.  The engine performs the same floating-point operations in the same
+order as :func:`evaluate`, vectorised across points, and is therefore
+bitwise identical to it.  Per stage of S = max(P, CHUNK_TERMS // (D * q))
+points, :func:`_block_weights` takes the coordinates, cell fold, patch
+corner and domain check, and every axis's weights at once
+(:func:`basis.stacked_weights`); per block of P = CHUNK_TERMS // q**D points
+(at least 2) of the stage, :func:`_contract` gathers every patch with one
+flat ``take`` at precomputed row-major offsets, forms the weight tensor, and
+sums the (q**D, points) terms with one ``np.add.reduce`` that adds the rows
+in row-major patch order, starting from 0.0.  A one-point tail of either is
+taken with its neighbour.  A periodic field is padded once per call with g
 ghost nodes below and g + 1 above each axis, so that every stencil, wrapped
 or not, is one box of the padded array.
 
 Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
 bytes; one workspace, which the Horner loop and every patch step write with
-``out=``; each block's per-point coordinate and index arrays, about 26 * D
+``out=``; each stage's per-point coordinate and index arrays, about 26 * D
 bytes a point; and NumPy's ufunc iterator buffer, np.getbufsize() floats.
-For a block of P points the workspace holds the weights, D * q * P floats;
-the gather offsets (int64, then the float weight tensor; before both, the
-weights' scratch) and the terms, q**D * P floats each, at most CHUNK_TERMS;
-and a q-th of that for the weight product before the last axis.  For a 3-D
-(5,4) kind on a 32**3 grid, with 1 024-point blocks, that is 335 + 1 248 +
-about 78 KiB, and the buffer (64 KiB at the default size) adds about 60 KiB.
+The workspace holds the stage's weights, D * q * S floats; the gather
+offsets (int64, then the float weight tensor; before both, the weights'
+scratch, (D + q/2) * S floats) and the terms, q**D * P floats each, at most
+CHUNK_TERMS; and a q-th of that for the weight product before the last axis.
+For a 3-D (5,4) kind on a 32**3 grid and 4 000 points (one stage, 1 024-point
+blocks), that is 335 + 375 + 1 152 + 305 KiB, and tracemalloc sees 2 172 KiB
+(7 KiB more with the buffer at its default size).
 
 The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
@@ -76,9 +78,10 @@ STRICT = "strict"
 _CELL_LIMIT = 2.0**63
 _REAL = (numbers.Real, np.bool_)  # numpy registers its integer and float types as numbers.Real, not np.bool_
 
-# Patch terms per block of evaluate_many: a block holds CHUNK_TERMS // q**D points, at least 2 (1 024 for a
-# 3-D q = 4 kind, 37 for 3-D q = 12, 5 461 for 1-D q = 12), so that the workspace's gather offsets and terms
-# stay at 512 KiB each.
+# Patch terms per block, and weights per stage, of evaluate_many: a block holds CHUNK_TERMS // q**D points, at
+# least 2 (1 024 for a 3-D q = 4 kind, 37 for 3-D q = 12, 5 461 for 1-D q = 12), and a stage the larger of a
+# block and CHUNK_TERMS // (D * q) points (5 461, 1 820 and 5 461), so that the workspace's weights, gather
+# offsets and terms stay at 512 KiB each.
 CHUNK_TERMS = 1 << 16
 
 
@@ -197,8 +200,8 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
             if not _is_real(x):
                 raise _invalid_point(point, len(cells), x, x)
             try:
-                x = float(x)
-            except OverflowError:  # an int or Fraction beyond the float range
+                x = _widened(x)
+            except OverflowError:
                 raise _invalid_point(point, len(cells), x, x) from None
         u = x / hj
         if not abs(u) < _CELL_LIMIT:
@@ -222,11 +225,19 @@ def _is_real(x) -> bool:
     return isinstance(x, _REAL) and not isinstance(x, np.timedelta64)
 
 
+def _widened(x) -> float:
+    """float(x) for a real x; OverflowError for one beyond the float range, where np.longdouble's cast gives inf."""
+    v = float(x)  # an int or Fraction beyond the range raises OverflowError here
+    if math.isinf(v) and x != v:
+        raise OverflowError(f"{x!r} is beyond the float range")
+    return v
+
+
 def _shown(v):
     """A coordinate as an error names it: a real as a float where one holds it, a complex as complex, else as given."""
     if _is_real(v):
         try:
-            return float(v)
+            return _widened(v)
         except OverflowError:
             return v
     return complex(v) if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) else v
@@ -425,10 +436,11 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
 
     ``points`` has shape (N, D).  The result, of shape (N,), is bit for bit
     what the scalar functions return point by point.  A bool, integer or
-    float array of two or more points, with a good kind and orders, runs the
-    engine: each step repeats the scalar floating-point operations in their
-    order, vectorised across the points of a block (see CHUNK_TERMS).  Every
-    other call is :func:`evaluate_derivative` on each of the caller's rows.
+    float array (not longdouble) of two or more points, with a good kind and
+    orders, runs the engine: each step repeats the scalar floating-point
+    operations in their order, vectorised across the points of a stage or a
+    block (see CHUNK_TERMS).  Every other call is :func:`evaluate_derivative`
+    on each of the caller's rows.
     A periodic field is padded once per engine call, a temporary
     prod(d_j + q - 1) * 8 bytes, so pass all points in one call.
     Bad input raises what the scalar path raises for the first bad point:
@@ -447,7 +459,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
             _require_grid_kind(kind)
             raise
         family = None
-    if family is None or len(pts) < 2 or pts.dtype.kind not in "biuf":
+    if family is None or len(pts) < 2 or pts.dtype.kind not in "biuf" or pts.dtype.itemsize > 8:  # > 8: longdouble
         # the scalar entry on the caller's own rows: its bits, or its error for the first bad point
         return np.array([evaluate_derivative(field, tuple(p), kind, orders) for p in points])
     pts = pts.astype(np.float64, copy=False)
@@ -456,23 +468,27 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
     strides = np.array(ext.strides) // ext.itemsize
     offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
-    block = max(2, CHUNK_TERMS // q**ndim)  # points
-    points = min(block, len(pts))
-    gamma, span = points * ndim * q, points * q**ndim
-    # one workspace: the block's weights, then the gather offsets (then, as floats, the weight tensor), the
-    # terms and the weight product before the last axis; the weights' scratch, (D + q/2) floats a point, fits
-    # in the 2 * q**D + q**(D-1) floats a point after the weights
+    block = max(2, CHUNK_TERMS // q**ndim)  # points of a patch step
+    stage = max(block, CHUNK_TERMS // (ndim * q))  # points of a per-point step: as many weights as terms
+    gamma, span = min(stage, len(pts)) * ndim * q, min(block, len(pts)) * q**ndim
+    # one workspace: the stage's weights, then the gather offsets (then, as floats, the weight tensor), the
+    # terms and the weight product before the last axis; the weights' scratch, (D + q/2) floats a point of the
+    # stage, fits in the 2 * q**D + q**(D-1) floats a point of the block after the weights
     work = np.empty(gamma + 2 * span + span // q)
     front, terms, partial = np.split(work[gamma:], [span, 2 * span])
     out = np.empty(len(pts))
     flat = ext.ravel()
     horner = stacked_table(forms)
-    for lo in range(0, len(pts), block):
-        hi = min(lo + block, len(pts))
-        lo = min(lo, hi - 2)  # a one-point tail is taken with its neighbour, computed twice to the same bits
+    # a one-point tail, of the call or of a stage, is taken with its neighbour, computed twice to the same bits
+    for lo in range(0, len(pts), stage):
+        hi = min(lo + stage, len(pts))
+        lo = min(lo, hi - 2)
         base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], horner, work)
-        _contract(flat, offsets, base, gammas, front, terms, partial, out[lo:hi])
-        del base  # free the corners before the next block's per-point stage runs
+        for a in range(0, hi - lo, block):
+            b = min(a + block, hi - lo)
+            a = min(a, b - 2)
+            _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, partial, out[lo + a : lo + b])
+        del base  # free the corners before the next stage's per-point steps run
     out *= scale
     return out
 
@@ -584,7 +600,12 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
         value = provider(orders, node)
         if not _is_real(value):
             raise ValueError(f"provider value {value!r} for orders {orders} at node {node} is not a real number")
-        data.append(value)
+        try:
+            data.append(_widened(value))  # a narrow or wide numpy float would keep its own precision in the sum
+        except OverflowError:
+            raise ValueError(
+                f"provider value {value!r} for orders {orders} at node {node} is beyond the float range"
+            ) from None
     return _accumulate(data, [family.form.kernel(float(x)) for x in point])
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gridsplines import field as field_module
 from gridsplines.basis import SplineKind
-from gridsplines.errors import OutOfDomain
+from gridsplines.errors import DerivativeTooHigh, InvalidKind, OutOfDomain
 from gridsplines.field import (
     PERIODIC,
     STRICT,
@@ -35,6 +35,11 @@ def _bits(values) -> bytes:
 def _block(ndim: int, q: int) -> int:
     """Points per block of evaluate_many under the CHUNK_TERMS in force."""
     return max(2, field_module.CHUNK_TERMS // q**ndim)
+
+
+def _stage(ndim: int, q: int) -> int:
+    """Points per stage of evaluate_many's per-point steps under the CHUNK_TERMS in force."""
+    return max(_block(ndim, q), field_module.CHUNK_TERMS // (ndim * q))
 
 
 @st.composite
@@ -189,6 +194,23 @@ def test_batched_leaves_field_data_unchanged_and_read_only(boundary):
     assert not field.data.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "kind,orders,error",
+    [((5, 4), None, InvalidKind), ([5, 4], None, InvalidKind), (SplineKind(5, 4), (0.5, 0), ValueError),
+     (SplineKind(5, 4), (0, 3), DerivativeTooHigh), (SplineKind(5, 4), (0,), ValueError)],
+    ids=["tuple kind", "list kind", "order 0.5", "order too high", "one order"],
+)
+def test_a_zero_point_call_checks_the_kind_and_the_orders(kind, orders, error):
+    # no point to evaluate, yet the kind and orders raise the scalar entry's error
+    field = GridField(np.zeros((6, 6)), h=1.0)
+    with pytest.raises(error) as scalar:
+        evaluate_derivative(field, (1.5, 2.5), kind, orders)
+    with pytest.raises(error) as batched:
+        evaluate_many(field, np.empty((0, 2)), kind, orders)
+    assert str(batched.value) == str(scalar.value)
+    assert evaluate_many(field, np.empty((0, 2)), SplineKind(5, 4), (2, 0)).shape == (0,)
+
+
 # (D, kind, orders)
 BLOCK_CASES = [(1, (19, 12), (3,)), (2, (9, 6), (0, 4)), (3, (5, 4), (2, 0, 1)), (3, (19, 12), (0, 9, 1))]
 
@@ -224,7 +246,8 @@ def test_strict_error_names_the_first_bad_point_of_a_later_block(ndim, nq, order
             assert str(batched.value) == str(scalar.value)
 
 
-# (D, kind, points) spanning several blocks with CHUNK_TERMS = 2**13: 2 048, 227, 128 and 32 points a block
+# (D, kind, points) spanning several stages with CHUNK_TERMS = 2**13: 2 048, 227, 128 and 32 points a block,
+# 2 048, 682, 682 and 512 a stage
 RETUNED_CASES = [(1, (5, 4), 7000), (2, (9, 6), 4000), (3, (5, 4), 4000), (4, (5, 4), 4000)]
 
 
@@ -232,10 +255,10 @@ RETUNED_CASES = [(1, (5, 4), 7000), (2, (9, 6), 4000), (3, (5, 4), 4000), (4, (5
 def test_workspace_holds_the_weights_scratch_under_retuned_constants(monkeypatch, ndim, nq, count):
     monkeypatch.setattr(field_module, "CHUNK_TERMS", 1 << 13)
     kind = SplineKind(*nq)
-    block = _block(ndim, kind.q)
+    block, stage = _block(ndim, kind.q), _stage(ndim, kind.q)
     span = block * kind.q**ndim
-    # a block's per-axis weights need (D + q/2) floats a point of scratch, which the patch area after them holds
-    assert (ndim + kind.q // 2) * block <= 2 * span + span // kind.q
+    # a stage's per-axis weights need (D + q/2) floats a point of scratch, which the patch area after them holds
+    assert (ndim + kind.q // 2) * stage <= 2 * span + span // kind.q
     rng = np.random.default_rng(ndim)
     field = GridField(rng.standard_normal((9,) * ndim), h=0.5)
     points = rng.uniform(-1.0, 6.0, size=(count, ndim))
@@ -256,6 +279,26 @@ def test_chunk_terms_sweep_keeps_the_bits(monkeypatch, chunk_terms):
         picks = sorted({*range(0, len(points), 97), block - 1, block, len(points) - 2, len(points) - 1})
         want = [evaluate(field, p, kind) for p in points[picks].tolist()]
         assert _bits(evaluate_many(field, points, kind)[picks]) == _bits(want), (ndim, nq)
+
+
+@pytest.mark.parametrize("chunk_terms", [1 << 10, 1 << 13, 1 << 16])
+def test_stage_sweep_keeps_the_bits(monkeypatch, chunk_terms):
+    # stages of several blocks: a call may end in a one-point stage or a one-point block, and each is taken with
+    # its neighbour; at 2**10, a 2-D (9,6) stage of 85 points ends in a one-point block of its own
+    monkeypatch.setattr(field_module, "CHUNK_TERMS", chunk_terms)
+    for ndim, nq in [(2, (9, 6)), (3, (5, 4)), (3, (19, 12))]:
+        kind = SplineKind(*nq)
+        block, stage = _block(ndim, kind.q), _stage(ndim, kind.q)
+        assert stage > block
+        rng = np.random.default_rng(ndim)
+        field = GridField(rng.standard_normal((9,) * ndim), h=0.5)
+        points = rng.uniform(-1.0, 6.0, size=(2 * stage + 1, ndim))
+        # one past a block, a stage, a stage and a block, and two stages: each ends in a one-point tail
+        for count in (block + 1, stage + 1, stage + block + 1, 2 * stage + 1):
+            edges = {a + d for a in range(0, count, block) for d in (-1, 0)} | {count - 2, count - 1}
+            picks = sorted(i for i in edges | {*range(0, count, 97)} if 0 <= i < count)
+            want = [evaluate(field, p, kind) for p in points[picks].tolist()]
+            assert _bits(evaluate_many(field, points[:count], kind)[picks]) == _bits(want), (ndim, nq, count)
 
 
 def _call_peaks(field, kind, batches) -> list:
@@ -286,35 +329,36 @@ def test_peak_memory_does_not_grow_with_the_point_count():
     # one workspace per call, sized by the kind and the field, not by the number of points
     kind = SplineKind(5, 4)
     field = GridField(np.random.default_rng(0).standard_normal((32,) * 3), h=1 / 32)
-    peaks = _call_peaks(field, kind, [np.random.default_rng(count).random((count, 3)) for count in (4000, 40000)])
+    counts = [n * _stage(3, kind.q) + 1 for n in (3, 10)]  # 5 461-point stages; each count ends in a one-point tail
+    peaks = _call_peaks(field, kind, [np.random.default_rng(count).random((count, 3)) for count in counts])
     assert peaks[0] == peaks[1]
-    # both counts above span several blocks; one block against three shows an array a block keeps while the
-    # next block's per-point stage runs (8 bytes a point: 128 KiB for the 16 384-point blocks of 1-D q = 4)
+    # both counts above span several stages; one stage against three shows an array a stage keeps while the
+    # next stage's per-point steps run (8 bytes a point: 128 KiB for the 16 384-point stages of 1-D q = 4)
     kind = SplineKind(3, 4)
-    block = _block(1, kind.q)
+    stage = _stage(1, kind.q)
     field = GridField(np.random.default_rng(0).standard_normal(4096), h=1 / 4096)
     old = np.setbufsize(16)  # numpy's ufunc buffers held down, so that the arrays of the module show
     try:
-        peaks = _call_peaks(field, kind, [np.random.default_rng(n).random((n * block, 1)) for n in (1, 3)])
+        peaks = _call_peaks(field, kind, [np.random.default_rng(n).random((n * stage, 1)) for n in (1, 3)])
     finally:
         np.setbufsize(old)
     assert abs(peaks[1] - peaks[0]) <= 1024, peaks
 
 
 def test_peak_memory_matches_the_documented_formula():
-    # the field module's formula: the padded copy, the workspace, and per point of a block about 26 * D bytes
-    # of coordinate and index arrays; 4000 points fill whole blocks
+    # the field module's formula: the padded copy, the workspace, and per point of a stage about 26 * D bytes
+    # of coordinate and index arrays; 4000 points fit in one stage (of up to 5 461 points) and span four blocks
     kind = SplineKind(5, 4)
     dims, count = (32,) * 3, 4000
     field = GridField(np.random.default_rng(0).standard_normal(dims), h=1 / 32)
     points = np.random.default_rng(1).random((count, 3))
-    block = _block(3, kind.q)
+    block, stage = _block(3, kind.q), min(_stage(3, kind.q), count)
     span = min(block, count) * kind.q**3
     padded = 8 * int(np.prod([d + kind.q - 1 for d in dims]))
-    workspace = 8 * (min(block, count) * 3 * kind.q + 2 * span + span // kind.q)
-    formula = padded + workspace + 26 * 3 * min(block, count)
-    # tracing allocates a few KiB more (offsets, Horner rows, Python objects); a spare block-sized float array,
-    # 8 * D bytes a point, adds 24 KiB
+    workspace = 8 * (stage * 3 * kind.q + 2 * span + span // kind.q)
+    formula = padded + workspace + 26 * 3 * stage
+    # tracing allocates a few KiB more (offsets, Horner rows, Python objects); a spare stage-sized float array,
+    # 8 * D bytes a point, adds 94 KiB
     slack = 12 * 1024
     # numpy's ufunc buffers (64 KiB each by default) are held down, so that the arrays of the module show
     old = np.setbufsize(16)

@@ -641,6 +641,7 @@ COORDINATES = st.one_of(
     st.floats(),
     st.floats(-20.0, 20.0),
     st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -2.0**63, 5e-324]),  # non-finite, huge and tiny
+    st.sampled_from([np.longdouble("1e400"), -np.longdouble("1e400")]),  # finite, beyond the float range
     st.integers(),
     st.builds(lambda t, x: t(x), st.sampled_from(_NUMPY_REALS), st.integers(0, 20)),
     st.builds(np.float32, st.floats(-20.0, 20.0, width=32)),
@@ -685,8 +686,13 @@ def test_both_paths_reject_a_coordinate_that_is_not_a_real_number(bad):
             call()
 
 
-@pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative", "fraction"])
+@pytest.mark.parametrize(
+    "huge",
+    [10**400, -(10**400), Fraction(10**400, 3), np.longdouble("1e400")],
+    ids=["int", "negative", "fraction", "longdouble"],
+)
 def test_both_paths_reject_a_coordinate_beyond_the_float_range(huge):
+    # a longdouble row makes a longdouble array, which evaluate_many hands to the scalar entry row by row
     f, kind = GridField(np.sin(np.arange(64.0)).reshape(8, 8), h=1.0), SplineKind(5, 4)
     named = re.escape(f"point (1.5, {huge!r}): coordinate {huge!r} on axis 1 is beyond the float range")
     for call in (lambda: evaluate(f, (1.5, huge), kind), lambda: evaluate_many(f, [(2.5, 1.5), (1.5, huge)], kind)):
@@ -878,6 +884,20 @@ def test_hermite_rejects_a_provider_value_that_is_not_real(bad):
     # numpy and Python real numbers all pass
     for good in (np.float32(1.0), np.int64(1), np.bool_(True), Fraction(1), True):
         assert evaluate_hermite(lambda orders, node, v=good: v if orders == (0, 0) else 0.0, (0.5, 0.25), 3) == 1.0
+
+
+def test_hermite_sums_each_provider_value_as_a_float():
+    # a float32 value is widened before the sum, as a float32 coordinate is: the float64 provider's bits
+    def provider(value):
+        return lambda orders, node: value if orders == (1,) else 0.25
+
+    want = evaluate_hermite(provider(float(np.float32(0.1))), (0.3,), 3)
+    got = evaluate_hermite(provider(np.float32(0.1)), (0.3,), 3)
+    assert type(got) is float and got == want
+    for huge in (10**400, Fraction(-(10**400), 3), np.longdouble("1e400")):
+        named = re.escape(f"provider value {huge!r} for orders (1,) at node (0,) is beyond the float range")
+        with pytest.raises(ValueError, match=named):
+            evaluate_hermite(provider(huge), (0.3,), 3)
 
 
 def test_hermite_consistent_with_grid_spline():
@@ -1194,6 +1214,13 @@ def test_container_bounds_axis_count_by_file_size(tmp_path):
     path = tmp_path / "huge.gfd"
     path.write_bytes(b"GRIDFLD1" + struct.pack("<I", 2**32 - 1) + b"\x00" * 16)
     with pytest.raises(ValueError, match="4294967295 axes need"):
+        load_field(path)
+
+
+def test_container_rejects_an_unknown_boundary_code(tmp_path):
+    path = tmp_path / "code.gfd"
+    path.write_bytes(container_header((3,), boundary=2) + b"\x00" * 24)
+    with pytest.raises(ValueError, match="code.gfd: unknown boundary code 2"):
         load_field(path)
 
 
