@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder
 from .exact import RationalPolynomial, _cached_on_int, _common_numerators, _is_integer, _over_common_denominator
-from .exact import rational_to_str, solve_linear_system, weighted_sum
+from .exact import _cached_on, rational_to_str, solve_linear_system, weighted_sum
 from .stencil import derive_stencil
 
 MAX_ORDER = 19  # largest validated odd order n
@@ -67,10 +67,7 @@ class SplineKind:
         object.__setattr__(self, "q", int(self.q))
         if self.n > 2 * self.q - 3:
             raise InvalidKind(f"order {self.n} exceeds 2q-3 = {2 * self.q - 3} for q = {self.q}")
-        object.__setattr__(self, "_hash", hash((self.n, self.q)))  # every scalar call hashes the kind
-
-    def __hash__(self):
-        return self._hash
+        object.__setattr__(self, "_key", (self.n, self.q))  # derive_beta's cache key, read on every scalar call
 
     @property
     def m(self) -> int:
@@ -342,13 +339,14 @@ def _require_grid_kind(kind: SplineKind) -> None:
         raise InvalidKind(f"kind {kind!r} is not a SplineKind: build one with SplineKind(n, q)")
 
 
-@lru_cache(maxsize=None)
+@_cached_on(SplineKind)
 def derive_beta(kind: SplineKind) -> BetaFamily:
     """Node-value basis via composition: difference weights feeding the alpha basis.
 
     The polynomial attached to node j collects every route by which f(j)
     reaches the cell: weight of f(j) in the order-l data at cell end i, times
-    the alpha member (i, l).  Cached per kind.
+    the alpha member (i, l).  Cached per kind; anything but a SplineKind
+    skips the cache and raises InvalidKind.
     """
     _require_grid_kind(kind)
     alpha = derive_alpha(kind.n)

@@ -8,7 +8,6 @@ import argparse
 import csv
 import json
 import math
-import resource
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -29,8 +28,8 @@ from .basis import (
     export_records,
     validate_family,
 )
-from .exact import RationalPolynomial, rational_from_str
-from .field import PERIODIC, GridField, evaluate, evaluate_derivative, evaluate_many, load_field
+from .exact import RationalPolynomial, _is_integer, rational_from_str
+from .field import PERIODIC, GridField, _is_real, evaluate, evaluate_derivative, evaluate_many, load_field
 from .stencil import derive_stencil
 
 
@@ -140,14 +139,19 @@ def run_convergence(func, dims: int, kinds, spacings, samples: int, seed: int) -
     ``default_rng(seed)``, and they are read-only: a ``func`` that writes into
     them raises.  A value that is not finite raises ValueError naming the
     point and the spacing; the sample points are checked with the first
-    spacing, after its grid nodes.
+    spacing, after its grid nodes.  ``samples`` must be an integer >= 1, and
+    each spacing a positive, finite number dividing the unit period.
     """
+    if not (_is_integer(samples) and samples >= 1):
+        raise ValueError(f"samples {samples!r} is not an integer >= 1")
     rows = []
     points = reference = None
     for n, q in kinds:
         kind = SplineKind(n, q)
         prev = None
         for h in spacings:
+            if not (_is_real(h) and 0.0 < h < math.inf):
+                raise ValueError(f"spacing {h!r} is not a positive, finite number")
             nodes = int(round(1.0 / h))
             if abs(nodes * h - 1.0) > 1e-12:
                 raise ValueError(f"spacing {h} does not divide the unit period")
@@ -195,9 +199,8 @@ def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
     With per-axis derivative ``orders``, the scalar path is
     :func:`evaluate_derivative` and the batched call passes the orders.
     Returns, per path, the min and median ns/evaluation over the repeats and
-    the evaluations/second of the median; for the batched path also the
-    minor page faults (``ru_minflt``) of its median call.  ``bitwise_identical``
-    says whether every batched result equals the scalar results bit for bit.
+    the evaluations/second of the median.  ``bitwise_identical`` says whether
+    every batched result equals the scalar results bit for bit.
     """
     points = np.asarray(points, dtype=np.float64)
     tuples = [tuple(p) for p in points.tolist()]
@@ -210,17 +213,14 @@ def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
     scalar_pass(tuples[:BENCH_WARMUP])
     evaluate_many(field, points[:BENCH_WARMUP], kind, orders)
     seconds = {"scalar": [], "batched": []}
-    faults = []
     identical = True
     for _ in range(BENCH_REPEATS):
         start = time.perf_counter()
         scalar = scalar_pass(tuples)
         seconds["scalar"].append(time.perf_counter() - start)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         batched = evaluate_many(field, points, kind, orders)
         seconds["batched"].append(time.perf_counter() - start)
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         identical = identical and np.array(scalar).tobytes() == batched.tobytes()
     paths = {}
     for name, runs in seconds.items():
@@ -230,7 +230,6 @@ def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
             "ns_per_eval": 1e9 * median / len(points),
             "evals_per_second": len(points) / median,
         }
-    paths["batched"]["minor_faults"] = sorted(zip(seconds["batched"], faults))[BENCH_REPEATS // 2][1]
     return {"repeats": BENCH_REPEATS, "paths": paths, "bitwise_identical": identical}
 
 
@@ -344,10 +343,9 @@ def cmd_bench(args) -> int:
     what = "evaluations" if orders is None else f"order-{args.order} derivatives"
     print(f"kind {kind}, grid {grid_text}, {len(points)} {what}, {report['repeats']} interleaved repeats")
     for path, stats in report["paths"].items():
-        faults = f"  {stats['minor_faults']} minor faults in the median call" if "minor_faults" in stats else ""
         print(
             f"  {path:8s} min {stats['min_ns_per_eval']:10.0f} ns/eval  median {stats['ns_per_eval']:10.0f} ns/eval"
-            f"  {stats['evals_per_second']:12.0f} evals/s{faults}"
+            f"  {stats['evals_per_second']:12.0f} evals/s"
         )
     print(f"  batched vs scalar bitwise identical: {report['bitwise_identical']}")
     return 0

@@ -10,9 +10,9 @@ Every scalar interpolant here is that one sum, :func:`_accumulate`: a patch of
 inputs against one weight vector per axis, multiplied out as :func:`_contract`
 forms its tensor (patch index (i_0..i_{D-1}) weighs ((gamma_0 * gamma_1) * ...)
 * gamma_{D-1}), each input times its weight added row-major, last axis
-innermost, to a sum that starts at 0.0.  Coordinates, cell fractions and
-provider values must be real numbers (numbers.Real or np.bool_, but not
-np.timedelta64) on every path.
+innermost, to a sum that starts at 0.0.  Coordinates, cell fractions,
+provider values and field data must be real numbers (numbers.Real or
+np.bool_, but not np.timedelta64) on every path.
 The scalar entries check their arguments, then run one private core,
 :func:`_at_cell`, on the (q,)*D node patch; the two parts of
 :func:`partitioned_evaluate` walk its two slabs on either side of the split,
@@ -92,7 +92,8 @@ class GridField:
     ``data`` is row-major with the last axis contiguous; node (j_1..j_D) sits
     at physical position (j_1*h_1, ..., j_D*h_D).  ``boundary`` selects how
     evaluation treats the edges: PERIODIC wraps indices, STRICT raises
-    :class:`OutOfDomain` when the stencil leaves the grid.
+    :class:`OutOfDomain` when the stencil leaves the grid.  Every data entry
+    must be a real number within the float range, as a coordinate must.
     """
 
     data: np.ndarray
@@ -102,7 +103,10 @@ class GridField:
     def __post_init__(self):
         if np.iscomplexobj(self.data):
             raise ValueError("field data is complex: a grid field holds real samples")
-        data = np.array(self.data, dtype=np.float64, order="C")
+        data = np.asarray(self.data)
+        if data.dtype.kind not in "biuf" or data.dtype.itemsize > 8:  # a numeric array (not longdouble) at once
+            data = np.array([_real_entry(v, index) for index, v in np.ndenumerate(data)]).reshape(data.shape)
+        data = np.array(data, dtype=np.float64, order="C")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         h = self.h if isinstance(self.h, (tuple, list)) or np.ndim(self.h) else (self.h,) * data.ndim  # 0-d: a scalar
@@ -142,6 +146,10 @@ class GridField:
         node on that axis, a constant function a scalar.  An extent that is
         not an integer >= 1 raises ValueError before ``func`` is called.
         """
+        try:
+            dims = tuple(dims)
+        except TypeError:
+            raise _not_a_sequence("dims", dims, "extent") from None
         for axis, d in enumerate(dims):
             if not (_is_integer(d) and d >= 1):
                 raise ValueError(f"extent {d!r} on axis {axis} is not an integer >= 1")
@@ -231,6 +239,16 @@ def _widened(x) -> float:
     if math.isinf(v) and x != v:
         raise OverflowError(f"{x!r} is beyond the float range")
     return v
+
+
+def _real_entry(v, index) -> float:
+    """A field data entry as a float; ValueError naming it and its index for one that is not real or too large."""
+    if not _is_real(v):
+        raise ValueError(f"field data entry {v!r} at index {index} is not a real number")
+    try:
+        return _widened(v)
+    except OverflowError:
+        raise ValueError(f"field data entry {v!r} at index {index} is beyond the float range") from None
 
 
 def _shown(v):
@@ -361,11 +379,7 @@ def _orders_and_scale(field: GridField, orders, lookup, family, frac) -> tuple:
 
 def _weights_and_patch(field, point, cell, frac, orders, kind):
     """The weights, prod h_j**-l_j and the (q,)*D patch at a checked cell."""
-    try:
-        family = derive_beta(kind)
-    except TypeError:  # a kind the cache cannot hash, such as a list
-        _require_grid_kind(kind)
-        raise
+    family = derive_beta(kind)
     gammas, scale = _orders_and_scale(field, orders, beta_eval, family, frac)
     try:
         return gammas, scale, gather_local(field, cell, family.g).values
@@ -454,9 +468,8 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     try:
         family = derive_beta(kind)
         forms, scale = _orders_and_scale(field, orders, lambda beta, l, _: beta.form(l), family, itertools.repeat(None))
-    except (TypeError, ValueError):  # TypeError: a kind derive_beta's cache cannot hash, such as a list
+    except ValueError:  # a bad kind or bad orders
         if not len(pts):
-            _require_grid_kind(kind)
             raise
         family = None
     if family is None or len(pts) < 2 or pts.dtype.kind not in "biuf" or pts.dtype.itemsize > 8:  # > 8: longdouble

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -172,6 +173,14 @@ def test_equal_kinds_hash_equal_and_share_one_derivation():
     assert derive_beta(twin) is derive_beta(kind)
     after = derive_beta.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+
+def test_a_kind_that_is_not_a_spline_kind_never_reaches_the_cache():
+    before = derive_beta.cache_info()
+    for kind in ([5, 4], (5, 4), None):
+        with pytest.raises(InvalidKind, match=re.escape(f"kind {kind!r} is not a SplineKind")):
+            derive_beta(kind)
+    assert derive_beta.cache_info() == before
 
 
 def hermite_matrix(n: int) -> list:

@@ -199,6 +199,21 @@ def test_eval_zero_polynomial():
     assert RationalPolynomial()(Fraction(7, 3)) == 0
 
 
+def test_polynomial_text_forms():
+    assert repr(RationalPolynomial([1, Fraction(1, 2)])) == "RationalPolynomial((Fraction(1, 1), Fraction(1, 2)))"
+    assert str(RationalPolynomial([1, 0, Fraction(-3, 4)])) == "(1) + (-3/4)*x^2"
+    assert str(RationalPolynomial()) == "0"
+
+
+def test_polynomial_arithmetic_with_a_number_is_not_implemented():
+    p = RationalPolynomial([1, 2])
+    for op in (lambda: p + 1, lambda: p - 1, lambda: 1 + p):
+        with pytest.raises(TypeError):
+            op()
+    assert (p == 1) is False and (p != 1) is True
+    assert p * 2 == RationalPolynomial([2, 4])  # a rational scalar is the one number * takes
+
+
 def test_canonical_form_idempotent():
     once = RationalPolynomial((1, 0, 2, 0, 0))
     twice = RationalPolynomial(once.coeffs)

@@ -391,6 +391,35 @@ def test_field_rejects_complex_data():
         GridField(np.full(8, 1 + 2j), h=1.0)
 
 
+@pytest.mark.parametrize(
+    "data,index,reason",
+    [
+        ([None, 1.0, 2.0, 3.0], (0,), "is not a real number"),
+        (np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"), (0,), "is not a real number"),
+        (np.array([[1, 2]], dtype="timedelta64[s]"), (0, 0), "is not a real number"),
+        (["1.0", "2.0"], (0,), "is not a real number"),
+        ([1.0, Decimal("2.5")], (1,), "is not a real number"),
+        ([1j, None], (0,), "is not a real number"),
+        ([10**400, 1.0], (0,), "is beyond the float range"),
+        (np.array([1.0, np.longdouble("1e400")], dtype=np.longdouble), (1,), "is beyond the float range"),
+    ],
+)
+def test_field_rejects_data_entries_that_are_not_real_floats(data, index, reason):
+    entry = repr(np.asarray(data)[index])
+    with pytest.raises(ValueError, match=re.escape(f"field data entry {entry} at index {index} {reason}")):
+        GridField(data, h=1.0)
+
+
+def test_sample_rejects_a_function_that_returns_none():
+    with pytest.raises(ValueError, match=re.escape("field data entry None at index (0, 0) is not a real number")):
+        GridField.sample(lambda p: None, (4, 2), 0.25)
+
+
+def test_field_widens_each_real_entry_of_an_object_array():
+    data = GridField([Fraction(1, 3), np.float32(0.1), True, 2], h=1.0).data
+    assert data.dtype == np.float64 and data.tolist() == [1 / 3, float(np.float32(0.1)), 1.0, 2.0]
+
+
 def test_sample_rejects_a_complex_function():
     with pytest.raises(ValueError, match="field data is complex"):
         GridField.sample(lambda p: np.exp(1j * p[0]), (8,), 0.125)
@@ -443,6 +472,11 @@ def test_scalar_entries_accept_float32_and_fraction_coordinates(entry):
 def test_sample_rejects_an_extent_that_is_not_a_positive_integer(extent, shown):
     with pytest.raises(ValueError, match=re.escape(f"extent {shown} on axis 1 is not an integer >= 1")):
         GridField.sample(lambda p: pytest.fail("func called"), (4, extent), 0.125)
+
+
+def test_sample_rejects_dims_that_are_not_a_sequence():
+    with pytest.raises(ValueError, match=re.escape("dims 8 is not a sequence: need one extent per axis")):
+        GridField.sample(lambda p: pytest.fail("func called"), 8, 1.0)
 
 
 def test_sample_takes_numpy_integer_extents():
@@ -602,9 +636,10 @@ PRECEDENCE = [
     ("p:kind|point", lambda: partitioned_evaluate(_F, _NAN, _TUPLE, 1, 3), InvalidKind, "not a SplineKind"),
     ("p:point|domain", lambda: partitioned_evaluate(_F, (99.0, math.nan), _K, 1, 3), InvalidPoint, "not finite"),
     ("p:domain", lambda: partitioned_evaluate(_F, _OUTSIDE, _K, 1, 3), OutOfDomain, r"^point \(3\.25, 2\.75\): cell"),
-    # GridField: complex data, axes, the grid constants (their count, then per axis a number, then positive and
-    # finite), a zero extent, the boundary
+    # GridField: complex data, a data entry that is not a real float, axes, the grid constants (their count, then
+    # per axis a number, then positive and finite), a zero extent, the boundary
     ("g:complex|axes", lambda: GridField(np.array(1j), h=()), ValueError, "field data is complex"),
+    ("g:real|axes", lambda: GridField(np.array(None), h=()), ValueError, r"entry None at index \(\) is not a real"),
     ("g:axes|count", lambda: GridField(np.array(3.0), h=(1.0,)), ValueError, "field data has no axes"),
     ("g:count|constant", lambda: GridField(np.zeros((0, 4)), h=(None,)), ValueError, "got 1 for 2 axes"),
     ("g:number|positive", lambda: GridField(np.zeros((0, 4)), h=(None, -1.0)), ValueError, "None on axis 0 is not a"),
@@ -759,12 +794,13 @@ LIST_KIND_ENTRIES = {
     "evaluate_at_cell": lambda f, kind: evaluate_at_cell(f, (3,), (0.5,), kind),
     "partitioned_evaluate": lambda f, kind: partitioned_evaluate(f, (0.5,), kind, 0, 3),
     "evaluate_many": lambda f, kind: evaluate_many(f, [[0.5], [1.5]], kind),
+    "derive_beta": lambda f, kind: derive_beta(kind),
 }
 
 
 @pytest.mark.parametrize("entry", LIST_KIND_ENTRIES)
 def test_a_list_kind_raises_invalid_kind(entry):
-    # derive_beta's cache cannot hash a list; the entries turn its TypeError into the kind check's error
+    # derive_beta checks the kind before its cache, which could not hash a list
     with pytest.raises(InvalidKind, match=re.escape("kind [5, 4] is not a SplineKind")):
         LIST_KIND_ENTRIES[entry](GridField(np.zeros(8), h=(1.0,)), [5, 4])
 
