@@ -139,11 +139,12 @@ def run_convergence(func, dims: int, kinds, spacings, samples: int, seed: int) -
     ``default_rng(seed)``, and they are read-only: a ``func`` that writes into
     them raises.  A value that is not finite raises ValueError naming the
     point and the spacing; the sample points are checked with the first
-    spacing, after its grid nodes.  ``samples`` must be an integer >= 1, and
-    each spacing a positive, finite number dividing the unit period.
+    spacing, after its grid nodes.  ``dims`` and ``samples`` must be integers
+    >= 1, and each spacing a positive, finite number dividing the unit period.
     """
-    if not (_is_integer(samples) and samples >= 1):
-        raise ValueError(f"samples {samples!r} is not an integer >= 1")
+    for name, value in (("dims", dims), ("samples", samples)):
+        if not (_is_integer(value) and value >= 1):
+            raise ValueError(f"{name} {value!r} is not an integer >= 1")
     rows = []
     points = reference = None
     for n, q in kinds:
@@ -200,9 +201,12 @@ def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
     :func:`evaluate_derivative` and the batched call passes the orders.
     Returns, per path, the min and median ns/evaluation over the repeats and
     the evaluations/second of the median.  ``bitwise_identical`` says whether
-    every batched result equals the scalar results bit for bit.
+    every batched result equals the scalar results bit for bit.  An empty
+    point set raises ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
+    if not len(points):
+        raise ValueError(f"points of shape {points.shape} are an empty point set: nothing to time")
     tuples = [tuple(p) for p in points.tolist()]
 
     def scalar_pass(tuples):

@@ -166,8 +166,7 @@ class GridField:
         return cls(data=data, h=h, boundary=boundary)
 
 
-# The scalar path builds one CellCoordinates and one LocalPatch per call; tuple.__new__
-# builds them at under half the cost of their generated __new__.
+# Built once per scalar call, by tuple.__new__ at under half the cost of the generated __new__.
 class CellCoordinates(NamedTuple):
     """Integer cell indices plus in-cell fractions, one pair per axis."""
 
@@ -180,7 +179,6 @@ class LocalPatch(NamedTuple):
 
     ``values`` has shape (q,)*D; storage index t along an axis corresponds to
     node offset t - g, so storage (g, ..., g) is the cell's lower corner.
-    It may be a read-only view of the field's data rather than a copy.
     """
 
     q: int
@@ -286,20 +284,24 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     when the extent is smaller than q, from any integer cell index; one that
     is not an integer (a bool included) raises ValueError naming its axis.
     """
-    data = field.data
-    shape = data.shape
     if not ((type(g) is int or _is_integer(g)) and g >= 1):
         raise ValueError(f"stencil half-width g {g!r} is not an integer >= 1")
     try:
-        if len(cell) != len(shape):
-            raise ValueError(f"cell has {len(cell)} indices, field has {len(shape)} axes")
+        if len(cell) != field.ndim:
+            raise ValueError(f"cell has {len(cell)} indices, field has {field.ndim} axes")
     except TypeError:
         raise _not_a_sequence("cell", cell, "index") from None
     g = int(g)  # a numpy integer would overflow the node range of a cell index near 2**63
+    return LocalPatch(2 * g + 2, _patch(field, cell, g))
+
+
+def _patch(field, cell, g):
+    """The (q,)*D patch of :func:`gather_local` at a cell of one index per axis, each checked here."""
+    data = field.data
     q = 2 * g + 2
     box = []
     wrapped = []
-    for c, extent in zip(cell, shape):  # len(box) is the axis
+    for c, extent in zip(cell, data.shape):  # len(box) is the axis
         if type(c) is not int:
             if not _is_integer(c):
                 raise ValueError(f"cell index {c!r} on axis {len(box)} is not an integer")
@@ -323,7 +325,7 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     values = data[tuple(box)]
     for axis, idx in wrapped:
         values = values.take(idx, axis=axis)
-    return tuple.__new__(LocalPatch, (q, values))
+    return values
 
 
 def _accumulate(values, gammas) -> float:
@@ -382,7 +384,7 @@ def _weights_and_patch(field, point, cell, frac, orders, kind):
     family = derive_beta(kind)
     gammas, scale = _orders_and_scale(field, orders, beta_eval, family, frac)
     try:
-        return gammas, scale, gather_local(field, cell, family.g).values
+        return gammas, scale, _patch(field, cell, family.g)
     except OutOfDomain as exc:
         if point is None:
             raise

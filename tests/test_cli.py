@@ -281,6 +281,20 @@ def test_run_convergence_rejects_bad_samples_and_spacings(samples, spacing, name
         run_convergence(FUNCTIONS["sin"], 1, [(5, 4)], [0.25, spacing], samples, 1)
 
 
+@pytest.mark.parametrize("dims", [1.5, "2", True, 0])
+def test_run_convergence_rejects_dims_that_is_not_a_positive_integer(dims):
+    sampled = []
+    with pytest.raises(ValueError, match=re.escape(f"dims {dims!r} is not an integer >= 1")):
+        run_convergence(lambda x: sampled.append(x) or 0.0, dims, [(5, 4)], [0.25], 10, 1)
+    assert sampled == []  # rejected before any sampling
+
+
+def test_run_benchmark_rejects_an_empty_point_set():
+    field = GridField(np.zeros(16), h=1.0)
+    with pytest.raises(ValueError, match=re.escape("points of shape (0, 1) are an empty point set")):
+        run_benchmark(field, SplineKind(5, 4), np.zeros((0, 1)))
+
+
 def test_converge_rejects_unknown_function(capsys):
     with pytest.raises(SystemExit):
         main(["converge", "--function", "nope"])

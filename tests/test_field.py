@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from exact_oracle import direct_evaluate, exact_weights_sum
+from gridsplines import field as field_module
 from gridsplines.basis import SplineKind, derive_beta
 from gridsplines.errors import DerivativeTooHigh, InvalidKind, InvalidPoint, OutOfDomain
 from gridsplines.field import (
@@ -223,21 +224,36 @@ GATHER_SHAPES = [
 @pytest.mark.parametrize("boundary", [PERIODIC, STRICT])
 @pytest.mark.parametrize("dims,g", GATHER_SHAPES, ids=[f"{'x'.join(map(str, d))}-g{g}" for d, g in GATHER_SHAPES])
 def test_gather_matches_wrapped_index_reference(dims, g, boundary):
-    # every cell whose stencil lies inside, touches either edge, or wraps past it, at any distance up to q + 1
+    # every cell whose stencil lies inside, touches either edge, or wraps past it, at any distance up to q + 1,
+    # or lies near +-2**62, with Python and numpy integer indices; the scalar core's read, field._patch, too
     q = 2 * g + 2
     f = GridField(np.random.default_rng(len(dims) + g).standard_normal(dims), h=1.0, boundary=boundary)
-    for cell in itertools.product(*(range(-q - 1, extent + q + 1) for extent in dims)):
+    far = [2**62, -(2**62), np.int64(2**62 + 5), np.int32(-3), np.uint8(2)]
+    for cell in itertools.product(*([*range(-q - 1, extent + q + 1), *far] for extent in dims)):
         try:
             want = reference_gather(f, cell, g)
         except OutOfDomain as exc:
-            with pytest.raises(OutOfDomain) as info:
-                gather_local(f, cell, g)
-            assert str(info.value) == str(exc)
+            for read in (gather_local, field_module._patch):
+                with pytest.raises(OutOfDomain) as info:
+                    read(f, cell, g)
+                assert str(info.value) == str(exc), cell
             continue
         patch = gather_local(f, cell, g)
         assert patch.q == q
         assert patch.values.shape == want.shape
         assert patch.values.tobytes() == want.tobytes()
+        values = field_module._patch(f, cell, g)
+        assert values.shape == want.shape and values.tobytes() == want.tobytes(), cell
+    # an index that is not an integer, on any axis, before or after one whose stencil leaves a strict grid
+    bad = [3.5, np.float64(1.0), True]
+    for cell in itertools.product(*([-q - 1, 0, extent, *bad] for extent in dims)):
+        if not any(c is b for c in cell for b in bad):
+            continue
+        with pytest.raises(ValueError) as want:
+            gather_local(f, cell, g)
+        with pytest.raises(ValueError) as info:
+            field_module._patch(f, cell, g)
+        assert type(info.value) is type(want.value) and str(info.value) == str(want.value), cell
 
 
 def test_gather_inside_the_grid_is_a_read_only_view():
