@@ -201,10 +201,12 @@ def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
     :func:`evaluate_derivative` and the batched call passes the orders.
     Returns, per path, the min and median ns/evaluation over the repeats and
     the evaluations/second of the median.  ``bitwise_identical`` says whether
-    every batched result equals the scalar results bit for bit.  An empty
-    point set raises ValueError.
+    every batched result equals the scalar results bit for bit.  Points not
+    of shape (N, D), or an empty point set, raise ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != field.ndim:
+        raise ValueError(f"points must have shape (N, {field.ndim}), got {points.shape}")
     if not len(points):
         raise ValueError(f"points of shape {points.shape} are an empty point set: nothing to time")
     tuples = [tuple(p) for p in points.tolist()]

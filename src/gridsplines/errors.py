@@ -40,10 +40,10 @@ class OutOfDomain(ValueError):
 
 
 class InvalidPoint(ValueError):
-    """A query point coordinate is complex or not finite, or its cell index does not fit in an int64.
+    """A point coordinate is not real, is complex, beyond the float range or not finite, or its cell index beyond int64.
 
-    ``point`` is the query point, as a tuple of floats (a complex coordinate
-    as a complex), and ``axis`` the axis of the bad coordinate.
+    ``point`` is the query point, as a tuple of floats (a complex coordinate as a
+    complex, any other non-float as given), and ``axis`` the bad coordinate's axis.
     """
 
     def __init__(self, message, *, point=None, axis=None):

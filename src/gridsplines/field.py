@@ -11,8 +11,8 @@ inputs against one weight vector per axis, multiplied out as :func:`_contract`
 forms its tensor (patch index (i_0..i_{D-1}) weighs ((gamma_0 * gamma_1) * ...)
 * gamma_{D-1}), each input times its weight added row-major, last axis
 innermost, to a sum that starts at 0.0.  Coordinates, cell fractions,
-provider values and field data must be real numbers (numbers.Real or
-np.bool_, but not np.timedelta64) on every path.
+provider values, field data and grid constants must be real numbers
+(numbers.Real or np.bool_, but not np.timedelta64) on every path.
 The scalar entries check their arguments, then run one private core,
 :func:`_at_cell`, on the (q,)*D node patch; the two parts of
 :func:`partitioned_evaluate` walk its two slabs on either side of the split,
@@ -93,7 +93,8 @@ class GridField:
     at physical position (j_1*h_1, ..., j_D*h_D).  ``boundary`` selects how
     evaluation treats the edges: PERIODIC wraps indices, STRICT raises
     :class:`OutOfDomain` when the stencil leaves the grid.  Every data entry
-    must be a real number within the float range, as a coordinate must.
+    and grid constant must be a real number within the float range, as a
+    coordinate must.
     """
 
     data: np.ndarray
@@ -101,11 +102,10 @@ class GridField:
     boundary: str = PERIODIC
 
     def __post_init__(self):
-        if np.iscomplexobj(self.data):
-            raise ValueError("field data is complex: a grid field holds real samples")
         data = np.asarray(self.data)
         if data.dtype.kind not in "biuf" or data.dtype.itemsize > 8:  # a numeric array (not longdouble) at once
-            data = np.array([_real_entry(v, index) for index, v in np.ndenumerate(data)]).reshape(data.shape)
+            entries = [_real(v, "field data entry {!r} at index {}", index) for index, v in np.ndenumerate(data)]
+            data = np.array(entries).reshape(data.shape)
         data = np.array(data, dtype=np.float64, order="C")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -115,10 +115,7 @@ class GridField:
         if len(h) != data.ndim:
             raise ValueError(f"need one grid constant per axis: got {len(h)} for {data.ndim} axes")
         for axis, v in enumerate(h):
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                raise ValueError(f"grid constant {v!r} on axis {axis} is not a number") from None
+            v = _real(v[()] if isinstance(v, np.ndarray) else v, "grid constant {!r} on axis {}", axis)  # 0-d: a scalar
             if not 0.0 < v < math.inf:
                 raise ValueError(f"grid constant {v!r} on axis {axis} is not positive and finite")
         if 0 in data.shape:
@@ -203,11 +200,9 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
     cells, fracs = [], []
     for x, hj in zip(point, h):  # len(cells): the axis
         if type(x) is not float:  # a numpy float would divide in its own precision, so it is widened first
-            if not _is_real(x):
-                raise _invalid_point(point, len(cells), x, x)
             try:
-                x = _widened(x)
-            except OverflowError:
+                x = _as_float(x)
+            except (TypeError, OverflowError):
                 raise _invalid_point(point, len(cells), x, x) from None
         u = x / hj
         if not abs(u) < _CELL_LIMIT:
@@ -231,32 +226,33 @@ def _is_real(x) -> bool:
     return isinstance(x, _REAL) and not isinstance(x, np.timedelta64)
 
 
-def _widened(x) -> float:
-    """float(x) for a real x; OverflowError for one beyond the float range, where np.longdouble's cast gives inf."""
-    v = float(x)  # an int or Fraction beyond the range raises OverflowError here
+def _as_float(x) -> float:
+    """float(x) for a real x; TypeError for any other x, OverflowError for one beyond the float range."""
+    if not _is_real(x):
+        raise TypeError(f"{x!r} is not a real number")
+    v = float(x)  # an int or Fraction beyond the range raises OverflowError here; np.longdouble's cast gives inf
     if math.isinf(v) and x != v:
         raise OverflowError(f"{x!r} is beyond the float range")
     return v
 
 
-def _real_entry(v, index) -> float:
-    """A field data entry as a float; ValueError naming it and its index for one that is not real or too large."""
-    if not _is_real(v):
-        raise ValueError(f"field data entry {v!r} at index {index} is not a real number")
+def _real(v, what: str, *args) -> float:
+    """:func:`_as_float` of an outside value; ValueError naming it as ``what.format(v, *args)`` where that fails."""
     try:
-        return _widened(v)
+        return _as_float(v)
+    except TypeError:
+        reason = "is not a real number"
     except OverflowError:
-        raise ValueError(f"field data entry {v!r} at index {index} is beyond the float range") from None
+        reason = "is beyond the float range"
+    raise ValueError(f"{what.format(v, *args)} {reason}")
 
 
 def _shown(v):
     """A coordinate as an error names it: a real as a float where one holds it, a complex as complex, else as given."""
-    if _is_real(v):
-        try:
-            return _widened(v)
-        except OverflowError:
-            return v
-    return complex(v) if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) else v
+    try:
+        return _as_float(v)
+    except (TypeError, OverflowError):
+        return complex(v) if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) else v
 
 
 def _invalid_point(point, axis: int, x, u) -> InvalidPoint:
@@ -609,18 +605,10 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
     family = derive_alpha(n)
     # (order, cell end) of each member of AlphaFamily.form, in its order
     walk = [(l, 0) for l in range(family.m + 1)] + [(l, 1) for l in range(family.m, -1, -1)]
-    data = []
+    data = []  # widened values: a narrow or wide numpy float would keep its own precision in the sum
     for idx in itertools.product(walk, repeat=len(point)):
-        orders, node = tuple(l for l, _ in idx), tuple(i for _, i in idx)
-        value = provider(orders, node)
-        if not _is_real(value):
-            raise ValueError(f"provider value {value!r} for orders {orders} at node {node} is not a real number")
-        try:
-            data.append(_widened(value))  # a narrow or wide numpy float would keep its own precision in the sum
-        except OverflowError:
-            raise ValueError(
-                f"provider value {value!r} for orders {orders} at node {node} is beyond the float range"
-            ) from None
+        orders, node = zip(*idx)
+        data.append(_real(provider(orders, node), "provider value {!r} for orders {} at node {}", orders, node))
     return _accumulate(data, [family.form.kernel(float(x)) for x in point])
 
 

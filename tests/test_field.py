@@ -376,9 +376,21 @@ def test_field_takes_a_0d_array_or_numpy_scalar_grid_constant(h):
     assert GridField.sample(lambda p: 0.0, (4, 4), h).h == want.h
 
 
-@pytest.mark.parametrize("bad", [None, "half", [1.0, 2.0], object()])
+# a grid constant passes the real-number test coordinates pass: text, Decimal and np.timedelta64 are not real numbers
+@pytest.mark.parametrize(
+    "bad", [None, "half", [1.0, 2.0], object(), "0.5", b"0.5", Decimal("0.5"), np.timedelta64(1, "ns")]
+)
 def test_grid_constant_that_is_not_a_number_is_rejected(bad):
-    named = f"grid constant {re.escape(repr(bad))} on axis 1 is not a number"
+    _assert_grid_constant_rejected(bad, "is not a real number")
+
+
+@pytest.mark.parametrize("bad", [10**400, np.longdouble("1e400")], ids=["int", "longdouble"])
+def test_grid_constant_beyond_the_float_range_is_rejected(bad):
+    _assert_grid_constant_rejected(bad, "is beyond the float range")
+
+
+def _assert_grid_constant_rejected(bad, reason):
+    named = f"grid constant {re.escape(repr(bad))} on axis 1 {reason}$"  # the value as given
     with pytest.raises(ValueError, match=named):
         GridField(np.zeros((4, 4)), h=(1.0, bad))
     with pytest.raises(ValueError, match=named):
@@ -403,7 +415,8 @@ def test_field_rejects_data_without_axes():
 
 
 def test_field_rejects_complex_data():
-    with pytest.raises(ValueError, match="field data is complex"):
+    named = re.escape(f"field data entry {np.complex128(1 + 2j)!r} at index (0,) is not a real number")
+    with pytest.raises(ValueError, match=named):
         GridField(np.full(8, 1 + 2j), h=1.0)
 
 
@@ -437,7 +450,8 @@ def test_field_widens_each_real_entry_of_an_object_array():
 
 
 def test_sample_rejects_a_complex_function():
-    with pytest.raises(ValueError, match="field data is complex"):
+    named = re.escape(f"field data entry {np.complex128(1)!r} at index (0,) is not a real number")
+    with pytest.raises(ValueError, match=named):
         GridField.sample(lambda p: np.exp(1j * p[0]), (8,), 0.125)
 
 
@@ -653,8 +667,8 @@ PRECEDENCE = [
     ("p:point|domain", lambda: partitioned_evaluate(_F, (99.0, math.nan), _K, 1, 3), InvalidPoint, "not finite"),
     ("p:domain", lambda: partitioned_evaluate(_F, _OUTSIDE, _K, 1, 3), OutOfDomain, r"^point \(3\.25, 2\.75\): cell"),
     # GridField: complex data, a data entry that is not a real float, axes, the grid constants (their count, then
-    # per axis a number, then positive and finite), a zero extent, the boundary
-    ("g:complex|axes", lambda: GridField(np.array(1j), h=()), ValueError, "field data is complex"),
+    # per axis a real number, then positive and finite), a zero extent, the boundary
+    ("g:complex|axes", lambda: GridField(np.array(1j), h=()), ValueError, r"entry .*1j.* at index \(\) is not a real"),
     ("g:real|axes", lambda: GridField(np.array(None), h=()), ValueError, r"entry None at index \(\) is not a real"),
     ("g:axes|count", lambda: GridField(np.array(3.0), h=(1.0,)), ValueError, "field data has no axes"),
     ("g:count|constant", lambda: GridField(np.zeros((0, 4)), h=(None,)), ValueError, "got 1 for 2 axes"),
