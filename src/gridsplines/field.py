@@ -22,34 +22,31 @@ of its slab.
 the alpha form's member order: index l <= m along an axis is order l at
 cell end 0, index 2m + 1 - l order l at cell end 1.
 
-:func:`evaluate_many` runs a batched engine on a bool, integer or float
-array (not longdouble) of two or more points whose kind and orders are
-good, and hands every other call to :func:`evaluate_derivative`, one row at
-a time.  The engine performs the same floating-point operations in the same
-order as :func:`evaluate`, vectorised across points, and is therefore
-bitwise identical to it.  Per stage of S = max(P, CHUNK_TERMS // (D * q))
-points, :func:`_block_weights` takes the coordinates, cell fold, patch
-corner and domain check, and every axis's weights at once
-(:func:`basis.stacked_weights`); per block of P = CHUNK_TERMS // q**D points
-(at least 2) of the stage, :func:`_contract` gathers every patch with one
-flat ``take`` at precomputed row-major offsets, forms the weight tensor, and
-sums the (q**D, points) terms with one ``np.add.reduce`` that adds the rows
-in row-major patch order, starting from 0.0.  A one-point tail of either is
-taken with its neighbour.  A periodic field is padded once per call with g
-ghost nodes below and g + 1 above each axis, so that every stencil, wrapped
-or not, is one box of the padded array.
+The batched engine of :func:`evaluate_many` performs the same floating-point
+operations in the same order as :func:`evaluate`, vectorised across points,
+and is therefore bitwise identical to it.  Per stage of
+S = max(P, CHUNK_TERMS // (D * q)) points, :func:`_block_weights` takes the
+coordinates, cell fold, patch corner and domain check, and every axis's
+weights at once (:func:`basis.stacked_weights`); per block of
+P = CHUNK_TERMS // q**D points (at least 2) of the stage, :func:`_contract`
+gathers every patch with one flat ``take`` at precomputed row-major offsets,
+forms the weight tensor, and sums the (q**D, points) terms with one
+``np.add.reduce`` that adds the rows in row-major patch order, starting from
+0.0.  A one-point tail of either is taken with its neighbour.  A periodic
+field is padded once per call with g ghost nodes below and g + 1 above each
+axis, so that every stencil, wrapped or not, is one box of the padded array.
 
 Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
 bytes; one workspace, which the Horner loop and every patch step write with
 ``out=``; each stage's per-point coordinate and index arrays, about 26 * D
-bytes a point; and NumPy's ufunc iterator buffer, np.getbufsize() floats.
+bytes a point; and NumPy's ufunc buffers, UFUNC_BUFFER floats an operand at
+most (the default np.getbufsize() is 8 192).
 The workspace holds the stage's weights, D * q * S floats; the gather
 offsets (int64, then the float weight tensor; before both, the weights'
 scratch, (D + q/2) * S floats) and the terms, q**D * P floats each, at most
 CHUNK_TERMS; and a q-th of that for the weight product before the last axis.
 For a 3-D (5,4) kind on a 32**3 grid and 4 000 points (one stage, 1 024-point
-blocks), that is 335 + 375 + 1 152 + 305 KiB, and tracemalloc sees 2 172 KiB
-(7 KiB more with the buffer at its default size).
+blocks), that is 335 + 375 + 1 152 + 305 KiB, and tracemalloc sees 2 173 KiB.
 
 The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
@@ -83,6 +80,9 @@ _REAL = (numbers.Real, np.bool_)  # numpy registers its integer and float types 
 # block and CHUNK_TERMS // (D * q) points (5 461, 1 820 and 5 461), so that the workspace's weights, gather
 # offsets and terms stay at 512 KiB each.
 CHUNK_TERMS = 1 << 16
+# The engine's ufunc buffer at most, in elements: NumPy runs each broadcasting call through it, and such a call
+# slows as it grows (an index add 3.5x, a weight product 1.5x at the default 8 192 against 1 024).
+UFUNC_BUFFER = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,8 +453,8 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     operations in their order, vectorised across the points of a stage or a
     block (see CHUNK_TERMS).  Every other call is :func:`evaluate_derivative`
     on each of the caller's rows.
-    A periodic field is padded once per engine call, a temporary
-    prod(d_j + q - 1) * 8 bytes, so pass all points in one call.
+    A periodic field is padded once per engine call (see the module's
+    memory note), so pass all points in one call.
     Bad input raises what the scalar path raises for the first bad point:
     :class:`InvalidPoint` for a coordinate that is not a real number, beyond
     the float range, not finite or beyond the int64 cell range,
@@ -473,35 +473,37 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     if family is None or len(pts) < 2 or pts.dtype.kind not in "biuf" or pts.dtype.itemsize > 8:  # > 8: longdouble
         # the scalar entry on the caller's own rows: its bits, or its error for the first bad point
         return np.array([evaluate_derivative(field, tuple(p), kind, orders) for p in points])
-    pts = pts.astype(np.float64, copy=False)
-    g, q, ndim = family.g, family.q, field.ndim
-    # with g ghost nodes below and g + 1 above, every periodic stencil is one box of ext
-    ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
-    strides = np.array(ext.strides) // ext.itemsize
-    offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
-    block = max(2, CHUNK_TERMS // q**ndim)  # points of a patch step
-    stage = max(block, CHUNK_TERMS // (ndim * q))  # points of a per-point step: as many weights as terms
-    gamma, span = min(stage, len(pts)) * ndim * q, min(block, len(pts)) * q**ndim
-    # one workspace: the stage's weights, then the gather offsets (then, as floats, the weight tensor), the
-    # terms and the weight product before the last axis; the weights' scratch, (D + q/2) floats a point of the
-    # stage, fits in the 2 * q**D + q**(D-1) floats a point of the block after the weights
-    work = np.empty(gamma + 2 * span + span // q)
-    front, terms, partial = np.split(work[gamma:], [span, 2 * span])
-    out = np.empty(len(pts))
-    flat = ext.ravel()
-    horner = stacked_table(forms)
-    # a one-point tail, of the call or of a stage, is taken with its neighbour, computed twice to the same bits
-    for lo in range(0, len(pts), stage):
-        hi = min(lo + stage, len(pts))
-        lo = min(lo, hi - 2)
-        base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], horner, work)
-        for a in range(0, hi - lo, block):
-            b = min(a + block, hi - lo)
-            a = min(a, b - 2)
-            _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, partial, out[lo + a : lo + b])
-        del base  # free the corners before the next stage's per-point steps run
-    out *= scale
-    return out
+    old = np.setbufsize(min(np.getbufsize(), UFUNC_BUFFER))
+    try:
+        pts = pts.astype(np.float64, copy=False)
+        g, q, ndim = family.g, family.q, field.ndim
+        # with g ghost nodes below and g + 1 above, every periodic stencil is one box of ext
+        ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
+        strides = np.array(ext.strides) // ext.itemsize
+        offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
+        block = max(2, CHUNK_TERMS // q**ndim)  # points of a patch step
+        stage = max(block, CHUNK_TERMS // (ndim * q))  # points of a per-point step: as many weights as terms
+        gamma, span = min(stage, len(pts)) * ndim * q, min(block, len(pts)) * q**ndim
+        # one workspace, laid out as the module docstring says
+        work = np.empty(gamma + 2 * span + span // q)
+        front, terms, partial = np.split(work[gamma:], [span, 2 * span])
+        out = np.empty(len(pts))
+        flat = ext.ravel()
+        horner = stacked_table(forms)
+        # a one-point tail, of the call or of a stage, is taken with its neighbour, computed twice to the same bits
+        for lo in range(0, len(pts), stage):
+            hi = min(lo + stage, len(pts))
+            lo = min(lo, hi - 2)
+            base, gammas = _block_weights(field, pts[lo:hi], kind, strides, flat.size - offsets[-1, 0], horner, work)
+            for a in range(0, hi - lo, block):
+                b = min(a + block, hi - lo)
+                a = min(a, b - 2)
+                _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, partial, out[lo + a : lo + b])
+            del base  # free the corners before the next stage's per-point steps run
+        out *= scale
+        return out
+    finally:
+        np.setbufsize(old)
 
 
 def _block_weights(field, pts, kind, strides, limit, horner, weights) -> tuple:

@@ -1,5 +1,6 @@
 """evaluate_many against the scalar path it vectorises: bit for bit, errors included."""
 
+import contextlib
 import gc
 import itertools
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from gridsplines import field as field_module
 from gridsplines.basis import SplineKind
-from gridsplines.errors import DerivativeTooHigh, InvalidKind, OutOfDomain
+from gridsplines.errors import DerivativeTooHigh, InvalidKind, InvalidPoint, OutOfDomain
 from gridsplines.field import (
     PERIODIC,
     STRICT,
@@ -266,25 +267,47 @@ def test_workspace_holds_the_weights_scratch_under_retuned_constants(monkeypatch
     assert _bits(evaluate_many(field, points, kind)[::97]) == _bits(want)
 
 
+# a caller's ufunc buffer below, at and above the engine's cap (field.UFUNC_BUFFER), numpy's default among them
+BUFFER_SIZES = [16, 1 << 10, 1 << 13, 1 << 16]
+
+
+def _picked_under_each_buffer(field, points, kind, orders, picks) -> dict:
+    """The bits of ``evaluate_many(...)[picks]`` with each of BUFFER_SIZES as the caller's ufunc buffer."""
+    found = {}
+    for size in BUFFER_SIZES:
+        old = np.setbufsize(size)
+        try:
+            found[size] = _bits(evaluate_many(field, points, kind, orders)[picks])
+        finally:
+            np.setbufsize(old)
+    return found
+
+
 @pytest.mark.parametrize("chunk_terms", [1, 1 << 13, 1 << 18])
 def test_chunk_terms_sweep_keeps_the_bits(monkeypatch, chunk_terms):
-    # 2-point blocks, smaller and larger blocks than the default: the block size changes no bit
+    # 2-point blocks, smaller and larger blocks than the default, each under every caller's ufunc buffer: neither
+    # changes a bit, for values and first derivatives, on either boundary
     monkeypatch.setattr(field_module, "CHUNK_TERMS", chunk_terms)
     for ndim, nq in [(1, (5, 4)), (2, (9, 6)), (3, (5, 4)), (4, (5, 4))]:
         kind = SplineKind(*nq)
         block = _block(ndim, kind.q)
         rng = np.random.default_rng(ndim)
-        field = GridField(rng.standard_normal((9,) * ndim), h=0.5)
+        data = rng.standard_normal((9,) * ndim)
         points = rng.uniform(-1.0, 6.0, size=(2 * block + 1, ndim))  # ends in a one-point tail
+        inside = rng.uniform(1.0, 3.0, size=points.shape)  # every stencil inside the 9-node strict grid
         picks = sorted({*range(0, len(points), 97), block - 1, block, len(points) - 2, len(points) - 1})
-        want = [evaluate(field, p, kind) for p in points[picks].tolist()]
-        assert _bits(evaluate_many(field, points, kind)[picks]) == _bits(want), (ndim, nq)
+        for (boundary, pts), orders in itertools.product([(PERIODIC, points), (STRICT, inside)], [None, (1,) * ndim]):
+            field = GridField(data, h=0.5, boundary=boundary)
+            want = _bits([evaluate_derivative(field, p, kind, orders) for p in pts[picks].tolist()])
+            found = _picked_under_each_buffer(field, pts, kind, orders, picks)
+            assert found == dict.fromkeys(BUFFER_SIZES, want), (ndim, nq, boundary, orders)
 
 
 @pytest.mark.parametrize("chunk_terms", [1 << 10, 1 << 13, 1 << 16])
 def test_stage_sweep_keeps_the_bits(monkeypatch, chunk_terms):
-    # stages of several blocks: a call may end in a one-point stage or a one-point block, and each is taken with
-    # its neighbour; at 2**10, a 2-D (9,6) stage of 85 points ends in a one-point block of its own
+    # stages of several blocks, under every caller's ufunc buffer: a call may end in a one-point stage or a
+    # one-point block, and each is taken with its neighbour; at 2**10, a 2-D (9,6) stage of 85 points ends in a
+    # one-point block of its own
     monkeypatch.setattr(field_module, "CHUNK_TERMS", chunk_terms)
     for ndim, nq in [(2, (9, 6)), (3, (5, 4)), (3, (19, 12))]:
         kind = SplineKind(*nq)
@@ -297,8 +320,9 @@ def test_stage_sweep_keeps_the_bits(monkeypatch, chunk_terms):
         for count in (block + 1, stage + 1, stage + block + 1, 2 * stage + 1):
             edges = {a + d for a in range(0, count, block) for d in (-1, 0)} | {count - 2, count - 1}
             picks = sorted(i for i in edges | {*range(0, count, 97)} if 0 <= i < count)
-            want = [evaluate(field, p, kind) for p in points[picks].tolist()]
-            assert _bits(evaluate_many(field, points[:count], kind)[picks]) == _bits(want), (ndim, nq, count)
+            want = _bits([evaluate(field, p, kind) for p in points[picks].tolist()])
+            found = _picked_under_each_buffer(field, points[:count], kind, None, picks)
+            assert found == dict.fromkeys(BUFFER_SIZES, want), (ndim, nq, count)
 
 
 def _call_peaks(field, kind, batches) -> list:
@@ -360,7 +384,7 @@ def test_peak_memory_matches_the_documented_formula():
     # tracing allocates a few KiB more (offsets, Horner rows, Python objects); a spare stage-sized float array,
     # 8 * D bytes a point, adds 94 KiB
     slack = 12 * 1024
-    # numpy's ufunc buffers (64 KiB each by default) are held down, so that the arrays of the module show
+    # numpy's ufunc buffers (UFUNC_BUFFER floats each in the engine) are held down, so the module's arrays show
     old = np.setbufsize(16)
     tracemalloc.start()
     try:
@@ -384,3 +408,32 @@ def test_patch_range_is_checked_per_point_before_the_gather():
     points = np.array([(1.0, 1.0), (4.5, 2.0)])  # the second patch would need rows 4..7 of 6
     with pytest.raises(IndexError, match=r"patch corners 7\.\.26 leave the flat range 0\.\.14"):
         _block_weights(field, points, kind, np.array([6, 1]), limit, np.zeros((1, 2, 4, 1)), np.empty(16))
+
+
+@pytest.mark.parametrize("failure", [None, InvalidPoint, OutOfDomain, IndexError])
+def test_the_callers_ufunc_buffer_is_left_as_found(monkeypatch, failure):
+    # the engine runs under the smaller of the caller's buffer and its cap, and restores the caller's, also when
+    # it raises: for a nan row, for a strict stencil past the edge, and for the patch-range check of the test above
+    # (the unpadded strides and limit below)
+    kind = SplineKind(5, 4)
+    field = GridField(np.zeros((6, 6)), h=1.0, boundary=STRICT if failure is OutOfDomain else PERIODIC)
+    points = np.array([(1.0, 1.0), (np.nan if failure is InvalidPoint else 4.5, 2.0)])
+    seen = []
+    block_weights = field_module._block_weights
+
+    def recorded(field, pts, kind, strides, limit, horner, weights):
+        seen.append(np.getbufsize())
+        if failure is IndexError:
+            strides, limit = np.array([6, 1]), field.data.size - (kind.q - 1) * 7
+        return block_weights(field, pts, kind, strides, limit, horner, weights)
+
+    monkeypatch.setattr(field_module, "_block_weights", recorded)
+    for size in BUFFER_SIZES:
+        old = np.setbufsize(size)
+        try:
+            with pytest.raises(failure) if failure else contextlib.nullcontext():
+                evaluate_many(field, points, kind)
+            assert np.getbufsize() == size
+        finally:
+            np.setbufsize(old)
+    assert seen == [min(size, field_module.UFUNC_BUFFER) for size in BUFFER_SIZES]

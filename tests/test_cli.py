@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import types
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from gridsplines import basis, cli, stencil
 from gridsplines.basis import SplineKind, derive_beta
 from gridsplines.cli import FUNCTIONS, ConvergenceRow, main, run_benchmark, run_convergence, run_validation
+from gridsplines.errors import InvalidPoint
 from gridsplines.exact import RationalPolynomial, rational_from_str
 from gridsplines.field import GridField, evaluate, evaluate_many, save_field
 
@@ -301,6 +303,26 @@ def test_run_benchmark_rejects_an_empty_point_set():
     field = GridField(np.zeros(16), h=1.0)
     with pytest.raises(ValueError, match=re.escape("points of shape (0, 1) are an empty point set")):
         run_benchmark(field, SplineKind(5, 4), np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "points,named",
+    [
+        (np.array([[0.5 + 1j], [2.0]]), "coordinate (0.5+1j) on axis 0 is complex"),
+        ([[1j], [2.0]], "coordinate 1j on axis 0 is complex"),
+        ([[None], [2.0]], "coordinate None on axis 0 is not a real number"),
+        ([["x"], [2.0]], "coordinate 'x' on axis 0 is not a real number"),
+    ],
+    ids=["complex array", "complex entry", "None", "string"],
+)
+def test_run_benchmark_names_a_bad_coordinate_before_any_timing(monkeypatch, points, named):
+    # no cast to float ahead of the library: it would drop an imaginary part, or turn None into nan
+    def clock():
+        raise AssertionError("timed before the points were checked")
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=clock))
+    with pytest.raises(InvalidPoint, match=re.escape(named)):
+        run_benchmark(GridField(np.zeros(16), h=1.0), SplineKind(5, 4), points)
 
 
 def test_converge_rejects_unknown_function(capsys):
