@@ -201,16 +201,15 @@ def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
     :func:`evaluate_derivative` and the batched call passes the orders.
     Returns, per path, the min and median ns/evaluation over the repeats and
     the evaluations/second of the median.  ``bitwise_identical`` says whether
-    every batched result equals the scalar results bit for bit.  Points not
-    of shape (N, D), or an empty point set, raise ValueError; a bad
-    coordinate raises :func:`evaluate_many`'s error, before any timing.
+    every batched result equals the scalar results bit for bit.  Before any
+    timing, points that are not of shape (N, D), a ragged list or a bad
+    coordinate raise :func:`evaluate_many`'s error, and an empty point set
+    ValueError.
     """
-    rows, points = points, np.asarray(points)  # no cast: the library checks the caller's values
-    if points.ndim != 2 or points.shape[1] != field.ndim:
-        raise ValueError(f"points must have shape (N, {field.ndim}), got {points.shape}")
+    evaluate_many(field, points, kind, orders)  # a warm-up, and the library's error for bad points before any timing
+    points = np.asarray(points)  # no cast: the library has checked the caller's values
     if not len(points):
         raise ValueError(f"points of shape {points.shape} are an empty point set: nothing to time")
-    evaluate_many(field, rows, kind, orders)  # a warm-up, and the library's error for a bad row before any timing
     tuples = [tuple(p) for p in points.tolist()]
 
     def scalar_pass(tuples):

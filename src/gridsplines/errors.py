@@ -21,9 +21,10 @@ class OutOfDomain(ValueError):
     """A strict-boundary field was evaluated where its stencil leaves the grid.
 
     ``point`` is the query point, as a tuple of floats, or None where only a
-    cell was given (:func:`~gridsplines.field.evaluate_at_cell`).  ``cell``
-    holds the cell indices, ``axis`` the axis whose stencil leaves the grid
-    and ``extent`` that axis's node count.
+    cell was given (:func:`~gridsplines.field.evaluate_at_cell`,
+    :func:`~gridsplines.field.gather_local`).  ``cell`` holds the cell
+    indices, ``axis`` the axis whose stencil leaves the grid and ``extent``
+    that axis's node count.
     """
 
     def __init__(self, message, *, point=None, axis=None, cell=None, extent=None):
@@ -32,11 +33,6 @@ class OutOfDomain(ValueError):
         self.axis = axis
         self.cell = cell
         self.extent = extent
-
-    def _at_point(self, point) -> "OutOfDomain":
-        """This error for the query ``point``, which the message names first."""
-        point = tuple(float(v) for v in point)
-        return OutOfDomain(f"point {point}: {self}", point=point, axis=self.axis, cell=self.cell, extent=self.extent)
 
 
 class InvalidPoint(ValueError):

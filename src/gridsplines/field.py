@@ -291,8 +291,8 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     return LocalPatch(2 * g + 2, _patch(field, cell, g))
 
 
-def _patch(field, cell, g):
-    """The (q,)*D patch of :func:`gather_local` at a cell of one index per axis, each checked here."""
+def _patch(field, cell, g, point=None):
+    """The (q,)*D patch of :func:`gather_local` at a cell, each index checked; OutOfDomain names ``point`` if given."""
     data = field.data
     q = 2 * g + 2
     box = []
@@ -311,13 +311,14 @@ def _patch(field, cell, g):
             box.append(slice(None))
         else:
             where = tuple(int(v) if _is_integer(v) else v for v in cell)  # a later axis's bad index stays as given
-            raise OutOfDomain(
+            message = (
                 f"cell {where}: stencil nodes [{start}, {stop}) on axis {len(box)}"
-                f" leave its node range 0..{extent - 1}",
-                axis=len(box),
-                cell=where,
-                extent=extent,
+                f" leave its node range 0..{extent - 1}"
             )
+            if point is not None:
+                point = tuple(map(float, point))
+                message = f"point {point}: {message}"
+            raise OutOfDomain(message, point=point, axis=len(box), cell=where, extent=extent)
     values = data[tuple(box)]
     for axis, idx in wrapped:
         values = values.take(idx, axis=axis)
@@ -375,21 +376,11 @@ def _orders_and_scale(field: GridField, orders, lookup, family, frac) -> tuple:
     return found, scale
 
 
-def _weights_and_patch(field, point, cell, frac, orders, kind):
-    """The weights, prod h_j**-l_j and the (q,)*D patch at a checked cell."""
+def _at_cell(field, point, cell, frac, orders, kind):
+    """The scalar core at a checked cell: the fused sum of patch and weights, times prod h_j**-l_j."""
     family = derive_beta(kind)
     gammas, scale = _orders_and_scale(field, orders, beta_eval, family, frac)
-    try:
-        return gammas, scale, _patch(field, cell, family.g)
-    except OutOfDomain as exc:
-        if point is None:
-            raise
-        raise exc._at_point(point) from None
-
-
-def _at_cell(field, point, cell, frac, orders, kind):
-    """The scalar core: the fused sum of patch and weights, times the factor."""
-    gammas, scale, values = _weights_and_patch(field, point, cell, frac, orders, kind)
+    values = _patch(field, cell, family.g, point)
     return _accumulate(values.ravel().tolist(), gammas) * scale
 
 
@@ -460,7 +451,10 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     the float range, not finite or beyond the int64 cell range,
     :class:`OutOfDomain` where a strict stencil leaves the grid.
     """
-    pts = np.asarray(points)
+    try:
+        pts = np.asarray(points)
+    except ValueError:  # ragged rows: the row-by-row route below
+        pts = np.empty((len(points), field.ndim), object)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
     try:
@@ -472,7 +466,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
         family = None
     if family is None or len(pts) < 2 or pts.dtype.kind not in "biuf" or pts.dtype.itemsize > 8:  # > 8: longdouble
         # the scalar entry on the caller's own rows: its bits, or its error for the first bad point
-        return np.array([evaluate_derivative(field, tuple(p), kind, orders) for p in points])
+        return np.array([evaluate_derivative(field, p, kind, orders) for p in points])
     old = np.setbufsize(min(np.getbufsize(), UFUNC_BUFFER))
     try:
         pts = pts.astype(np.float64, copy=False)
@@ -581,7 +575,8 @@ def partitioned_evaluate(
         raise ValueError(f"split_axis {split_axis!r} is not an axis of a field with {field.ndim} axes")
     _require_grid_kind(kind)
     cell, frac = grid_coordinates(point, field)
-    gammas, _, values = _weights_and_patch(field, point, cell, frac, None, kind)
+    gammas, _ = _orders_and_scale(field, None, beta_eval, derive_beta(kind), frac)
+    values = _patch(field, cell, kind.g, point)
     cut = min(max(split_index - (cell[split_axis] - kind.g), 0), kind.q)
     sums = []
     for slab in (slice(None, cut), slice(cut, None)):

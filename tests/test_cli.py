@@ -306,6 +306,24 @@ def test_run_benchmark_rejects_an_empty_point_set():
 
 
 @pytest.mark.parametrize(
+    "points,error,named",
+    [
+        ([[1.0], [1.0, 2.0]], ValueError, "point has 2 coordinates, field has 1 axes"),
+        ([[1.0], 5.0], ValueError, "point 5.0 is not a sequence: need one coordinate per axis"),
+        ([[1.0], [[2.0]]], InvalidPoint, "point ([2.0],): coordinate [2.0] on axis 0 is not a real number"),
+        ([[math.nan], [1.0, 2.0]], InvalidPoint, "point (nan,): coordinate nan on axis 0 is not finite"),
+    ],
+    ids=["long row", "number row", "nested row", "bad first row"],
+)
+@pytest.mark.parametrize("entry", [evaluate_many, run_benchmark], ids=["evaluate_many", "run_benchmark"])
+def test_a_ragged_point_list_raises_the_scalar_error_of_its_first_bad_row(entry, points, error, named):
+    # numpy cannot make these lists one array: each row goes to the scalar entry as given
+    with pytest.raises(error, match=re.escape(named)) as info:
+        entry(field=GridField(np.zeros(16), h=1.0), points=points, kind=SplineKind(5, 4))
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
     "points,named",
     [
         (np.array([[0.5 + 1j], [2.0]]), "coordinate (0.5+1j) on axis 0 is complex"),

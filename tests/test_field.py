@@ -151,7 +151,15 @@ def test_out_of_domain_names_cell_and_axis_on_both_paths():
 
 @pytest.mark.parametrize(
     "point,cell,axis,extent",
-    [((3.25, 2.75), (3, 5), 1, 6), ((0.5, 1.25), (0, 2), 0, 8), ((7.75, 0.25), (7, 0), 0, 8)],
+    [
+        ((3.25, 2.75), (3, 5), 1, 6),
+        ((0.5, 1.25), (0, 2), 0, 8),
+        ((7.75, 0.25), (7, 0), 0, 8),
+        # coordinates that are not Python floats: exc.point holds them as floats
+        ((0.5, 1), (0, 2), 0, 8),
+        ((np.float32(3.25), 2.75), (3, 5), 1, 6),
+        ((Fraction(13, 4), 2.75), (3, 5), 1, 6),
+    ],
 )
 def test_out_of_domain_carries_point_cell_axis_and_extent(point, cell, axis, extent):
     f = GridField(np.zeros((8, 6)), h=(1.0, 0.5), boundary=STRICT)
@@ -173,6 +181,7 @@ def test_out_of_domain_carries_point_cell_axis_and_extent(point, cell, axis, ext
         exc = info.value
         assert (exc.point, exc.cell, exc.axis, exc.extent) == (want, cell, axis, extent)
         assert all(type(v) is int for v in exc.cell + (exc.axis, exc.extent))
+        assert all(type(v) is float for v in exc.point or ())
 
 
 @pytest.mark.parametrize("point,axis", [((3.5, float("inf")), 1), ((-1e300, 1.5), 0)])
