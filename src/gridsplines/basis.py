@@ -245,12 +245,18 @@ class BetaFamily:
         return tuple(FrozenForm(lower, [(-1) ** l] * len(lower), l) for l in range(self.m + 1))
 
 
-def _require_derivative_order(beta: BetaFamily, order: int) -> None:
-    """The only derivative-order check: each evaluation path runs it where it looks up the order's arrays."""
+def _require_derivative_order(beta: BetaFamily, order: int, axis: int = None) -> None:
+    """The only derivative-order check: each evaluation path runs it where it looks up the order's arrays.
+
+    An evaluation entry runs it again, with ``axis``, where its lookup fails: the error then names the axis and
+    replaces the lookup's (``from None``).
+    """
+    where = "" if axis is None else f" on axis {axis}"
     if not _is_integer(order):
-        raise ValueError(f"derivative order {order!r} is not an integer")
+        raise ValueError(f"derivative order {order!r}{where} is not an integer") from None
     if not 0 <= order <= beta.m:
-        raise DerivativeTooHigh(f"derivative order {order} not in 0..{beta.m} for kind ({beta.n},{beta.q})")
+        kind = f"kind ({beta.n},{beta.q})"
+        raise DerivativeTooHigh(f"derivative order {order}{where} not in 0..{beta.m} for {kind}") from None
 
 
 @_cached_on_int

@@ -28,7 +28,7 @@ from .basis import (
     export_records,
     validate_family,
 )
-from .exact import RationalPolynomial, _is_integer, rational_from_str
+from .exact import RationalPolynomial, _integer, rational_from_str
 from .field import PERIODIC, GridField, _is_real, evaluate, evaluate_derivative, evaluate_many, load_field
 from .stencil import derive_stencil
 
@@ -142,9 +142,8 @@ def run_convergence(func, dims: int, kinds, spacings, samples: int, seed: int) -
     spacing, after its grid nodes.  ``dims`` and ``samples`` must be integers
     >= 1, and each spacing a positive, finite number dividing the unit period.
     """
-    for name, value in (("dims", dims), ("samples", samples)):
-        if not (_is_integer(value) and value >= 1):
-            raise ValueError(f"{name} {value!r} is not an integer >= 1")
+    dims = _integer(dims, "dims {!r}", least=1)
+    samples = _integer(samples, "samples {!r}", least=1)
     rows = []
     points = reference = None
     for n, q in kinds:
@@ -190,8 +189,6 @@ def write_convergence_csv(rows, stream) -> None:
 
 # Interleaved timings per path in run_benchmark: an odd count, so the median is one of the runs.
 BENCH_REPEATS = 5
-# Points each path evaluates once before the timed loops, which derives the family and builds its forms.
-BENCH_WARMUP = 200
 
 
 def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
@@ -217,7 +214,6 @@ def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
             return [evaluate(field, p, kind) for p in tuples]
         return [evaluate_derivative(field, p, kind, orders) for p in tuples]
 
-    scalar_pass(tuples[:BENCH_WARMUP])
     seconds = {"scalar": [], "batched": []}
     identical = True
     for _ in range(BENCH_REPEATS):

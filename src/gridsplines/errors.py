@@ -14,7 +14,7 @@ class InvalidKind(ValueError):
 
 
 class DerivativeTooHigh(ValueError):
-    """Requested derivative order exceeds the smoothness order m = (n - 1) / 2."""
+    """Requested derivative order exceeds the smoothness order m = (n - 1) / 2; an evaluation entry names its axis."""
 
 
 class OutOfDomain(ValueError):

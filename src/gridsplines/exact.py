@@ -95,10 +95,14 @@ def _cached_on(accepted, key=None):
 _cached_on_int = _cached_on(numbers.Integral, int)
 
 
-def _require_count(name: str, value) -> None:
-    """A power or derivative order: a non-negative integer, and not a bool."""
-    if not _is_integer(value) or value < 0:
-        raise ValueError(f"{name} {value!r} is not a non-negative integer")
+def _integer(value, what: str, *args, least=None) -> int:
+    """An integer argument (Python or numpy, not a bool) as the plain int; ValueError naming it otherwise.
+
+    The error reads ``what.format(value, *args)``, then "is not an integer" (with " >= {least}" given ``least``).
+    """
+    if _is_integer(value) and (least is None or value >= least):
+        return int(value)
+    raise ValueError(f"{what.format(value, *args)} is not an integer{'' if least is None else f' >= {least}'}")
 
 
 def _powers(value: int, count: int) -> list:
@@ -142,7 +146,7 @@ class RationalPolynomial:
 
     @classmethod
     def monomial(cls, power: int, coefficient: RationalLike = 1) -> "RationalPolynomial":
-        _require_count("power", power)
+        power = _integer(power, "power {!r}", least=0)
         return cls((0,) * power + (coefficient,))
 
     @cached_property
@@ -194,7 +198,7 @@ class RationalPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        _require_count("power", exponent)
+        exponent = _integer(exponent, "power {!r}", least=0)
         out = RationalPolynomial.constant(1)
         for _ in range(exponent):
             out = out * self
@@ -202,7 +206,7 @@ class RationalPolynomial:
 
     def derivative(self, order: int = 1) -> "RationalPolynomial":
         """Exact formal derivative of the given order: x**k becomes perm(k, order) x**(k - order)."""
-        _require_count("derivative order", order)
+        order = _integer(order, "derivative order {!r}", least=0)
         return RationalPolynomial._over([math.perm(k, order) * x for k, x in enumerate(self._num)][order:], self._den)
 
     def __call__(self, x):

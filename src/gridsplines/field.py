@@ -63,9 +63,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SplineKind, _require_grid_kind, beta_eval, derive_alpha, derive_beta, stacked_table, stacked_weights
-from .errors import DerivativeTooHigh, InvalidPoint, OutOfDomain
-from .exact import _is_integer
+from .basis import SplineKind, _require_derivative_order, _require_grid_kind, beta_eval, derive_alpha, derive_beta
+from .basis import stacked_table, stacked_weights
+from .errors import InvalidPoint, OutOfDomain
+from .exact import _integer, _is_integer
 
 PERIODIC = "periodic"
 STRICT = "strict"
@@ -147,10 +148,7 @@ class GridField:
             dims = tuple(dims)
         except TypeError:
             raise _not_a_sequence("dims", dims, "extent") from None
-        for axis, d in enumerate(dims):
-            if not (_is_integer(d) and d >= 1):
-                raise ValueError(f"extent {d!r} on axis {axis} is not an integer >= 1")
-        dims = tuple(map(int, dims))
+        dims = tuple(_integer(d, "extent {!r} on axis {}", axis, least=1) for axis, d in enumerate(dims))
         h = cls(np.empty((1,) * len(dims)), h).h  # the constructor's checks, on a one-node grid
         coords = np.meshgrid(*(np.arange(d) * hj for d, hj in zip(dims, h)), indexing="ij", sparse=True)
         values = np.asarray(func(tuple(coords)))
@@ -202,11 +200,12 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
         if type(x) is not float:  # a numpy float would divide in its own precision, so it is widened first
             try:
                 x = _as_float(x)
-            except (TypeError, OverflowError):
-                raise _invalid_point(point, len(cells), x, x) from None
+            except ValueError as exc:
+                raise _invalid_point(point, len(cells), str(exc)) from None
         u = x / hj
         if not abs(u) < _CELL_LIMIT:
-            raise _invalid_point(point, len(cells), x, u)
+            reason = f"scales to cell coordinate {u:.3g}, beyond the int64 range"
+            raise _invalid_point(point, len(cells), reason if math.isfinite(x) else "is not finite")
         c = math.floor(u)  # an int
         frac = u - c
         if frac >= 1.0:
@@ -227,12 +226,18 @@ def _is_real(x) -> bool:
 
 
 def _as_float(x) -> float:
-    """float(x) for a real x; TypeError for any other x, OverflowError for one beyond the float range."""
+    """float(x) for a real x within the float range; otherwise ValueError whose message is the reason.
+
+    The reason is "is not a real number" or "is beyond the float range", for the caller to put after the value.
+    """
     if not _is_real(x):
-        raise TypeError(f"{x!r} is not a real number")
-    v = float(x)  # an int or Fraction beyond the range raises OverflowError here; np.longdouble's cast gives inf
+        raise ValueError("is not a real number")
+    try:
+        v = float(x)  # an int or Fraction beyond the range raises OverflowError here; np.longdouble's cast gives inf
+    except OverflowError:
+        v = math.inf
     if math.isinf(v) and x != v:
-        raise OverflowError(f"{x!r} is beyond the float range")
+        raise ValueError("is beyond the float range")
     return v
 
 
@@ -240,33 +245,22 @@ def _real(v, what: str, *args) -> float:
     """:func:`_as_float` of an outside value; ValueError naming it as ``what.format(v, *args)`` where that fails."""
     try:
         return _as_float(v)
-    except TypeError:
-        reason = "is not a real number"
-    except OverflowError:
-        reason = "is beyond the float range"
-    raise ValueError(f"{what.format(v, *args)} {reason}")
+    except ValueError as exc:
+        raise ValueError(f"{what.format(v, *args)} {exc}") from None
 
 
 def _shown(v):
     """A coordinate as an error names it: a real as a float where one holds it, a complex as complex, else as given."""
     try:
         return _as_float(v)
-    except (TypeError, OverflowError):
+    except ValueError:
         return complex(v) if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) else v
 
 
-def _invalid_point(point, axis: int, x, u) -> InvalidPoint:
+def _invalid_point(point, axis: int, reason: str) -> InvalidPoint:
     point = tuple(map(_shown, point))
     if isinstance(point[axis], complex):
         reason = "is complex: a point has real coordinates"
-    elif not _is_real(x):
-        reason = "is not a real number"
-    elif not isinstance(point[axis], float):  # a real that float() overflows
-        reason = "is beyond the float range"
-    elif math.isfinite(x):
-        reason = f"scales to cell coordinate {float(u):.3g}, beyond the int64 range"
-    else:
-        reason = "is not finite"
     return InvalidPoint(f"point {point}: coordinate {point[axis]!r} on axis {axis} {reason}", point=point, axis=axis)
 
 
@@ -280,14 +274,12 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     when the extent is smaller than q, from any integer cell index; one that
     is not an integer (a bool included) raises ValueError naming its axis.
     """
-    if not ((type(g) is int or _is_integer(g)) and g >= 1):
-        raise ValueError(f"stencil half-width g {g!r} is not an integer >= 1")
+    g = _integer(g, "stencil half-width g {!r}", least=1)  # an int: a numpy integer would overflow near 2**63
     try:
         if len(cell) != field.ndim:
             raise ValueError(f"cell has {len(cell)} indices, field has {field.ndim} axes")
     except TypeError:
         raise _not_a_sequence("cell", cell, "index") from None
-    g = int(g)  # a numpy integer would overflow the node range of a cell index near 2**63
     return LocalPatch(2 * g + 2, _patch(field, cell, g))
 
 
@@ -299,9 +291,7 @@ def _patch(field, cell, g, point=None):
     wrapped = []
     for c, extent in zip(cell, data.shape):  # len(box) is the axis
         if type(c) is not int:
-            if not _is_integer(c):
-                raise ValueError(f"cell index {c!r} on axis {len(box)} is not an integer")
-            c = int(c)
+            c = _integer(c, "cell index {!r} on axis {}", len(box))
         start = c - g
         stop = start + q
         if 0 <= start and stop <= extent:
@@ -316,7 +306,7 @@ def _patch(field, cell, g, point=None):
                 f" leave its node range 0..{extent - 1}"
             )
             if point is not None:
-                point = tuple(map(float, point))
+                point = tuple(map(_shown, point))
                 message = f"point {point}: {message}"
             raise OutOfDomain(message, point=point, axis=len(box), cell=where, extent=extent)
     values = data[tuple(box)]
@@ -341,10 +331,8 @@ def _weight_products(gammas) -> list:
 
 
 def _check_fractions(frac) -> None:
-    for axis, x in enumerate(frac):
-        if not _is_real(x):  # numpy orders complex values lexicographically: test the type, not 0 <= x
-            raise ValueError(f"cell fraction {x!r} on axis {axis} is not a real number")
-        if not 0.0 <= x <= 1.0:
+    for axis, x in enumerate(frac):  # numpy orders complex values lexicographically: _real tests the type first
+        if not 0.0 <= _real(x, "cell fraction {!r} on axis {}", axis) <= 1.0:
             raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
 
 
@@ -352,7 +340,7 @@ def _orders_and_scale(field: GridField, orders, lookup, family, frac) -> tuple:
     """``lookup(family, l, x)`` for each axis's derivative order l (all 0 for None) and fraction x, and prod h_j**-l_j.
 
     The lookup checks l (basis._require_derivative_order) before h**-l, which
-    overflows for absurd orders; a non-integer order's error names its axis.
+    overflows for absurd orders; where it fails, the check runs again to name the axis.
     """
     h = field.h
     if orders is None:
@@ -368,10 +356,9 @@ def _orders_and_scale(field: GridField, orders, lookup, family, frac) -> tuple:
     for hj, lj, x in zip(h, orders, frac):  # len(found) is the axis
         try:
             found.append(lookup(family, lj, x))
-        except DerivativeTooHigh:
-            raise
         except ValueError:
-            raise ValueError(f"derivative order {lj!r} on axis {len(found)} is not an integer") from None
+            _require_derivative_order(family, lj, len(found))
+            raise
         scale *= hj ** (-lj)
     return found, scale
 
@@ -568,20 +555,18 @@ def partitioned_evaluate(
     add up to :func:`evaluate`.  This mirrors running on two memory domains
     that each own a slab of nodes.
     """
-    for name, value in (("split_axis", split_axis), ("split_index", split_index)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} {value!r} is not an integer")
-    if not 0 <= split_axis < field.ndim:
+    axis, split_index = _integer(split_axis, "split_axis {!r}"), _integer(split_index, "split_index {!r}")
+    if not 0 <= axis < field.ndim:  # the message shows the argument as given
         raise ValueError(f"split_axis {split_axis!r} is not an axis of a field with {field.ndim} axes")
     _require_grid_kind(kind)
     cell, frac = grid_coordinates(point, field)
     gammas, _ = _orders_and_scale(field, None, beta_eval, derive_beta(kind), frac)
     values = _patch(field, cell, kind.g, point)
-    cut = min(max(split_index - (cell[split_axis] - kind.g), 0), kind.q)
+    cut = min(max(split_index - (cell[axis] - kind.g), 0), kind.q)
     sums = []
     for slab in (slice(None, cut), slice(cut, None)):
-        weights = gammas[:split_axis] + [gammas[split_axis][slab]] + gammas[split_axis + 1 :]
-        sums.append(_accumulate(values[(slice(None),) * split_axis + (slab,)].ravel().tolist(), weights))
+        weights = gammas[:axis] + [gammas[axis][slab]] + gammas[axis + 1 :]
+        sums.append(_accumulate(values[(slice(None),) * axis + (slab,)].ravel().tolist(), weights))
     return tuple(sums)
 
 

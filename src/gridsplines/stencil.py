@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _cached_on_int, _is_integer, solve_linear_system
+from .exact import _cached_on_int, _integer, _is_integer, solve_linear_system
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ def derive_stencil(g: int) -> StencilTable:
     system; solution j gives the contribution of f(node_j) to every Taylor
     order.
     """
-    if not (_is_integer(g) and g >= 1):
-        raise ValueError(f"stencil half-width {g!r} is not an integer >= 1")
+    g = _integer(g, "stencil half-width {!r}", least=1)
     size = 2 * g + 1
     nodes = range(-g, g + 1)
     vandermonde = [[Fraction(v) ** p for p in range(size)] for v in nodes]

@@ -392,7 +392,7 @@ def test_bench_order_times_evaluate_derivative_against_evaluate_many(capsys):
     assert run_benchmark(field, SplineKind(5, 4), points, orders=(2, 1))["bitwise_identical"]
     # an order above m is the library's error, reported like any other
     assert main(["bench", "--dims", "1", "--n", "5", "--q", "4", "--grid", "8", "--points", "4", "--order", "3"]) == 2
-    assert "error: derivative order 3 not in 0..2 for kind (5,4)" in capsys.readouterr().err
+    assert "error: derivative order 3 on axis 0 not in 0..2 for kind (5,4)" in capsys.readouterr().err
 
 
 def test_bench_wide_stencil_bitwise_identical(capsys):

@@ -141,7 +141,7 @@ BAD_COUNTS = [-1, -2, True, False, 1.5, 2.0, Fraction(1, 2), "2"]
 @pytest.mark.parametrize("bad", BAD_COUNTS, ids=repr)
 def test_bad_power_or_order_is_rejected_by_name(bad):
     p = RationalPolynomial((1, 2, 3))
-    message = f"{bad!r} is not a non-negative integer"
+    message = f"{bad!r} is not an integer >= 0"
     with pytest.raises(ValueError, match=f"^power {re.escape(message)}$"):
         RationalPolynomial.monomial(bad)
     with pytest.raises(ValueError, match=f"^power {re.escape(message)}$"):

@@ -7,6 +7,7 @@ import os
 import re
 import struct
 import tempfile
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -581,6 +582,30 @@ def test_order_beyond_m_is_rejected_before_scaling():
         evaluate_many(f, np.full((2, 1), 0.005), SplineKind(5, 4), orders=(400,))
 
 
+def test_an_order_above_m_names_its_axis_on_every_path():
+    f = GridField(np.arange(64.0).reshape(8, 8), h=1.0)
+    strict = GridField(f.data, h=1.0, boundary=STRICT)
+    kind = SplineKind(5, 4)
+    want = "^" + re.escape("derivative order 3 on axis 1 not in 0..2 for kind (5,4)") + "$"
+    with pytest.raises(DerivativeTooHigh, match=want):
+        evaluate_derivative(f, (3.5, 3.5), kind, (0, 3))
+    with pytest.raises(DerivativeTooHigh, match=want):
+        evaluate_at_cell(f, (3, 3), (0.5, 0.5), kind, orders=(0, 3))
+    # evaluate_many's own order check (an empty set), then its row-by-row route: numeric rows, ragged rows and a
+    # first point whose strict stencil leaves the grid all meet the order first
+    for field, points in [
+        (f, np.empty((0, 2))),
+        (f, np.full((2, 2), 3.5)),
+        (f, [[3.5, 3.5], [3.5]]),
+        (strict, [[0.5, 0.5], [3.5, 3.5]]),
+    ]:
+        with pytest.raises(DerivativeTooHigh, match=want):
+            evaluate_many(field, points, kind, orders=(0, 3))
+    # the basis layer has no axis to name
+    with pytest.raises(DerivativeTooHigh, match=r"^derivative order 3 not in 0\.\.2 for kind \(5,4\)$"):
+        derive_beta(kind).form(3)
+
+
 def test_evaluate_at_cell_checks_its_arguments():
     f = GridField(np.arange(8.0), h=1.0)
     kind = SplineKind(3, 4)
@@ -614,6 +639,21 @@ def test_a_fraction_that_is_not_real_is_rejected(bad):
             evaluate_hermite(lambda orders, node: 1.0, frac, 3)
 
 
+@pytest.mark.parametrize(
+    "huge",
+    [10**400, -(10**400), Fraction(10**400, 3), np.longdouble("1e400"), -np.longdouble("1e400")],
+    ids=["int", "negative int", "Fraction", "longdouble", "negative longdouble"],
+)
+def test_a_fraction_beyond_the_float_range_says_so(huge):
+    for axis, frac in enumerate([(huge,), (0.5, huge)]):
+        want = re.escape(f"cell fraction {huge!r} on axis {axis} is beyond the float range")
+        f = GridField(np.arange(16.0 ** len(frac)).reshape((16,) * len(frac)), h=1.0)
+        with pytest.raises(ValueError, match=want):
+            evaluate_at_cell(f, (3,) * len(frac), frac, SplineKind(5, 4))
+        with pytest.raises(ValueError, match=want):
+            evaluate_hermite(lambda orders, node: 1.0, frac, 3)
+
+
 _F = GridField(np.zeros((8, 6)), h=(1.0, 0.5), boundary=STRICT)
 _K, _TUPLE = SplineKind(5, 4), (5, 4)
 _OUTSIDE, _NAN = (3.25, 2.75), (3.25, float("nan"))  # cell (3, 5): its axis-1 stencil leaves the grid
@@ -632,9 +672,9 @@ PRECEDENCE = [
     ("d:kind|sequence", lambda: evaluate_derivative(_F, _OUTSIDE, _TUPLE, 1), InvalidKind, "not a SplineKind"),
     ("d:sequence|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, 1), ValueError, "orders 1 are not a sequence"),
     ("d:integer|range", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1.5, 9)), ValueError, "1.5 on axis 0"),
-    ("d:range|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (9, 1.5)), DerivativeTooHigh, "order 9"),
+    ("d:range|integer", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (9, 1.5)), DerivativeTooHigh, "order 9 on axis 0"),
     ("d:integer|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (0, 1.5)), ValueError, "1.5 on axis 1"),
-    ("d:range|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (0, 3)), DerivativeTooHigh, "order 3"),
+    ("d:range|domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (0, 3)), DerivativeTooHigh, "order 3 on axis 1"),
     ("d:domain", lambda: evaluate_derivative(_F, _OUTSIDE, _K, (1, 2)), OutOfDomain, r"^point \(3\.25, 2\.75\): cell"),
     # evaluate_at_cell: kind, then the cell and fraction lengths, fractions, orders, then per axis in axis
     # order the cell index (an integer) and the domain (no point)
@@ -645,8 +685,8 @@ PRECEDENCE = [
     ("c:length|fraction", lambda: evaluate_at_cell(_F, (3,), (7.5, 0.5), _K), ValueError, "got 1 and 2"),
     ("c:fraction|orders", lambda: evaluate_at_cell(_F, (3, 5), (7.5, 0.5), _K, (0,)), ValueError, "fraction 7.5"),
     ("c:real|orders", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5j), _K, 1), ValueError, "0.5j on axis 1 is not a real"),
-    ("c:orders|domain", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5), _K, (3, 0)), DerivativeTooHigh, "order 3"),
-    ("c:orders|cell", lambda: evaluate_at_cell(_F, (3.5, 5), (0.5, 0.5), _K, (3, 0)), DerivativeTooHigh, "order 3"),
+    ("c:orders|domain", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5), _K, (3, 0)), DerivativeTooHigh, "order 3 on axis 0"),
+    ("c:orders|cell", lambda: evaluate_at_cell(_F, (3.5, 5), (0.5, 0.5), _K, (3, 0)), DerivativeTooHigh, "order 3 on axis 0"),
     ("c:cell|domain", lambda: evaluate_at_cell(_F, (3.5, 5), (0.5, 0.5), _K), ValueError, "3.5 on axis 0"),
     ("c:domain|cell", lambda: evaluate_at_cell(_F, (9, 2.5), (0.5, 0.5), _K), OutOfDomain, r"^cell \(9, 2\.5\): .* axis 0"),
     ("c:domain", lambda: evaluate_at_cell(_F, (3, 5), (0.5, 0.5), _K, (1, 2)), OutOfDomain, r"^cell \(3, 5\)"),
@@ -660,8 +700,8 @@ PRECEDENCE = [
     ("m:point|range", lambda: evaluate_many(_F, [_NAN, _OUTSIDE], _K, (3, 0)), InvalidPoint, "not finite"),
     ("m:point|sequence", lambda: evaluate_many(_F, [_NAN], _K, 1), InvalidPoint, "not finite"),
     ("m:kind|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _TUPLE), InvalidKind, "not a SplineKind"),
-    ("m:range|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _K, (3, 0)), DerivativeTooHigh, "order 3"),
-    ("m:range|domain", lambda: evaluate_many(_F, [_OUTSIDE, _OUTSIDE], _K, (3, 0)), DerivativeTooHigh, "order 3"),
+    ("m:range|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _K, (3, 0)), DerivativeTooHigh, "order 3 on axis 0"),
+    ("m:range|domain", lambda: evaluate_many(_F, [_OUTSIDE, _OUTSIDE], _K, (3, 0)), DerivativeTooHigh, "order 3 on axis 0"),
     ("m:domain|later point", lambda: evaluate_many(_F, [_OUTSIDE, _NAN], _K), OutOfDomain, r"^point \(3\.25, 2\.75\)"),
     ("m:domain|later text row", lambda: evaluate_many(_F, [_OUTSIDE, ("x", 1.0)], _K), OutOfDomain, r"^point \(3\.25, 2\.75\)"),
     # gather_local: the half-width, then the cell (a sequence, then its length), then the domain
@@ -1087,6 +1127,19 @@ def test_partition_rejects_bad_split_arguments():
     with pytest.raises(ValueError, match="split_index False is not an integer"):
         partitioned_evaluate(f, point, kind, 2, False)
     assert partitioned_evaluate(f, point, kind, np.int64(2), np.int64(4)) == (0.0, 0.0)
+
+
+def test_partition_reads_numpy_integer_splits_as_python_ints():
+    # a numpy split index near 2**63 would overflow against the cell index: a numpy warning and a wrong split
+    f = GridField(np.arange(1.0, 17.0), h=1.0)
+    kind = SplineKind(5, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert partitioned_evaluate(f, (-(2.0**62),), kind, 0, np.int64(2**62)) == (1.0, 0.0)
+        for x, split in itertools.product([-(2.0**62), 2.0**62, 5.5], [2**62, -(2**62), 3, 7]):
+            want = np.array(partitioned_evaluate(f, (x,), kind, 0, split))
+            got = np.array(partitioned_evaluate(f, (x,), kind, np.int64(0), np.int64(split)))
+            assert got.tobytes() == want.tobytes(), (x, split)
 
 
 def test_evaluate_many_matches_scalar_bitwise():
