@@ -13,8 +13,10 @@ alpha member (0, l) to (1, l)).  It freezes each member expanded about the
 cell midpoint, split into even and odd parts in (x - 1/2)**2; one Horner
 pass over each part gives both members of a pair, with well-conditioned
 coefficients.  A straight-line ``kernel``, compiled on first use, serves
-scalar calls; batched calls stack the parts of one form per axis into a
-zero-padded table (:func:`stacked_table`) for :func:`stacked_weights`.  A
+:func:`beta_eval`.  One form per axis makes a :class:`TensorForm`, cached
+on the leading form: its compiled ``evaluator`` fuses the kernels' lines
+with the patch sum for scalar calls, and its ``table`` stacks the parts
+zero-padded (:func:`stacked_table`) for :func:`stacked_weights`.  A
 beta family has one form per derivative order 0..m (:meth:`BetaFamily.form`),
 an alpha family one form over all its members; none is built before the
 first evaluation, so exact derivation and validation never pay for them.
@@ -25,11 +27,12 @@ Validation compares integer numerators, and :func:`alpha_closed_form` is an
 integer convolution over l!.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -89,14 +92,15 @@ def _centered(poly: RationalPolynomial) -> RationalPolynomial:
     return poly.compose_affine(1, Fraction(1, 2))
 
 
-def _horner_expr(coeffs) -> str:
-    """Source of the Horner evaluation of degree-descending ``coeffs`` at ``s``, from the leading one."""
-    if not coeffs:
-        return "0.0"
-    expr = repr(coeffs[0])
-    for c in coeffs[1:]:
-        expr = f"({expr} * s + {c!r})"
-    return expr
+def _horner_expr(coeffs, s: str) -> str:
+    """Source of the Horner evaluation of degree-descending ``coeffs`` at ``s``, from the leading one; 0.0 for none."""
+    return reduce(lambda expr, c: f"({expr} * {s} + {c!r})", coeffs[1:], repr(coeffs[0])) if coeffs else "0.0"
+
+
+def _compiled(name: str, args: str, body: list, **names):
+    """The function ``name(args)`` with the given body lines, compiled with ``names`` as its globals."""
+    exec(compile("\n    ".join([f"def {name}({args}):"] + body), f"<FrozenForm {name}>", "exec"), names)
+    return names[name]
 
 
 class FrozenForm:
@@ -113,14 +117,16 @@ class FrozenForm:
     ``kernel(x)`` is straight-line code compiled on first use: t = x - 0.5,
     s = t * t, each part by Horner from its leading coefficient,
     ``(c_0 * s + c_1) * s + ...``, then o = t * (O's value) and the sums and
-    differences (``repr`` writes each coefficient back exactly).
-    :func:`stacked_table` lays the same parts out for batched calls.
+    differences (``repr`` writes each coefficient back exactly).  Its lines
+    come from :meth:`horner_source`, as do those of the evaluators in
+    ``tensors``: the :class:`TensorForm` of each tuple of forms this one leads.
     """
 
     def __init__(self, members, signs, order=0):
         self.members = tuple(members)
         self.signs = tuple(signs)
         self.order = order
+        self.tensors = _Tensors()
 
     @cached_property
     def parts(self) -> tuple:
@@ -130,17 +136,56 @@ class FrozenForm:
             parts.append((ascending[0::2][::-1], ascending[1::2][::-1]))
         return tuple(parts)
 
+    def horner_source(self, x: str, tag="") -> tuple:
+        """The kernel's lines at ``x``, each local's name ending in ``tag``, and the weights' expressions in order."""
+        t, s = f"t{tag}", f"s{tag}"
+        lines = [f"{t} = {x} - 0.5", f"{s} = {t} * {t}"]
+        for k, (even, odd) in enumerate(self.parts):
+            lines += [f"e{tag}_{k} = {_horner_expr(even, s)}", f"o{tag}_{k} = {t} * {_horner_expr(odd, s)}"]
+        pairs = [(f"e{tag}_{k}", f"o{tag}_{k}") for k in range(len(self.parts))]
+        mirrors = [f"{e} - {o}" if sign > 0 else f"{o} - {e}" for (e, o), sign in zip(pairs, self.signs)]
+        return lines, [f"{e} + {o}" for e, o in pairs] + mirrors[::-1]
+
     @cached_property
     def kernel(self):
-        lines = ["def kernel(x):", "    t = x - 0.5", "    s = t * t"]
-        for k, (even, odd) in enumerate(self.parts):
-            lines += [f"    e{k} = {_horner_expr(even)}", f"    o{k} = t * {_horner_expr(odd)}"]
-        outputs = [f"e{k} + o{k}" for k in range(len(self.parts))]
-        outputs += [f"e{k} - o{k}" if sign > 0 else f"o{k} - e{k}" for k, sign in reversed(list(enumerate(self.signs)))]
-        lines.append(f"    return [{', '.join(outputs)}]")
-        namespace = {}
-        exec(compile("\n".join(lines), "<FrozenForm kernel>", "exec"), namespace)
-        return namespace["kernel"]
+        lines, weights = self.horner_source("x")
+        return _compiled("kernel", "x", lines + [f"return [{', '.join(weights)}]"])
+
+
+class TensorForm:
+    """One :class:`FrozenForm` per axis, with ``table``, their :func:`stacked_table`, and ``evaluator``, each lazy.
+
+    ``evaluator(frac, values)`` runs the kernels' lines at the float fractions, then :mod:`field`'s sum over ``values``.
+    """
+
+    def __init__(self, forms: tuple):
+        self.forms = forms
+
+    @cached_property
+    def evaluator(self):
+        *lead, (lines, weights) = [form.horner_source(f"x{j}", j) for j, form in enumerate(self.forms)]
+        body = [f"{''.join(f'x{j}, ' for j in range(len(self.forms)))}= frac"]
+        for j, (axis_lines, axis_weights) in enumerate(lead):  # a leading axis: one tuple, for the loop over rows
+            body += axis_lines + [f"W{j} = ({', '.join(axis_weights)},)"]
+        body += lines + [f"w{i} = {w}" for i, w in enumerate(weights)]
+        q, row = len(weights), "".join(f"v{i}, " for i in range(len(weights)))
+        if lead:
+            a = [f"a{j}" for j in range(len(lead))]
+            rows = f"zip(product({', '.join(f'W{j}' for j in range(len(lead)))}), values.reshape(-1, {q}).tolist())"
+            body += ["acc = 0.0", f"for ({', '.join(a)},), ({row}) in {rows}:", f"    p = {' * '.join(a)}"]
+            body += [f"    acc = acc + {' + '.join(f'v{i} * (p * w{i})' for i in range(q))}", "return acc"]
+        else:  # one row: no loop
+            body += [f"{row}= values.tolist()", f"return 0.0 + {' + '.join(f'v{i} * w{i}' for i in range(q))}"]
+        return _compiled("evaluator", "frac, values", body, product=itertools.product)
+
+    @cached_property
+    def table(self) -> tuple:
+        return stacked_table(self.forms)
+
+
+class _Tensors(dict):
+    def __missing__(self, forms):  # the first lookup of a tuple of forms makes its TensorForm
+        return self.setdefault(forms, TensorForm(forms))
 
 
 def stacked_table(forms) -> tuple:
@@ -156,8 +201,9 @@ def stacked_table(forms) -> tuple:
     """
     columns = [[even for even, _ in f.parts] + [odd for _, odd in f.parts] for f in forms]
     width = max(len(c) for axis in columns for c in axis)
-    rows = np.array([[(0.0,) * (width - len(c)) + c for c in axis] for axis in columns])
-    return rows.transpose(2, 0, 1)[..., None], [f.signs[0] < 0 for f in forms]
+    rows = np.array([[(0.0,) * (width - len(c)) + c for c in axis] for axis in columns]).transpose(2, 0, 1)[..., None]
+    rows.setflags(write=False)  # read-only: a TensorForm caches it
+    return rows, tuple(f.signs[0] < 0 for f in forms)
 
 
 def stacked_weights(rows, odd, x, out, scratch) -> None:
@@ -246,17 +292,13 @@ class BetaFamily:
 
 
 def _require_derivative_order(beta: BetaFamily, order: int, axis: int = None) -> None:
-    """The only derivative-order check: each evaluation path runs it where it looks up the order's arrays.
-
-    An evaluation entry runs it again, with ``axis``, where its lookup fails: the error then names the axis and
-    replaces the lookup's (``from None``).
-    """
+    """The only derivative-order check; its error names ``axis`` where one is given."""
     where = "" if axis is None else f" on axis {axis}"
     if not _is_integer(order):
-        raise ValueError(f"derivative order {order!r}{where} is not an integer") from None
+        raise ValueError(f"derivative order {order!r}{where} is not an integer")
     if not 0 <= order <= beta.m:
         kind = f"kind ({beta.n},{beta.q})"
-        raise DerivativeTooHigh(f"derivative order {order}{where} not in 0..{beta.m} for {kind}") from None
+        raise DerivativeTooHigh(f"derivative order {order}{where} not in 0..{beta.m} for {kind}")
 
 
 @_cached_on_int

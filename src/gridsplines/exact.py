@@ -59,8 +59,8 @@ def _rational(value):
 
 
 def _is_integer(value) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """True for a Python or numpy integer that is not a bool, nor an np.timedelta64 (numpy makes it an integer type)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and type(value).__name__ != "timedelta64"
 
 
 def _cached_on(accepted, key=None):
@@ -91,8 +91,8 @@ def _cached_on(accepted, key=None):
     return decorate
 
 
-# keyed on int(n) for any integer n: lru_cache keys a numpy integer apart from the equal int
-_cached_on_int = _cached_on(numbers.Integral, int)
+# keyed on int(n) for an integer n (lru_cache keys a numpy integer apart from the equal int), else n: a miss checks n
+_cached_on_int = _cached_on(numbers.Integral, lambda n: int(n) if _is_integer(n) else n)
 
 
 def _integer(value, what: str, *args, least=None) -> int:

@@ -6,21 +6,21 @@ the q**D node values the stencil needs (a view of the data wherever the
 stencil lies inside the grid), evaluates the per-axis basis weights, and
 accumulates one fused sum over the patch.
 
-Every scalar interpolant here is that one sum, :func:`_accumulate`: a patch of
-inputs against one weight vector per axis, multiplied out as :func:`_contract`
-forms its tensor (patch index (i_0..i_{D-1}) weighs ((gamma_0 * gamma_1) * ...)
-* gamma_{D-1}), each input times its weight added row-major, last axis
-innermost, to a sum that starts at 0.0.  Coordinates, cell fractions,
+Every scalar interpolant here is that one sum, run by the ``evaluator`` that
+:class:`basis.TensorForm` compiles once per tuple of per-axis forms: patch
+index (i_0..i_{D-1}) weighs ((gamma_0 * gamma_1) * ...) * gamma_{D-1}, as
+:func:`_contract` forms it, and each input times its weight is added
+row-major, last axis innermost, to a sum that starts at 0.0 (from D = 2 on,
+in one loop over the patch's rows, each row's prefix weight formed once).
+The scalar entries check their arguments, then run one private core,
+:func:`_at_cell`, on the (q,)*D node patch.  Each part of
+:func:`partitioned_evaluate` is that sum with the other slab's values
+zeroed, so it holds exactly the terms, and the rounding, of its slab.
+:func:`evaluate_hermite` sums the (2(m+1),)*D patch of endpoint data in the
+alpha form's member order: index l <= m along an axis is order l at cell
+end 0, index 2m + 1 - l order l at cell end 1.  Coordinates, cell fractions,
 provider values, field data and grid constants must be real numbers
 (numbers.Real or np.bool_, but not np.timedelta64) on every path.
-The scalar entries check their arguments, then run one private core,
-:func:`_at_cell`, on the (q,)*D node patch; the two parts of
-:func:`partitioned_evaluate` walk its two slabs on either side of the split,
-in the same order, so each part holds exactly the terms, and the rounding,
-of its slab.
-:func:`evaluate_hermite` walks the (2(m+1),)*D patch of endpoint data in
-the alpha form's member order: index l <= m along an axis is order l at
-cell end 0, index 2m + 1 - l order l at cell end 1.
 
 The batched engine of :func:`evaluate_many` performs the same floating-point
 operations in the same order as :func:`evaluate`, vectorised across points,
@@ -63,8 +63,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import SplineKind, _require_derivative_order, _require_grid_kind, beta_eval, derive_alpha, derive_beta
-from .basis import stacked_table, stacked_weights
+from .basis import SplineKind, _require_derivative_order, _require_grid_kind, derive_alpha, derive_beta, stacked_weights
+from .basis import beta_eval  # noqa: F401  (unused here: the benchmark's traced runs bind field.beta_eval)
 from .errors import InvalidPoint, OutOfDomain
 from .exact import _integer, _is_integer
 
@@ -315,32 +315,18 @@ def _patch(field, cell, g, point=None):
     return values
 
 
-def _accumulate(values, gammas) -> float:
-    """Row-major sum of the flat ``values`` times per-axis weight products formed as :func:`_contract` forms them."""
-    acc = 0.0
-    for v, w in zip(values, gammas[0] if len(gammas) == 1 else _weight_products(gammas)):
-        acc += v * w
-    return acc
-
-
-def _weight_products(gammas) -> list:
-    weights = gammas[0]  # called at D > 1 only: in _accumulate the comprehension's closure cell costs every call
-    for gamma in gammas[1:]:
-        weights = [w * g for w in weights for g in gamma]  # row-major, ((gamma_0 * gamma_1) * ...) * gamma_{D-1}
-    return weights
-
-
-def _check_fractions(frac) -> None:
+def _fractions(frac) -> tuple:
+    """The cell fractions as floats; ValueError naming the first that is not a real number in [0, 1]."""
     for axis, x in enumerate(frac):  # numpy orders complex values lexicographically: _real tests the type first
         if not 0.0 <= _real(x, "cell fraction {!r} on axis {}", axis) <= 1.0:
             raise ValueError(f"cell fraction {x!r} on axis {axis} is outside [0, 1]")
+    return tuple(map(float, frac))
 
 
-def _orders_and_scale(field: GridField, orders, lookup, family, frac) -> tuple:
-    """``lookup(family, l, x)`` for each axis's derivative order l (all 0 for None) and fraction x, and prod h_j**-l_j.
+def _orders_and_scale(field: GridField, orders, family) -> tuple:
+    """Each axis's form of derivative order l (all 0 for None), as a tuple, and prod h_j**-l_j.
 
-    The lookup checks l (basis._require_derivative_order) before h**-l, which
-    overflows for absurd orders; where it fails, the check runs again to name the axis.
+    Each l is checked, naming its axis, before h**-l, which overflows for absurd orders.
     """
     h = field.h
     if orders is None:
@@ -352,23 +338,21 @@ def _orders_and_scale(field: GridField, orders, lookup, family, frac) -> tuple:
             raise ValueError(f"derivative orders {orders!r} are not a sequence: need one order per axis") from None
         if len(orders) != len(h):
             raise ValueError(f"need one derivative order per axis, got {len(orders)}")
-    found, scale = [], 1.0
-    for hj, lj, x in zip(h, orders, frac):  # len(found) is the axis
-        try:
-            found.append(lookup(family, lj, x))
-        except ValueError:
+    forms, found, scale = family._forms, [], 1.0
+    for hj, lj in zip(h, orders):  # len(found) is the axis
+        if type(lj) is not int or not 0 <= lj < len(forms):
             _require_derivative_order(family, lj, len(found))
-            raise
+        found.append(forms[lj])
         scale *= hj ** (-lj)
-    return found, scale
+    return tuple(found), scale
 
 
 def _at_cell(field, point, cell, frac, orders, kind):
-    """The scalar core at a checked cell: the fused sum of patch and weights, times prod h_j**-l_j."""
+    """The scalar core at a checked cell: the forms' evaluator on the patch, times prod h_j**-l_j."""
     family = derive_beta(kind)
-    gammas, scale = _orders_and_scale(field, orders, beta_eval, family, frac)
+    forms, scale = _orders_and_scale(field, orders, family)
     values = _patch(field, cell, family.g, point)
-    return _accumulate(values.ravel().tolist(), gammas) * scale
+    return forms[0].tensors[forms].evaluator(frac, values) * scale
 
 
 def evaluate_at_cell(
@@ -390,8 +374,7 @@ def evaluate_at_cell(
             raise _not_a_sequence(name, value, item)
     if not len(cell) == len(frac) == len(field.h):
         raise ValueError(f"need one cell index and one fraction per axis, got {len(cell)} and {len(frac)}")
-    _check_fractions(frac)
-    return _at_cell(field, None, cell, frac, orders, kind)
+    return _at_cell(field, None, cell, _fractions(frac), orders, kind)
 
 
 def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> float:
@@ -446,7 +429,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
     try:
         family = derive_beta(kind)
-        forms, scale = _orders_and_scale(field, orders, lambda beta, l, _: beta.form(l), family, itertools.repeat(None))
+        forms, scale = _orders_and_scale(field, orders, family)
     except ValueError:  # a bad kind or bad orders
         if not len(pts):
             raise
@@ -470,7 +453,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
         front, terms, partial = np.split(work[gamma:], [span, 2 * span])
         out = np.empty(len(pts))
         flat = ext.ravel()
-        horner = stacked_table(forms)
+        horner = forms[0].tensors[forms].table
         # a one-point tail, of the call or of a stage, is taken with its neighbour, computed twice to the same bits
         for lo in range(0, len(pts), stage):
             hi = min(lo + stage, len(pts))
@@ -560,13 +543,14 @@ def partitioned_evaluate(
         raise ValueError(f"split_axis {split_axis!r} is not an axis of a field with {field.ndim} axes")
     _require_grid_kind(kind)
     cell, frac = grid_coordinates(point, field)
-    gammas, _ = _orders_and_scale(field, None, beta_eval, derive_beta(kind), frac)
+    forms, _ = _orders_and_scale(field, None, derive_beta(kind))
     values = _patch(field, cell, kind.g, point)
     cut = min(max(split_index - (cell[axis] - kind.g), 0), kind.q)
     sums = []
-    for slab in (slice(None, cut), slice(cut, None)):
-        weights = gammas[:axis] + [gammas[axis][slab]] + gammas[axis + 1 :]
-        sums.append(_accumulate(values[(slice(None),) * axis + (slab,)].ravel().tolist(), weights))
+    for other in (slice(cut, None), slice(None, cut)):  # each part is the whole sum with the other slab zeroed
+        part = values.copy()
+        part[(slice(None),) * axis + (other,)] = 0.0
+        sums.append(forms[0].tensors[forms].evaluator(frac, part))
     return tuple(sums)
 
 
@@ -583,7 +567,7 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
             raise ValueError("point has no coordinates: need one per axis")
     except TypeError:
         raise _not_a_sequence("point", point, "coordinate") from None
-    _check_fractions(point)
+    point = _fractions(point)
     family = derive_alpha(n)
     # (order, cell end) of each member of AlphaFamily.form, in its order
     walk = [(l, 0) for l in range(family.m + 1)] + [(l, 1) for l in range(family.m, -1, -1)]
@@ -591,7 +575,7 @@ def evaluate_hermite(provider: Callable, point: Sequence[float], n: int) -> floa
     for idx in itertools.product(walk, repeat=len(point)):
         orders, node = zip(*idx)
         data.append(_real(provider(orders, node), "provider value {!r} for orders {} at node {}", orders, node))
-    return _accumulate(data, [family.form.kernel(float(x)) for x in point])
+    return family.form.tensors[(family.form,) * len(point)].evaluator(point, np.array(data))
 
 
 _MAGIC = b"GRIDFLD1"

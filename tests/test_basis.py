@@ -1,6 +1,7 @@
 """Spline basis families: derivation, closed forms, exact identities."""
 
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -564,7 +565,7 @@ def test_table_pads_unequal_arrays_in_front():
     form = FrozenForm(members, (1, -1, -1, 1))
     assert [(len(e), len(o)) for e, o in form.parts] == [(2, 1), (1, 0), (2, 2), (0, 0)]
     rows, odd = stacked_table([form])
-    assert rows.shape == (2, 1, 8, 1) and odd == [False]
+    assert rows.shape == (2, 1, 8, 1) and odd == (False,) and not rows.flags.writeable
     assert rows[0, 0, :4, 0].tolist() == [form.parts[0][0][0], 0.0, form.parts[2][0][0], 0.0]
     points = [x for x in oracle_points(5) if 0.0 <= x <= 1.0]
     for x in points:
@@ -581,18 +582,105 @@ def test_table_pads_unequal_arrays_in_front():
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1, 2))
-def test_hermite_weights_match_the_horner_loop_bit_for_bit(n, monkeypatch):
+def test_hermite_weights_match_the_horner_loop_bit_for_bit(n):
     alpha = derive_alpha(n)
     points = oracle_points([n])
     for x in points:
         assert bits(alpha.form.kernel(x)) == bits(loop_alpha_weights(alpha, x)), x
-    # the weights evaluate_hermite hands to its sum, at every point inside the cell
-    summed = []
-    monkeypatch.setattr(field, "_accumulate", lambda data, gammas: summed.extend(gammas) or 0.0)
-    inside = [x for x in points if 0.0 <= x <= 1.0]
-    for x in inside:
-        evaluate_hermite(lambda orders, node: 0.0, (x,), n)
-    assert [bits(w) for w in summed] == [bits(loop_alpha_weights(alpha, x)) for x in inside]
+    # the weights evaluate_hermite sums, at every point inside the cell: a provider that is 1.0 on one member and
+    # 0.0 on every other returns that member's weight, exactly, after the 0.0 the sum starts from (which turns a
+    # -0.0 weight into +0.0)
+    walk = [((l,), (0,)) for l in range(alpha.m + 1)] + [((l,), (1,)) for l in range(alpha.m, -1, -1)]
+    for x in [x for x in points if 0.0 <= x <= 1.0]:
+        weights = [0.0 + w for w in loop_alpha_weights(alpha, x)]
+        found = [evaluate_hermite(lambda orders, node, i=i: float((orders, node) == i), (x,), n) for i in walk]
+        assert bits(found) == bits(weights), x
+
+
+def loop_sum(values, gammas):
+    """The sum the evaluators unroll, as a loop: each value times ((g_0 * g_1) * ...) * g_{D-1}, row-major, from 0.0."""
+    acc = 0.0
+    for v, index in zip(values, itertools.product(*(range(len(gamma)) for gamma in gammas))):
+        w = gammas[0][index[0]]
+        for gamma, i in zip(gammas[1:], index[1:]):
+            w *= gamma[i]
+        acc += v * w
+    return acc
+
+
+# (kind, extents, boundary): D = 1..4 and q = 4..12; the periodic grids are smaller than q, so every patch wraps
+EVALUATOR_CASES = [
+    ((19, 12), (8,), field.PERIODIC),
+    ((11, 8), (30,), field.STRICT),
+    ((9, 6), (5, 4), field.PERIODIC),
+    ((15, 10), (14, 12), field.STRICT),
+    ((5, 4), (3, 2, 3), field.PERIODIC),
+    ((19, 12), (13, 12, 14), field.STRICT),
+    ((3, 4), (3, 2, 2, 3), field.PERIODIC),
+    ((13, 8), (9, 8, 9, 8), field.STRICT),
+    ((19, 12), (3, 2, 2, 2), field.PERIODIC),
+]
+
+
+@pytest.mark.parametrize("kind,extents,boundary", EVALUATOR_CASES)
+def test_scalar_entries_match_the_loop_bit_for_bit(kind, extents, boundary):
+    kind = SplineKind(*kind)
+    beta = derive_beta(kind)
+    rng = np.random.default_rng([kind.q, *extents])
+    h = tuple(rng.uniform(0.1, 2.0, len(extents)))
+    grid = field.GridField(rng.standard_normal(extents), h=h, boundary=boundary)
+    low = [kind.g if boundary == field.STRICT else -3 * d for d in extents]  # the cells where a strict stencil fits
+    high = [d - kind.g - 2 if boundary == field.STRICT else 3 * d for d in extents]
+
+    def want(cell, frac, orders):
+        values = field.gather_local(grid, cell, kind.g).values.ravel().tolist()
+        scale = 1.0
+        for h, l in zip(grid.h, orders):
+            scale *= h**-l
+        return loop_sum(values, [loop_beta_eval(beta, l, x) for l, x in zip(orders, frac)]) * scale
+
+    for trial in range(3):
+        cell = [int(rng.integers(a, b + 1)) for a, b in zip(low, high)]
+        point = tuple((c + x) * h for c, x, h in zip(cell, rng.random(len(cell)), grid.h))
+        orders = tuple(rng.integers(0, beta.m + 1, len(cell)).tolist())  # mixed orders
+        cc = field.grid_coordinates(point, grid)
+        assert bits([field.evaluate_derivative(grid, point, kind, orders)]) == bits([want(*cc, orders)]), point
+        # the cell ends too: a fraction 1.0 is the limit from the left, and Fractions are read as floats
+        frac = [[1.0, 0.0, Fraction(1, 3)][(trial + j) % 3] for j in range(len(cell))]
+        got = field.evaluate_at_cell(grid, cell, frac, kind, orders)
+        assert bits([got]) == bits([want(cell, [float(x) for x in frac], orders)]), (cell, frac)
+        # one evaluator per tuple of forms, compiled on the first call and reused
+        forms = tuple(beta.form(l) for l in orders)
+        evaluator = forms[0].tensors[forms].evaluator
+        field.evaluate_derivative(grid, point, kind, orders)
+        assert forms[0].tensors[forms].evaluator is evaluator
+        # each part of a partition is the slab's own sum, in the same order
+        axis = trial % len(cell)
+        gammas = [loop_beta_eval(beta, 0, x) for x in cc.frac]
+        patch = field.gather_local(grid, cc.cell, kind.g).values
+        for cut in (0, int(rng.integers(1, kind.q)), kind.q):
+            parts = field.partitioned_evaluate(grid, point, kind, axis, cc.cell[axis] - kind.g + cut)
+            sums = []
+            for slab in (slice(None, cut), slice(cut, None)):
+                values = patch[(slice(None),) * axis + (slab,)].ravel().tolist()
+                sums.append(loop_sum(values, gammas[:axis] + [gammas[axis][slab]] + gammas[axis + 1 :]))
+            assert bits(parts) == bits(sums), (axis, cut)
+
+
+@pytest.mark.parametrize("n,dims", [(19, 1), (9, 2), (5, 3), (3, 4)])
+def test_hermite_matches_the_loop_bit_for_bit(n, dims):
+    alpha = derive_alpha(n)
+    walk = [(l, 0) for l in range(alpha.m + 1)] + [(l, 1) for l in range(alpha.m, -1, -1)]
+    rng = np.random.default_rng([n, dims])
+    data = {}
+
+    def provider(orders, node):
+        return data.setdefault((orders, node), float(rng.standard_normal()))
+
+    for point in [(1.0, 0.0, 0.5, 1 / 3)[:dims]] + rng.random((4, dims)).tolist():
+        got = evaluate_hermite(provider, point, n)
+        values = [data[tuple(zip(*index))] for index in itertools.product(walk, repeat=dims)]
+        assert bits([got]) == bits([loop_sum(values, [loop_alpha_weights(alpha, x) for x in point])]), point
 
 
 def test_one_sided_limits_at_a_cell_end_use_the_kernel_at_one():
@@ -603,7 +691,10 @@ def test_one_sided_limits_at_a_cell_end_use_the_kernel_at_one():
     values = grid.data[np.arange(7 - beta.g, 7 + beta.g + 2) % 40].tolist()
     for order in range(beta.m + 1):
         left = field.evaluate_at_cell(grid, (7,), (1.0,), kind, (order,))
-        want = field._accumulate(values, [loop_beta_eval(beta, order, 1.0)]) * grid.h[0] ** -order
+        want = 0.0
+        for v, w in zip(values, loop_beta_eval(beta, order, 1.0)):
+            want += v * w
+        want *= grid.h[0] ** -order
         assert bits([left]) == bits([want]), order
         right = field.evaluate_at_cell(grid, (8,), (0.0,), kind, (order,))
         assert abs(left - right) <= 1e-12 * max(1.0, abs(right)) * 40.0**order, order
@@ -665,7 +756,8 @@ def test_derivation_and_validation_build_no_kernel(monkeypatch):
     derived += [derive_alpha.__wrapped__(19), derive_beta.__wrapped__(SplineKind(19, 12))]
     assert not [family for family in derived if {"form", "_forms", "horner_by_order"} & vars(family).keys()]
 
-    # a scalar evaluation compiles kernels (on the parts), a batched one builds the parts only
+    # a scalar evaluation compiles the evaluator of its forms (on the parts) and no kernel; a batched one builds
+    # the parts and the table of its forms only
     kind = SplineKind(5, 4)
     scalar, batched, alpha = derive_beta.__wrapped__(kind), derive_beta.__wrapped__(kind), derive_alpha.__wrapped__(5)
     grid = field.GridField(np.arange(8.0), h=0.125)
@@ -679,8 +771,10 @@ def test_derivation_and_validation_build_no_kernel(monkeypatch):
     field.evaluate_many(grid, [[0.3], [0.4]], kind, (1,))
 
     def built(form):
-        return "kernel" in vars(form), "parts" in vars(form)
+        tensor = vars(form.tensors[(form,)]) if (form,) in form.tensors else {}
+        return "kernel" in vars(form), "parts" in vars(form), "evaluator" in tensor, "table" in tensor
 
-    assert [built(scalar.form(l)) for l in (0, 1, 2)] == [(True, True), (True, True), (False, False)]
-    assert built(alpha.form) == (True, True)
-    assert [built(batched.form(l)) for l in (0, 1, 2)] == [(False, False), (False, True), (False, False)]
+    assert [built(scalar.form(l)) for l in (0, 1, 2)] == [(False, True, True, False)] * 2 + [(False,) * 4]
+    assert [len(scalar.form(l).tensors) for l in (0, 1, 2)] == [1, 1, 0]
+    assert built(alpha.form) == (False, True, True, False)
+    assert [built(batched.form(l)) for l in (0, 1, 2)] == [(False,) * 4, (False, True, False, True), (False,) * 4]

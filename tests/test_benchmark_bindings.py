@@ -45,14 +45,15 @@ def test_scalar_stages_are_called_through_module_globals(monkeypatch):
     field = field_module.GridField(np.arange(16.0), h=0.5)
     kind = SplineKind(5, 4)
     # evaluate and evaluate_derivative run the private core after grid_coordinates, not evaluate_at_cell, and
-    # the core reads its patch with _patch, not through the argument checks of gather_local
+    # the core reads its patch with _patch, not through the argument checks of gather_local; the weights are
+    # computed inside the forms' generated evaluator, so field.beta_eval, still bound, is off the path
     field_module.evaluate_derivative(field, (3.3,), kind, (1,))
     field_module.evaluate(field, (3.3,), kind)
-    assert calls == {"grid_coordinates": 2, "_patch": 2, "beta_eval": 2}
+    assert calls == {"grid_coordinates": 2, "_patch": 2}
     field_module.evaluate_at_cell(field, (6,), (0.6,), kind, (1,))
-    assert calls == {"evaluate_at_cell": 1, "grid_coordinates": 2, "_patch": 3, "beta_eval": 3}
+    assert calls == {"evaluate_at_cell": 1, "grid_coordinates": 2, "_patch": 3}
     field_module.partitioned_evaluate(field, (3.3,), kind, 0, 6)
-    assert calls == {"evaluate_at_cell": 1, "grid_coordinates": 3, "_patch": 4, "beta_eval": 4}
+    assert calls == {"evaluate_at_cell": 1, "grid_coordinates": 3, "_patch": 4}
     # the public gather_local checks its arguments, then reads through the same global
     field_module.gather_local(field, (6,), 1)
-    assert calls == {"evaluate_at_cell": 1, "grid_coordinates": 3, "_patch": 5, "beta_eval": 4, "gather_local": 1}
+    assert calls == {"evaluate_at_cell": 1, "grid_coordinates": 3, "_patch": 5, "gather_local": 1}

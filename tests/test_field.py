@@ -19,8 +19,8 @@ from hypothesis.extra import numpy as hnp
 
 from exact_oracle import direct_evaluate, exact_weights_sum
 from gridsplines import field as field_module
-from gridsplines.basis import SplineKind, derive_beta
-from gridsplines.errors import DerivativeTooHigh, InvalidKind, InvalidPoint, OutOfDomain
+from gridsplines.basis import SplineKind, beta_eval, derive_alpha, derive_beta
+from gridsplines.errors import DerivativeTooHigh, InvalidKind, InvalidOrder, InvalidPoint, OutOfDomain
 from gridsplines.field import (
     PERIODIC,
     STRICT,
@@ -1140,6 +1140,32 @@ def test_partition_reads_numpy_integer_splits_as_python_ints():
             want = np.array(partitioned_evaluate(f, (x,), kind, 0, split))
             got = np.array(partitioned_evaluate(f, (x,), kind, np.int64(0), np.int64(split)))
             assert got.tobytes() == want.tobytes(), (x, split)
+
+
+_TD = np.timedelta64(1, "ns")  # numpy makes it an integer type (numbers.Integral); it is a duration, not a count
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda f, k: evaluate_derivative(f, (2.5,), k, (_TD,)), ValueError, f"derivative order {_TD!r} on axis 0"),
+        (lambda f, k: evaluate_many(f, [[2.5], [3.5]], k, (_TD,)), ValueError, f"derivative order {_TD!r} on axis 0"),
+        (lambda f, k: evaluate_at_cell(f, (_TD,), (0.5,), k), ValueError, f"cell index {_TD!r} on axis 0"),
+        (lambda f, k: gather_local(f, (_TD,), 1), ValueError, f"cell index {_TD!r} on axis 0"),
+        (lambda f, k: derive_beta(k).form(_TD), ValueError, f"derivative order {_TD!r}"),
+        (lambda f, k: beta_eval(derive_beta(k), _TD, 0.5), ValueError, f"derivative order {_TD!r}"),
+        (lambda f, k: partitioned_evaluate(f, (2.5,), k, 0, _TD), ValueError, f"split_index {_TD!r}"),
+        (lambda f, k: GridField.sample(lambda x: 0.0, (_TD * 8,), 1.0), ValueError, f"extent {_TD * 8!r} on axis 0"),
+        (lambda f, k: SplineKind(5, _TD * 4), InvalidKind, "node count must be an even integer"),
+        (lambda f, k: SplineKind(_TD * 5, 4), InvalidOrder, "order must be an odd integer"),
+        (lambda f, k: derive_alpha(_TD * 5), InvalidOrder, "order must be an odd integer"),
+    ],
+    ids=["evaluate_derivative", "evaluate_many", "evaluate_at_cell", "gather_local", "form", "beta_eval",
+         "partitioned_evaluate", "sample", "kind_q", "kind_n", "derive_alpha"],
+)
+def test_a_timedelta_is_not_an_integer(call, error, message):
+    with pytest.raises(error, match=re.escape(message) + ".*(is not an integer|got)"):
+        call(GridField(np.arange(8.0), h=1.0), SplineKind(5, 4))
 
 
 def test_evaluate_many_matches_scalar_bitwise():
