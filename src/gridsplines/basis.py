@@ -15,11 +15,12 @@ pass over each part gives both members of a pair, with well-conditioned
 coefficients.  A straight-line ``kernel``, compiled on first use, serves
 :func:`beta_eval`.  One form per axis makes a :class:`TensorForm`, cached
 on the leading form: its compiled ``evaluator`` fuses the kernels' lines
-with the patch sum for scalar calls, and its ``table`` stacks the parts
-zero-padded (:func:`stacked_table`) for :func:`stacked_weights`.  A
-beta family has one form per derivative order 0..m (:meth:`BetaFamily.form`),
-an alpha family one form over all its members; none is built before the
-first evaluation, so exact derivation and validation never pay for them.
+with the patch sum, one axis at a time, for scalar calls, and its
+``table`` stacks the parts zero-padded (:func:`stacked_table`) for
+:func:`stacked_weights`.  A beta family has one form per derivative order
+0..m (:meth:`BetaFamily.form`), an alpha family one form over all its
+members; none is built before the first evaluation, so exact derivation
+and validation never pay for them.
 Every float comes from one conversion, :meth:`RationalPolynomial.horner_coeffs`:
 the frozen parts, and the monomial arrays of :meth:`BetaFamily.horner_by_order`
 and ``export_records``, which are not evaluated.
@@ -27,7 +28,6 @@ Validation compares integer numerators, and :func:`alpha_closed_form` is an
 integer convolution over l!.
 """
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -39,10 +39,9 @@ import numpy as np
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder
 from .exact import RationalPolynomial, _cached_on_int, _common_numerators, _is_integer, _over_common_denominator
 from .exact import _cached_on, rational_to_str, solve_linear_system, weighted_sum
-from .stencil import derive_stencil
+from .stencil import MAX_NODES, derive_stencil
 
 MAX_ORDER = 19  # largest validated odd order n
-MAX_NODES = 12  # largest supported node count q
 
 
 def _require_valid_order(n) -> None:
@@ -97,9 +96,9 @@ def _horner_expr(coeffs, s: str) -> str:
     return reduce(lambda expr, c: f"({expr} * {s} + {c!r})", coeffs[1:], repr(coeffs[0])) if coeffs else "0.0"
 
 
-def _compiled(name: str, args: str, body: list, **names):
-    """The function ``name(args)`` with the given body lines, compiled with ``names`` as its globals."""
-    exec(compile("\n    ".join([f"def {name}({args}):"] + body), f"<FrozenForm {name}>", "exec"), names)
+def _compiled(name: str, args: str, body: list):
+    """The function ``name(args)`` with the given body lines, compiled with no globals but builtins."""
+    exec(compile("\n    ".join([f"def {name}({args}):"] + body), f"<FrozenForm {name}>", "exec"), names := {})
     return names[name]
 
 
@@ -155,7 +154,8 @@ class FrozenForm:
 class TensorForm:
     """One :class:`FrozenForm` per axis, with ``table``, their :func:`stacked_table`, and ``evaluator``, each lazy.
 
-    ``evaluator(frac, values)`` runs the kernels' lines at the float fractions, then :mod:`field`'s sum over ``values``.
+    ``evaluator(frac, values)`` runs the kernels' lines at the float fractions, then :mod:`field`'s sum over ``values``,
+    one axis at a time, last axis first: a loop over rows of q per axis down to axis 1, then axis 0's one row.
     """
 
     def __init__(self, forms: tuple):
@@ -163,20 +163,18 @@ class TensorForm:
 
     @cached_property
     def evaluator(self):
-        *lead, (lines, weights) = [form.horner_source(f"x{j}", j) for j, form in enumerate(self.forms)]
-        body = [f"{''.join(f'x{j}, ' for j in range(len(self.forms)))}= frac"]
-        for j, (axis_lines, axis_weights) in enumerate(lead):  # a leading axis: one tuple, for the loop over rows
-            body += axis_lines + [f"W{j} = ({', '.join(axis_weights)},)"]
-        body += lines + [f"w{i} = {w}" for i, w in enumerate(weights)]
+        ndim = len(self.forms)
+        body = [f"{''.join(f'x{j}, ' for j in range(ndim))}= frac"]
+        for j, form in enumerate(self.forms):
+            lines, weights = form.horner_source(f"x{j}", j)
+            body += lines + [f"w{j}_{i} = {w}" for i, w in enumerate(weights)]
         q, row = len(weights), "".join(f"v{i}, " for i in range(len(weights)))
-        if lead:
-            a = [f"a{j}" for j in range(len(lead))]
-            rows = f"zip(product({', '.join(f'W{j}' for j in range(len(lead)))}), values.reshape(-1, {q}).tolist())"
-            body += ["acc = 0.0", f"for ({', '.join(a)},), ({row}) in {rows}:", f"    p = {' * '.join(a)}"]
-            body += [f"    acc = acc + {' + '.join(f'v{i} * (p * w{i})' for i in range(q))}", "return acc"]
-        else:  # one row: no loop
-            body += [f"{row}= values.tolist()", f"return 0.0 + {' + '.join(f'v{i} * w{i}' for i in range(q))}"]
-        return _compiled("evaluator", "frac, values", body, product=itertools.product)
+        terms = [" + ".join(f"v{i} * w{j}_{i}" for i in range(q)) for j in range(ndim)]
+        body.append(f"r = values.reshape(-1, {q}).tolist()" if ndim > 1 else "r = values.tolist()")  # the rows
+        for j in range(ndim - 1, 0, -1):  # last axis first: each row times axis j's weights, summed from 0.0
+            rows = "t" if j == ndim - 1 else f"zip(*[iter(t)] * {q})"  # the previous axis's sums, q at a time
+            body += ["t, r = r, []", f"for {row}in {rows}:", f"    r.append(0.0 + {terms[j]})"]
+        return _compiled("evaluator", "frac, values", body + [f"{row}= r", f"return 0.0 + {terms[0]}"])  # one row left
 
     @cached_property
     def table(self) -> tuple:

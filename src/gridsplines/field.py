@@ -4,18 +4,18 @@ A :class:`GridField` stores scalar samples on a regular rectangular grid with
 per-axis spacings.  Evaluation rescales the query point to unit cells, gathers
 the q**D node values the stencil needs (a view of the data wherever the
 stencil lies inside the grid), evaluates the per-axis basis weights, and
-accumulates one fused sum over the patch.
+sums the patch against them one axis at a time.
 
 Every scalar interpolant here is that one sum, run by the ``evaluator`` that
-:class:`basis.TensorForm` compiles once per tuple of per-axis forms: patch
-index (i_0..i_{D-1}) weighs ((gamma_0 * gamma_1) * ...) * gamma_{D-1}, as
-:func:`_contract` forms it, and each input times its weight is added
-row-major, last axis innermost, to a sum that starts at 0.0 (from D = 2 on,
-in one loop over the patch's rows, each row's prefix weight formed once).
-The scalar entries check their arguments, then run one private core,
-:func:`_at_cell`, on the (q,)*D node patch.  Each part of
+:class:`basis.TensorForm` compiles once per tuple of per-axis forms, as
+:func:`_contract` runs it across points: last axis first, each row of q
+values times the axis's weights is added in index order to a sum that
+starts at 0.0, and the row sums, q at a time, are the next axis's rows,
+down to one number.  The scalar entries check their arguments, then run one
+private core, :func:`_at_cell`, on the (q,)*D node patch.  Each part of
 :func:`partitioned_evaluate` is that sum with the other slab's values
-zeroed, so it holds exactly the terms, and the rounding, of its slab.
+zeroed, which add only +-0.0: it holds exactly the terms, and the
+rounding, of its slab.
 :func:`evaluate_hermite` sums the (2(m+1),)*D patch of endpoint data in the
 alpha form's member order: index l <= m along an axis is order l at cell
 end 0, index 2m + 1 - l order l at cell end 1.  Coordinates, cell fractions,
@@ -30,23 +30,24 @@ coordinates, cell fold, patch corner and domain check, and every axis's
 weights at once (:func:`basis.stacked_weights`); per block of
 P = CHUNK_TERMS // q**D points (at least 2) of the stage, :func:`_contract`
 gathers every patch with one flat ``take`` at precomputed row-major offsets,
-forms the weight tensor, and sums the (q**D, points) terms with one
-``np.add.reduce`` that adds the rows in row-major patch order, starting from
-0.0.  A one-point tail of either is taken with its neighbour.  A periodic
-field is padded once per call with g ghost nodes below and g + 1 above each
-axis, so that every stencil, wrapped or not, is one box of the padded array.
+then, last axis first, weighs the (rows, q, points) view in place and sums
+over q with one ``np.add.reduce`` from 0.0, which adds in index order, not
+pairwise, as q is not the contiguous axis.  A one-point tail of either is
+taken with its neighbour.  A periodic field is padded once per call with g
+ghost nodes below and g + 1 above each axis, so that every stencil, wrapped
+or not, is one box of the padded array.
 
 Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
 bytes; one workspace, which the Horner loop and every patch step write with
 ``out=``; each stage's per-point coordinate and index arrays, about 26 * D
 bytes a point; and NumPy's ufunc buffers, UFUNC_BUFFER floats an operand at
 most (the default np.getbufsize() is 8 192).
-The workspace holds the stage's weights, D * q * S floats; the gather
-offsets (int64, then the float weight tensor; before both, the weights'
-scratch, (D + q/2) * S floats) and the terms, q**D * P floats each, at most
-CHUNK_TERMS; and a q-th of that for the weight product before the last axis.
-For a 3-D (5,4) kind on a 32**3 grid and 4 000 points (one stage, 1 024-point
-blocks), that is 335 + 375 + 1 152 + 305 KiB, and tracemalloc sees 2 173 KiB.
+The workspace holds the stage's weights, D * q * S floats, and two parts of
+q**D * P floats each, at most CHUNK_TERMS, which the axes' sums take by
+turns: the gather offsets (int64) and the patch (before both, the weights'
+scratch, (D + q/2) * S floats).  For a 3-D (5,4) kind on a 32**3 grid and
+4 000 points (one stage, 1 024-point blocks), that is 335 + 375 + 1 024 +
+305 KiB, and tracemalloc sees 2 044 KiB.
 
 The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
@@ -82,7 +83,7 @@ _REAL = (numbers.Real, np.bool_)  # numpy registers its integer and float types 
 # offsets and terms stay at 512 KiB each.
 CHUNK_TERMS = 1 << 16
 # The engine's ufunc buffer at most, in elements: NumPy runs each broadcasting call through it, and such a call
-# slows as it grows (an index add 3.5x, a weight product 1.5x at the default 8 192 against 1 024).
+# slows as it grows (an index add 3.5x, an axis's weight multiply 1.4x at the default 8 192 against 1 024).
 UFUNC_BUFFER = 1 << 10
 
 
@@ -381,8 +382,8 @@ def evaluate(field: GridField, point: Sequence[float], kind: SplineKind) -> floa
     """Interpolated field value at an arbitrary point.
 
     Per axis the q basis weights are evaluated once at the cell fraction;
-    the result is a single fused sum of the q**D patch values against the
-    tensor product of those weights.
+    the q**D patch values are summed against them one axis at a time, last
+    axis first.
     """
     cell, frac = grid_coordinates(point, field)
     return _at_cell(field, point, cell, frac, None, kind)
@@ -449,8 +450,8 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
         stage = max(block, CHUNK_TERMS // (ndim * q))  # points of a per-point step: as many weights as terms
         gamma, span = min(stage, len(pts)) * ndim * q, min(block, len(pts)) * q**ndim
         # one workspace, laid out as the module docstring says
-        work = np.empty(gamma + 2 * span + span // q)
-        front, terms, partial = np.split(work[gamma:], [span, 2 * span])
+        work = np.empty(gamma + 2 * span)
+        front, terms = np.split(work[gamma:], [span])
         out = np.empty(len(pts))
         flat = ext.ravel()
         horner = forms[0].tensors[forms].table
@@ -462,7 +463,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
             for a in range(0, hi - lo, block):
                 b = min(a + block, hi - lo)
                 a = min(a, b - 2)
-                _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, partial, out[lo + a : lo + b])
+                _contract(flat, offsets, base[a:b], gammas[..., a:b], front, terms, out[lo + a : lo + b])
             del base  # free the corners before the next stage's per-point steps run
         out *= scale
         return out
@@ -505,23 +506,17 @@ def _block_weights(field, pts, kind, strides, limit, horner, weights) -> tuple:
     return base, gammas
 
 
-def _contract(flat, offsets, base, gammas, front, terms, partial, out) -> None:
-    """Patch steps of :func:`_at_cell` for a block, each in place: gather, weight, sum into ``out``.
-
-    The weight tensor goes into ``front`` once the gather is done with the
-    offsets there; from D = 3 on, the products before it alternate between
-    ``partial`` and ``front``.
-    """
+def _contract(flat, offsets, base, gammas, front, terms, out) -> None:
+    """Patch steps of :func:`_at_cell` for a block, in place: gather, then one sum per axis, last first, to ``out``."""
     ndim, q, n = gammas.shape
     size = len(offsets) * n
     index = np.add(offsets, base, out=front[:size].view(np.int64).reshape(-1, n))
-    terms = flat.take(index, out=terms[:size].reshape(-1, n), mode="wrap")  # "raise" would buffer out
-    weights = gammas[0]  # weight of patch index (i_0..i_{D-1}) is ((gamma_0 * gamma_1) * ...) * gamma_{D-1}
-    for j in range(1, ndim):
-        buf = (front if (ndim - j) % 2 else partial)[: q ** (j + 1) * n]
-        weights = np.multiply(weights[..., None, :], gammas[j], out=buf.reshape((q,) * (j + 1) + (n,)))
-    np.multiply(terms, weights.reshape(terms.shape), out=terms)
-    np.add.reduce(terms, axis=0, initial=0.0, out=out)  # the rows in row-major patch order, from 0.0
+    sums = flat.take(index, out=terms[:size].reshape(-1, n), mode="wrap")  # "raise" would buffer out
+    for j in range(ndim - 1, -1, -1):
+        rows = sums.reshape(-1, q, n)
+        rows *= gammas[j]
+        into = (front, terms)[(ndim - 1 - j) % 2] if j else out
+        sums = np.add.reduce(rows, axis=1, initial=0.0, out=into[: len(rows) * n].reshape(-1, n))
 
 
 def partitioned_evaluate(

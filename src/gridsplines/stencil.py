@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from .exact import _cached_on_int, _integer, _is_integer, solve_linear_system
 
+MAX_NODES = 12  # largest supported node count q = 2g + 2
+
 
 @dataclass(frozen=True)
 class StencilTable:
@@ -50,9 +52,11 @@ def derive_stencil(g: int) -> StencilTable:
 
     One solve propagates every unit node value through the Vandermonde
     system; solution j gives the contribution of f(node_j) to every Taylor
-    order.
+    order.  A half-width above MAX_NODES // 2 - 1 raises ValueError.
     """
     g = _integer(g, "stencil half-width {!r}", least=1)
+    if g > MAX_NODES // 2 - 1:
+        raise ValueError(f"stencil half-width {g} exceeds {MAX_NODES // 2 - 1}, the largest for q <= {MAX_NODES}")
     size = 2 * g + 1
     nodes = range(-g, g + 1)
     vandermonde = [[Fraction(v) ** p for p in range(size)] for v in nodes]

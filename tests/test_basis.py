@@ -598,14 +598,21 @@ def test_hermite_weights_match_the_horner_loop_bit_for_bit(n):
 
 
 def loop_sum(values, gammas):
-    """The sum the evaluators unroll, as a loop: each value times ((g_0 * g_1) * ...) * g_{D-1}, row-major, from 0.0."""
-    acc = 0.0
-    for v, index in zip(values, itertools.product(*(range(len(gamma)) for gamma in gammas))):
-        w = gammas[0][index[0]]
-        for gamma, i in zip(gammas[1:], index[1:]):
-            w *= gamma[i]
-        acc += v * w
-    return acc
+    """The sum the evaluators unroll, as loops: the row-major values in rows of the last axis's length, each row
+    times that axis's gammas summed in index order from 0.0, then the same over the row sums axis by axis, last
+    axis first, down to one number.  An empty slab gives 0.0."""
+    sums = list(values)
+    if not sums:
+        return 0.0
+    for gamma in reversed(gammas):
+        rows = []
+        for start in range(0, len(sums), len(gamma)):
+            acc = 0.0
+            for v, w in zip(sums[start : start + len(gamma)], gamma):
+                acc += v * w
+            rows.append(acc)
+        sums = rows
+    return sums[0]
 
 
 # (kind, extents, boundary): D = 1..4 and q = 4..12; the periodic grids are smaller than q, so every patch wraps

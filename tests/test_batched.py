@@ -259,7 +259,7 @@ def test_workspace_holds_the_weights_scratch_under_retuned_constants(monkeypatch
     block, stage = _block(ndim, kind.q), _stage(ndim, kind.q)
     span = block * kind.q**ndim
     # a stage's per-axis weights need (D + q/2) floats a point of scratch, which the patch area after them holds
-    assert (ndim + kind.q // 2) * stage <= 2 * span + span // kind.q
+    assert (ndim + kind.q // 2) * stage <= 2 * span
     rng = np.random.default_rng(ndim)
     field = GridField(rng.standard_normal((9,) * ndim), h=0.5)
     points = rng.uniform(-1.0, 6.0, size=(count, ndim))
@@ -379,7 +379,7 @@ def test_peak_memory_matches_the_documented_formula():
     block, stage = _block(3, kind.q), min(_stage(3, kind.q), count)
     span = min(block, count) * kind.q**3
     padded = 8 * int(np.prod([d + kind.q - 1 for d in dims]))
-    workspace = 8 * (stage * 3 * kind.q + 2 * span + span // kind.q)
+    workspace = 8 * (stage * 3 * kind.q + 2 * span)
     formula = padded + workspace + 26 * 3 * stage
     # tracing allocates a few KiB more (offsets, Horner rows, Python objects); a spare stage-sized float array,
     # 8 * D bytes a point, adds 94 KiB

@@ -90,6 +90,13 @@ def test_half_width_that_is_not_a_positive_integer_is_rejected(g):
         derive_stencil(g)
 
 
+@pytest.mark.parametrize("g", [6, 10**400])
+def test_half_width_beyond_the_largest_node_count_is_rejected(g):
+    # q = 2g + 2 <= MAX_NODES = 12 bounds g by 5; a huge g would otherwise build its Vandermonde system for ever
+    with pytest.raises(ValueError, match=f"stencil half-width {g} exceeds 5, the largest for q <= 12"):
+        derive_stencil(g)
+
+
 def test_cache_keys_a_numpy_integer_half_width_as_the_int():
     assert derive_stencil(np.int64(1)) is derive_stencil(1) is derive_stencil(np.int32(1))
     table = derive_stencil(np.int16(3))
