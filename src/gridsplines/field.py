@@ -2,9 +2,9 @@
 
 A :class:`GridField` stores scalar samples on a regular rectangular grid with
 per-axis spacings.  Evaluation rescales the query point to unit cells, gathers
-the q**D node values the stencil needs (a view of the data wherever the
-stencil lies inside the grid), evaluates the per-axis basis weights, and
-sums the patch against them one axis at a time.
+the q**D node values the stencil needs (a view of one array per field and
+stencil width), evaluates the per-axis basis weights, and sums the patch
+against them one axis at a time.
 
 Every scalar interpolant here is that one sum, run by the ``evaluator`` that
 :class:`basis.TensorForm` compiles once per tuple of per-axis forms, as
@@ -33,12 +33,13 @@ gathers every patch with one flat ``take`` at precomputed row-major offsets,
 then, last axis first, weighs the (rows, q, points) view in place and sums
 over q with one ``np.add.reduce`` from 0.0, which adds in index order, not
 pairwise, as q is not the contiguous axis.  A one-point tail of either is
-taken with its neighbour.  A periodic field is padded once per call with g
-ghost nodes below and g + 1 above each axis, so that every stencil, wrapped
-or not, is one box of the padded array.
+taken with its neighbour.  Both paths read a patch as one box of the
+field's array for its g (see :class:`GridField`), with one corner rule per
+axis: the cell index modulo the extent if periodic, else the first stencil
+node, checked to lie inside.
 
-Memory per call, besides the result: the padded copy, prod(d_j + q - 1) * 8
-bytes; one workspace, which the Horner loop and every patch step write with
+Memory per call, besides the result and the padded copy the field keeps:
+one workspace, which the Horner loop and every patch step write with
 ``out=``; each stage's per-point coordinate and index arrays, about 26 * D
 bytes a point; and NumPy's ufunc buffers, UFUNC_BUFFER floats an operand at
 most (the default np.getbufsize() is 8 192).
@@ -46,13 +47,13 @@ The workspace holds the stage's weights, D * q * S floats, and two parts of
 q**D * P floats each, at most CHUNK_TERMS, which the axes' sums take by
 turns: the gather offsets (int64) and the patch (before both, the weights'
 scratch, (D + q/2) * S floats).  For a 3-D (5,4) kind on a 32**3 grid and
-4 000 points (one stage, 1 024-point blocks), that is 335 + 375 + 1 024 +
-305 KiB, and tracemalloc sees 2 044 KiB.
+4 000 points (one stage, 1 024-point blocks), that is 375 + 1 024 + 305 KiB,
+and tracemalloc sees 1 707 KiB (a first call also pads the field: 335 KiB).
 
-The gather reads the padded copy with ``mode="wrap"``, since ``mode="raise"``
+The gather reads the flat array with ``mode="wrap"``, since ``mode="raise"``
 buffers its output and so allocates it again.  Its range is checked per point
 instead: the per-point stage raises IndexError for a corner whose patch,
-flat offsets 0..(q-1)*sum(strides) past it, would leave the copy.
+flat offsets 0..(q-1)*sum(strides) past it, would leave the array.
 """
 
 import itertools
@@ -97,6 +98,12 @@ class GridField:
     :class:`OutOfDomain` when the stencil leaves the grid.  Every data entry
     and grid constant must be a real number within the float range, as a
     coordinate must.
+
+    Every patch of half-width g is one box of one read-only array: ``data``
+    if strict; if periodic, ``data`` padded with g nodes below and g + 1
+    above each axis, made on the first evaluation with that g on either
+    path and kept, one per g: at most five, and one per other g that
+    :func:`gather_local` is asked for.
     """
 
     data: np.ndarray
@@ -125,6 +132,7 @@ class GridField:
         object.__setattr__(self, "h", tuple(map(float, h)))
         if self.boundary not in (PERIODIC, STRICT):
             raise ValueError(f"boundary must be {PERIODIC!r} or {STRICT!r}, got {self.boundary!r}")
+        object.__setattr__(self, "_boxes", _Boxes(data, self.boundary == PERIODIC))
 
     @property
     def dims(self) -> tuple:
@@ -160,6 +168,18 @@ class GridField:
                 f"sampled function returned shape {values.shape}, which does not broadcast to {dims}"
             ) from None
         return cls(data=data, h=h, boundary=boundary)
+
+
+class _Boxes(dict):
+    """Per half-width g, the read-only array of :class:`GridField` whose boxes are every stencil of g."""
+
+    def __init__(self, data, periodic):  # the data, not the field: no cycle, so reference counting frees a field
+        self.data, self.periodic = data, periodic
+
+    def __missing__(self, g):  # the first lookup of g pads a periodic field's data
+        ext = np.pad(self.data, [(g, g + 1)] * self.data.ndim, mode="wrap") if self.periodic else self.data
+        ext.setflags(write=False)
+        return self.setdefault(g, ext)
 
 
 # Built once per scalar call, by tuple.__new__ at under half the cost of the generated __new__.
@@ -268,12 +288,12 @@ def _invalid_point(point, axis: int, reason: str) -> InvalidPoint:
 def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     """The q**D node values whose offsets span -g..g+1 around the cell.
 
-    Along an axis where the stencil lies inside the grid the nodes are one
-    basic slice, so a patch inside the grid is a read-only view of
-    ``field.data``.  Only a periodic stencil that crosses an edge is gathered
-    through indices taken modulo the extent, which wrap as often as needed
-    when the extent is smaller than q, from any integer cell index; one that
-    is not an integer (a bool included) raises ValueError naming its axis.
+    The patch is a read-only view, one basic slice: of ``field.data`` on a
+    strict field, and of the field's padded copy for g on a periodic one,
+    where it starts at the cell index modulo the extent, so that it wraps
+    as often as needed when the extent is smaller than q, from any integer
+    cell index.  An index that is not an integer (a bool included) raises
+    ValueError naming its axis.
     """
     g = _integer(g, "stencil half-width g {!r}", least=1)  # an int: a numpy integer would overflow near 2**63
     try:
@@ -286,34 +306,25 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
 
 def _patch(field, cell, g, point=None):
     """The (q,)*D patch of :func:`gather_local` at a cell, each index checked; OutOfDomain names ``point`` if given."""
-    data = field.data
+    periodic = field.boundary == PERIODIC
     q = 2 * g + 2
     box = []
-    wrapped = []
-    for c, extent in zip(cell, data.shape):  # len(box) is the axis
+    for c, extent in zip(cell, field.data.shape):  # len(box) is the axis
         if type(c) is not int:
             c = _integer(c, "cell index {!r} on axis {}", len(box))
-        start = c - g
-        stop = start + q
-        if 0 <= start and stop <= extent:
-            box.append(slice(start, stop))
-        elif field.boundary == PERIODIC:
-            wrapped.append((len(box), (start % extent + np.arange(q)) % extent))
-            box.append(slice(None))
-        else:
+        start = c % extent if periodic else c - g  # the patch's corner in field._boxes[g]
+        if not (periodic or 0 <= start <= extent - q):
             where = tuple(int(v) if _is_integer(v) else v for v in cell)  # a later axis's bad index stays as given
             message = (
-                f"cell {where}: stencil nodes [{start}, {stop}) on axis {len(box)}"
+                f"cell {where}: stencil nodes [{start}, {start + q}) on axis {len(box)}"
                 f" leave its node range 0..{extent - 1}"
             )
             if point is not None:
                 point = tuple(map(_shown, point))
                 message = f"point {point}: {message}"
             raise OutOfDomain(message, point=point, axis=len(box), cell=where, extent=extent)
-    values = data[tuple(box)]
-    for axis, idx in wrapped:
-        values = values.take(idx, axis=axis)
-    return values
+        box.append(slice(start, start + q))
+    return field._boxes[g][tuple(box)]
 
 
 def _fractions(frac) -> tuple:
@@ -414,9 +425,8 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     orders, runs the engine: each step repeats the scalar floating-point
     operations in their order, vectorised across the points of a stage or a
     block (see CHUNK_TERMS).  Every other call is :func:`evaluate_derivative`
-    on each of the caller's rows.
-    A periodic field is padded once per engine call (see the module's
-    memory note), so pass all points in one call.
+    on each of the caller's rows.  The engine reads the patches from the
+    array the scalar path reads (see :class:`GridField`).
     Bad input raises what the scalar path raises for the first bad point:
     :class:`InvalidPoint` for a coordinate that is not a real number, beyond
     the float range, not finite or beyond the int64 cell range,
@@ -442,8 +452,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     try:
         pts = pts.astype(np.float64, copy=False)
         g, q, ndim = family.g, family.q, field.ndim
-        # with g ghost nodes below and g + 1 above, every periodic stencil is one box of ext
-        ext = np.pad(field.data, [(g, g + 1)] * ndim, mode="wrap") if field.boundary == PERIODIC else field.data
+        ext = field._boxes[g]
         strides = np.array(ext.strides) // ext.itemsize
         offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
         block = max(2, CHUNK_TERMS // q**ndim)  # points of a patch step

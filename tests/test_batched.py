@@ -3,7 +3,12 @@
 import contextlib
 import gc
 import itertools
+import json
+import math
+import subprocess
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -349,55 +354,111 @@ def _call_peaks(field, kind, batches) -> list:
         tracemalloc.stop()
 
 
-def test_peak_memory_does_not_grow_with_the_point_count():
-    # one workspace per call, sized by the kind and the field, not by the number of points
+def _in_a_fresh_interpreter(measure):
+    """``measure()``, a function of this module that returns JSON data, run in a new interpreter.
+
+    numpy's caches of small blocks then start in one state, whatever ran earlier in the suite: traced peaks
+    compared to the byte would otherwise differ now and then.
+    """
+    name = measure.__name__
+    code = f"import json, sys; sys.path[:0] = {sys.path!r}; from {__name__} import {name}; print(json.dumps({name}()))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def _peaks_at_two_point_counts() -> list:
+    """The traced peaks of two calls at different point counts, for two fields."""
     kind = SplineKind(5, 4)
     field = GridField(np.random.default_rng(0).standard_normal((32,) * 3), h=1 / 32)
     counts = [n * _stage(3, kind.q) + 1 for n in (3, 10)]  # 5 461-point stages; each count ends in a one-point tail
-    peaks = _call_peaks(field, kind, [np.random.default_rng(count).random((count, 3)) for count in counts])
-    assert peaks[0] == peaks[1]
-    # both counts above span several stages; one stage against three shows an array a stage keeps while the
-    # next stage's per-point steps run (8 bytes a point: 128 KiB for the 16 384-point stages of 1-D q = 4)
+    peaks = [_call_peaks(field, kind, [np.random.default_rng(count).random((count, 3)) for count in counts])]
     kind = SplineKind(3, 4)
     stage = _stage(1, kind.q)
     field = GridField(np.random.default_rng(0).standard_normal(4096), h=1 / 4096)
     old = np.setbufsize(16)  # numpy's ufunc buffers held down, so that the arrays of the module show
     try:
-        peaks = _call_peaks(field, kind, [np.random.default_rng(n).random((n * stage, 1)) for n in (1, 3)])
+        peaks.append(_call_peaks(field, kind, [np.random.default_rng(n).random((n * stage, 1)) for n in (1, 3)]))
     finally:
         np.setbufsize(old)
-    assert abs(peaks[1] - peaks[0]) <= 1024, peaks
+    return peaks
 
 
-def test_peak_memory_matches_the_documented_formula():
-    # the field module's formula: the padded copy, the workspace, and per point of a stage about 26 * D bytes
-    # of coordinate and index arrays; 4000 points fit in one stage (of up to 5 461 points) and span four blocks
-    kind = SplineKind(5, 4)
-    dims, count = (32,) * 3, 4000
-    field = GridField(np.random.default_rng(0).standard_normal(dims), h=1 / 32)
-    points = np.random.default_rng(1).random((count, 3))
-    block, stage = _block(3, kind.q), min(_stage(3, kind.q), count)
-    span = min(block, count) * kind.q**3
-    padded = 8 * int(np.prod([d + kind.q - 1 for d in dims]))
-    workspace = 8 * (stage * 3 * kind.q + 2 * span)
-    formula = padded + workspace + 26 * 3 * stage
-    # tracing allocates a few KiB more (offsets, Horner rows, Python objects); a spare stage-sized float array,
-    # 8 * D bytes a point, adds 94 KiB
-    slack = 12 * 1024
+def test_peak_memory_does_not_grow_with_the_point_count():
+    # one workspace per call, sized by the kind and the field, not by the number of points
+    peaks, spread = _in_a_fresh_interpreter(_peaks_at_two_point_counts)
+    assert peaks[0] == peaks[1]
+    # both counts above span several stages; one stage against three shows an array a stage keeps while the
+    # next stage's per-point steps run (8 bytes a point: 128 KiB for the 16 384-point stages of 1-D q = 4)
+    assert abs(spread[1] - spread[0]) <= 1024, spread
+
+
+def _warm_call_peak() -> int:
+    """The traced peak of a warm 4 000-point call of kind (5,4) on a 32**3 periodic field, less its result."""
+    field = GridField(np.random.default_rng(0).standard_normal((32,) * 3), h=1 / 32)
+    points = np.random.default_rng(1).random((4000, 3))
     # numpy's ufunc buffers (UFUNC_BUFFER floats each in the engine) are held down, so the module's arrays show
     old = np.setbufsize(16)
     tracemalloc.start()
     try:
-        evaluate_many(field, points, kind)  # warm
+        evaluate_many(field, points, SplineKind(5, 4))  # warm: this call pads the field
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        evaluate_many(field, points, kind)
-        peak = tracemalloc.get_traced_memory()[1] - before - 8 * count
+        evaluate_many(field, points, SplineKind(5, 4))
+        return tracemalloc.get_traced_memory()[1] - before - 8 * len(points)
     finally:
         tracemalloc.stop()
         np.setbufsize(old)
+
+
+def test_peak_memory_matches_the_documented_formula():
+    # the field module's formula: the workspace, and per point of a stage about 26 * D bytes of coordinate and
+    # index arrays; 4000 points fit in one stage (of up to 5 461 points) and span four blocks
+    kind = SplineKind(5, 4)
+    count = 4000
+    block, stage = _block(3, kind.q), min(_stage(3, kind.q), count)
+    span = min(block, count) * kind.q**3
+    workspace = 8 * (stage * 3 * kind.q + 2 * span)
+    formula = workspace + 26 * 3 * stage
+    # tracing allocates a few KiB more (offsets, Horner rows, Python objects); a spare stage-sized float array,
+    # 8 * D bytes a point, adds 94 KiB
+    slack = 12 * 1024
+    peak = _in_a_fresh_interpreter(_warm_call_peak)
     assert 0 <= peak - formula <= slack, (peak, formula)
+
+
+def test_the_padded_copy_is_made_once_per_field_on_either_path():
+    # after a batched call on a periodic field, neither a scalar call nor a second batched call pads it again
+    kind = SplineKind(5, 4)
+    dims = (32,) * 3
+    field = GridField(np.random.default_rng(0).standard_normal(dims), h=1 / 32)
+    points = np.random.default_rng(1).random((100, 3))
+    padded = 8 * math.prod(d + kind.q - 1 for d in dims)
+    evaluate_many(field, points, kind)
+    tracemalloc.start()
+    try:
+        for call in (lambda: evaluate(field, (0.0, 0.5, 1.0), kind), lambda: evaluate_many(field, points, kind)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            assert tracemalloc.get_traced_memory()[1] - before < padded
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_field_evaluated_on_both_paths_is_freed_by_reference_counting():
+    # a field's padded copies hold no reference back to it, so no cycle keeps the field or its copies alive
+    field = GridField(np.random.default_rng(0).standard_normal((8, 8)), h=1 / 8)
+    evaluate_many(field, np.random.default_rng(1).random((10, 2)), SplineKind(5, 4))
+    evaluate(field, (0.5, 0.5), SplineKind(9, 6))
+    refs = [weakref.ref(field), weakref.ref(field._boxes[1]), weakref.ref(field._boxes[2])]
+    gc.disable()
+    try:
+        del field
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_patch_range_is_checked_per_point_before_the_gather():

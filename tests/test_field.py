@@ -267,11 +267,19 @@ def test_gather_matches_wrapped_index_reference(dims, g, boundary):
 
 
 def test_gather_inside_the_grid_is_a_read_only_view():
-    f = GridField(np.arange(60.0).reshape(6, 10), h=1.0)
+    # strict: a patch inside the grid is a view of the data itself
+    data = np.arange(60.0).reshape(6, 10)
+    f = GridField(data, h=1.0, boundary=STRICT)
     values = gather_local(f, (2, 5), 1).values
     assert np.shares_memory(values, f.data)
     assert not values.flags.writeable
-    assert not np.shares_memory(gather_local(f, (0, 5), 1).values, f.data)  # wraps on axis 0: a copy
+    # periodic: every patch, inside, wrapped on axis 0, or of extents smaller than q, is a view of the field's one
+    # padded array, never a fresh copy
+    f, small = GridField(data, h=1.0), GridField(data[:2, :3], h=1.0)  # small: extents 2 and 3 < q = 4
+    for field, cell in ((f, (2, 5)), (f, (0, 5)), (small, (0, 1)), (small, (-7, 9))):
+        values = gather_local(field, cell, 1).values
+        assert values.base is field._boxes[1], (field.dims, cell)
+        assert not values.flags.writeable and not values.base.flags.writeable
 
 
 def scalar_digest(field, kind, points, orders) -> str:
