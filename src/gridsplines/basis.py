@@ -69,7 +69,7 @@ class SplineKind:
         object.__setattr__(self, "q", int(self.q))
         if self.n > 2 * self.q - 3:
             raise InvalidKind(f"order {self.n} exceeds 2q-3 = {2 * self.q - 3} for q = {self.q}")
-        object.__setattr__(self, "_key", (self.n, self.q))  # derive_beta's cache key, read on every scalar call
+        object.__setattr__(self, "_key", (self.n, self.q))  # the cache key of derive_beta and of a field's plans
 
     @property
     def m(self) -> int:
@@ -261,7 +261,7 @@ class BetaFamily:
     def m(self) -> int:
         return (self.n - 1) // 2
 
-    @cached_property  # read on every scalar call
+    @property
     def g(self) -> int:
         return (self.q - 2) // 2
 

@@ -12,9 +12,11 @@ Every scalar interpolant here is that one sum, run by the ``evaluator`` that
 values times the axis's weights is added in index order to a sum that
 starts at 0.0, and the row sums, q at a time, are the next axis's rows,
 down to one number.  The scalar entries check their arguments, then run one
-private core, :func:`_at_cell`, on the (q,)*D node patch.  Each part of
-:func:`partitioned_evaluate` is that sum with the other slab's values
-zeroed, which add only +-0.0: it holds exactly the terms, and the
+private core, :func:`_at_cell`, on the (q,)*D node patch.  Every entry takes
+what its kind and orders fix from one checked :func:`_plan`, which the core
+keeps per field, kind and orders, so a repeated call derives none of it.
+Each part of :func:`partitioned_evaluate` is that sum with the other slab's
+values zeroed, which add only +-0.0: it holds exactly the terms, and the
 rounding, of its slab.
 :func:`evaluate_hermite` sums the (2(m+1),)*D patch of endpoint data in the
 alpha form's member order: index l <= m along an axis is order l at cell
@@ -103,7 +105,9 @@ class GridField:
     if strict; if periodic, ``data`` padded with g nodes below and g + 1
     above each axis, made on the first evaluation with that g on either
     path and kept, one per g: at most five, and one per other g that
-    :func:`gather_local` is asked for.
+    :func:`gather_local` is asked for.  The scalar core keeps the :func:`_plan`
+    of each kind and orders.  Pickling and copying carry neither cache: they
+    rebuild the field from ``data``, ``h`` and ``boundary``, data read-only.
     """
 
     data: np.ndarray
@@ -133,6 +137,10 @@ class GridField:
         if self.boundary not in (PERIODIC, STRICT):
             raise ValueError(f"boundary must be {PERIODIC!r} or {STRICT!r}, got {self.boundary!r}")
         object.__setattr__(self, "_boxes", _Boxes(data, self.boundary == PERIODIC))
+        object.__setattr__(self, "_plans", {})  # _at_cell's plans by (kind._key, orders): none refers to the field
+
+    def __reduce__(self):
+        return GridField, (self.data, self.h, self.boundary)
 
     @property
     def dims(self) -> tuple:
@@ -335,11 +343,13 @@ def _fractions(frac) -> tuple:
     return tuple(map(float, frac))
 
 
-def _orders_and_scale(field: GridField, orders, family) -> tuple:
-    """Each axis's form of derivative order l (all 0 for None), as a tuple, and prod h_j**-l_j.
+def _plan(field: GridField, kind, orders) -> tuple:
+    """What a call fixes before its point: the forms' :class:`basis.TensorForm`, prod h_j**-l_j, g and q.
 
-    Each l is checked, naming its axis, before h**-l, which overflows for absurd orders.
+    Checks the kind (:func:`derive_beta`), then the orders: a sequence of one per axis (all 0 for None),
+    each l checked, naming its axis, before h**-l, which overflows for absurd orders.
     """
+    family = derive_beta(kind)
     h = field.h
     if orders is None:
         orders = (0,) * len(h)
@@ -356,15 +366,27 @@ def _orders_and_scale(field: GridField, orders, family) -> tuple:
             _require_derivative_order(family, lj, len(found))
         found.append(forms[lj])
         scale *= hj ** (-lj)
-    return tuple(found), scale
+    found = tuple(found)
+    return found[0].tensors[found], scale, family.g, family.q
 
 
 def _at_cell(field, point, cell, frac, orders, kind):
-    """The scalar core at a checked cell: the forms' evaluator on the patch, times prod h_j**-l_j."""
-    family = derive_beta(kind)
-    forms, scale = _orders_and_scale(field, orders, family)
-    values = _patch(field, cell, family.g, point)
-    return forms[0].tensors[forms].evaluator(frac, values) * scale
+    """The scalar core at a checked cell: the plan's evaluator on the patch, times its scale."""
+    # the field keeps the plans of a SplineKind and orders None or a tuple of exact ints: (1.0,), (True,) and
+    # (np.int64(1),) equal (1,) and hash like it, but fail its check or return an np.float64
+    key = None
+    if type(kind) is SplineKind and (orders is None or type(orders) is tuple):
+        key = kind._key, orders
+        for l in orders or ():
+            if type(l) is not int:
+                key = None
+    plan = field._plans.get(key)
+    if plan is None:
+        plan = _plan(field, kind, orders)
+        if key is not None:
+            field._plans[key] = plan
+    tensor, scale, g, _ = plan
+    return tensor.evaluator(frac, _patch(field, cell, g, point)) * scale
 
 
 def evaluate_at_cell(
@@ -439,19 +461,18 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
     try:
-        family = derive_beta(kind)
-        forms, scale = _orders_and_scale(field, orders, family)
+        tensor, scale, g, q = _plan(field, kind, orders)
     except ValueError:  # a bad kind or bad orders
         if not len(pts):
             raise
-        family = None
-    if family is None or len(pts) < 2 or pts.dtype.kind not in "biuf" or pts.dtype.itemsize > 8:  # > 8: longdouble
+        tensor = None
+    if tensor is None or len(pts) < 2 or pts.dtype.kind not in "biuf" or pts.dtype.itemsize > 8:  # > 8: longdouble
         # the scalar entry on the caller's own rows: its bits, or its error for the first bad point
         return np.array([evaluate_derivative(field, p, kind, orders) for p in points])
     old = np.setbufsize(min(np.getbufsize(), UFUNC_BUFFER))
     try:
         pts = pts.astype(np.float64, copy=False)
-        g, q, ndim = family.g, family.q, field.ndim
+        ndim = field.ndim
         ext = field._boxes[g]
         strides = np.array(ext.strides) // ext.itemsize
         offsets = (np.indices((q,) * ndim).reshape(ndim, -1).T @ strides)[:, None]  # row-major patch order
@@ -463,7 +484,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
         front, terms = np.split(work[gamma:], [span])
         out = np.empty(len(pts))
         flat = ext.ravel()
-        horner = forms[0].tensors[forms].table
+        horner = tensor.table
         # a one-point tail, of the call or of a stage, is taken with its neighbour, computed twice to the same bits
         for lo in range(0, len(pts), stage):
             hi = min(lo + stage, len(pts))
@@ -545,16 +566,15 @@ def partitioned_evaluate(
     axis, split_index = _integer(split_axis, "split_axis {!r}"), _integer(split_index, "split_index {!r}")
     if not 0 <= axis < field.ndim:  # the message shows the argument as given
         raise ValueError(f"split_axis {split_axis!r} is not an axis of a field with {field.ndim} axes")
-    _require_grid_kind(kind)
+    tensor, _, g, q = _plan(field, kind, None)
     cell, frac = grid_coordinates(point, field)
-    forms, _ = _orders_and_scale(field, None, derive_beta(kind))
-    values = _patch(field, cell, kind.g, point)
-    cut = min(max(split_index - (cell[axis] - kind.g), 0), kind.q)
+    values = _patch(field, cell, g, point)
+    cut = min(max(split_index - (cell[axis] - g), 0), q)
     sums = []
     for other in (slice(cut, None), slice(None, cut)):  # each part is the whole sum with the other slab zeroed
         part = values.copy()
         part[(slice(None),) * axis + (other,)] = 0.0
-        sums.append(forms[0].tensors[forms].evaluator(frac, part))
+        sums.append(tensor.evaluator(frac, part))
     return tuple(sums)
 
 

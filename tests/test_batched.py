@@ -1,10 +1,12 @@
 """evaluate_many against the scalar path it vectorises: bit for bit, errors included."""
 
 import contextlib
+import copy
 import gc
 import itertools
 import json
 import math
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -448,10 +450,14 @@ def test_the_padded_copy_is_made_once_per_field_on_either_path():
 
 
 def test_a_field_evaluated_on_both_paths_is_freed_by_reference_counting():
-    # a field's padded copies hold no reference back to it, so no cycle keeps the field or its copies alive
+    # a field's padded copies and plans hold no reference back to it, so no cycle keeps the field or its copies
+    # alive
     field = GridField(np.random.default_rng(0).standard_normal((8, 8)), h=1 / 8)
     evaluate_many(field, np.random.default_rng(1).random((10, 2)), SplineKind(5, 4))
     evaluate(field, (0.5, 0.5), SplineKind(9, 6))
+    for kind, orders in itertools.product([SplineKind(5, 4), SplineKind(9, 6)], [(0, 0), (1, 0), (2, 1)]):
+        evaluate_derivative(field, (0.5, 0.5), kind, orders)
+    assert len(field._plans) == 7  # evaluate's plan, and one per kind and orders
     refs = [weakref.ref(field), weakref.ref(field._boxes[1]), weakref.ref(field._boxes[2])]
     gc.disable()
     try:
@@ -459,6 +465,29 @@ def test_a_field_evaluated_on_both_paths_is_freed_by_reference_counting():
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, STRICT])
+def test_a_pickled_or_copied_field_carries_its_data_alone(boundary):
+    # pickling and copying rebuild the field from data, h and boundary: no padded copy or plan travels with it,
+    # the copy's data is read-only again, and both paths give the original's bits on it
+    kind, orders = SplineKind(5, 4), (1, 0, 2)
+    data = np.random.default_rng(0).standard_normal((32,) * 3)
+    field = GridField(data, h=1 / 32, boundary=boundary)
+    points = 0.1 + 0.8 * np.random.default_rng(1).random((50, 3))
+
+    def both_paths(f):
+        scalar = [evaluate_derivative(f, p, kind, orders) for p in points]
+        return _bits(evaluate_many(f, points, kind, orders)), _bits(scalar)
+
+    want = both_paths(field)
+    assert want[0] == want[1] and field._plans
+    fresh = len(pickle.dumps(GridField(data, h=1 / 32, boundary=boundary)))
+    assert len(pickle.dumps(field)) == fresh
+    for twin in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field), copy.copy(field)):
+        assert not twin.data.flags.writeable
+        assert (twin.h, twin.boundary, twin._plans) == (field.h, field.boundary, {})
+        assert both_paths(twin) == want
 
 
 def test_patch_range_is_checked_per_point_before_the_gather():

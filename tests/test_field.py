@@ -744,6 +744,33 @@ def test_scalar_entries_keep_their_error_precedence(call, error, match):
     assert type(info.value) is error
 
 
+def test_a_warm_plan_cache_skips_no_check():
+    # the scalar core keeps a field's plans by kind and orders; a key of plain equality would hand (True,) and
+    # (1.0,) the plan of (1,), and np.int64 orders the plain float scale of int ones
+    warm = [None, (0, 0), (1, 2), (2, 2), (2, 0)]
+    for orders in warm:
+        evaluate_derivative(_F, (3.25, 1.5), _K, orders) if orders else evaluate(_F, (3.25, 1.5), _K)
+        evaluate_at_cell(_F, (3, 2), (0.5, 0.5), _K, orders)
+    evaluate_many(_F, [(3.25, 1.5), (2.5, 1.0)], _K, (1, 1))
+    partitioned_evaluate(_F, (3.25, 1.5), _K, 0, 3)
+    assert {(_K._key, orders) for orders in warm} <= _F._plans.keys()
+    for _, call, error, match in PRECEDENCE:
+        with pytest.raises(error, match=match) as info:
+            call()
+        assert type(info.value) is error
+    f = GridField(np.sin(np.arange(16.0)), h=0.25)
+    want = evaluate_derivative(f, (1.3,), _K, (1,))
+    assert want.hex() == "0x1.ee122e696056cp+0"
+    for orders in [(True,), (1.0,)]:
+        named = re.escape(f"derivative order {orders[0]!r} on axis 0 is not an integer")
+        with pytest.raises(ValueError, match=named):
+            evaluate_derivative(f, (1.3,), _K, orders)
+    got = evaluate_derivative(f, (1.3,), _K, (np.int64(1),))
+    assert type(got) is np.float64 and float(got).hex() == want.hex()
+    assert evaluate_derivative(f, (1.3,), _K, [1]).hex() == want.hex()
+    assert list(f._plans) == [((5, 4), (1,))]
+
+
 def test_a_point_that_is_not_a_sequence_is_rejected():
     f = GridField(np.zeros(8), h=1.0)
     named = re.escape("point 1.5 is not a sequence: need one coordinate per axis")
