@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -55,7 +55,9 @@ class SplineKind:
 
     The smoothness order m = (n-1)/2 may not exceed the stencil exactness
     2g, i.e. n <= 2q - 3.  The endpoint-data (Hermite) basis needs the order
-    alone: :func:`derive_alpha` takes n.
+    alone: :func:`derive_alpha` takes n.  A kind hashes as the tuple (n, q):
+    :func:`derive_beta` caches on the kind itself, and a field keeps its
+    plans by (n, q, orders).
     """
 
     n: int
@@ -69,7 +71,6 @@ class SplineKind:
         object.__setattr__(self, "q", int(self.q))
         if self.n > 2 * self.q - 3:
             raise InvalidKind(f"order {self.n} exceeds 2q-3 = {2 * self.q - 3} for q = {self.q}")
-        object.__setattr__(self, "_key", (self.n, self.q))  # the cache key of derive_beta and of a field's plans
 
     @property
     def m(self) -> int:
@@ -83,12 +84,6 @@ class SplineKind:
 
     def __str__(self):
         return f"({self.n},{self.q})"
-
-
-@lru_cache(maxsize=None)
-def _centered(poly: RationalPolynomial) -> RationalPolynomial:
-    """poly(1/2 + t), exactly; cached because every derivative order of a family centers the same members."""
-    return poly.compose_affine(1, Fraction(1, 2))
 
 
 def _horner_expr(coeffs, s: str) -> str:
@@ -131,7 +126,7 @@ class FrozenForm:
     def parts(self) -> tuple:
         parts = []
         for p in self.members:
-            ascending = _centered(p).derivative(self.order).horner_coeffs()[::-1]  # powers of t
+            ascending = p.compose_affine(1, Fraction(1, 2)).derivative(self.order).horner_coeffs()[::-1]  # powers of t
             parts.append((ascending[0::2][::-1], ascending[1::2][::-1]))
         return tuple(parts)
 
@@ -290,7 +285,12 @@ class BetaFamily:
 
 
 def _require_derivative_order(beta: BetaFamily, order: int, axis: int = None) -> None:
-    """The only derivative-order check; its error names ``axis`` where one is given."""
+    """The only derivative-order check; its error names ``axis`` where one is given.
+
+    A plain int in 0..m passes on one type test and one range test; anything else takes the full check.
+    """
+    if type(order) is int and 0 <= order <= beta.m:
+        return
     where = "" if axis is None else f" on axis {axis}"
     if not _is_integer(order):
         raise ValueError(f"derivative order {order!r}{where} is not an integer")
@@ -509,10 +509,7 @@ def beta_eval(beta: BetaFamily, derivative_order: int, xi: float) -> list:
     its first use; orders above m would interpolate a discontinuous
     quantity and are rejected.
     """
-    forms = beta._forms
-    if type(derivative_order) is not int or not 0 <= derivative_order < len(forms):
-        _require_derivative_order(beta, derivative_order)
-    return forms[derivative_order].kernel(float(xi))
+    return beta.form(derivative_order).kernel(float(xi))
 
 
 def export_records(beta: BetaFamily) -> list:

@@ -66,23 +66,21 @@ def _is_integer(value) -> bool:
 def _cached_on(accepted, key=None):
     """Decorator: ``lru_cache`` of a one-argument derivation, for arguments of type ``accepted``.
 
-    The cache is looked up on ``key(arg)``, and a miss runs the derivation
-    on that key.  With ``key`` None the key is the tuple ``arg._key``, which
-    hashes without the Python call of ``arg.__hash__``, and a miss runs the
-    derivation on the equal ``accepted(*arg._key)``.  Any other argument, a
-    bool included, goes to the uncached derivation, whose checks reject it by
-    name: a list, which the cache could not hash, included.  The result keeps
-    the cache's ``cache_info`` and ``cache_clear``, and ``__wrapped__`` is the
-    uncached derivation.
+    The cache is looked up on ``key(arg)``, or on ``arg`` itself with ``key``
+    None, and a miss runs the derivation on what it looked up.  Any other
+    argument, a bool included, goes to the uncached derivation, whose checks
+    reject it by name: a list, which the cache could not hash, included.  The
+    result keeps the cache's ``cache_info`` and ``cache_clear``, and
+    ``__wrapped__`` is the uncached derivation.
     """
 
     def decorate(derive):
-        cached = lru_cache(maxsize=None)(derive if key else lambda k: derive(accepted(*k)))
+        cached = lru_cache(maxsize=None)(derive)
 
         @wraps(derive)
         def lookup(arg):
             if isinstance(arg, accepted) and type(arg) is not bool:  # a bool is an int to isinstance
-                return cached(key(arg) if key else arg._key)
+                return cached(key(arg) if key else arg)
             return derive(arg)
 
         lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear

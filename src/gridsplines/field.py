@@ -71,6 +71,7 @@ from .basis import SplineKind, _require_derivative_order, _require_grid_kind, de
 from .basis import beta_eval  # noqa: F401  (unused here: the benchmark's traced runs bind field.beta_eval)
 from .errors import InvalidPoint, OutOfDomain
 from .exact import _integer, _is_integer
+from .stencil import MAX_NODES
 
 PERIODIC = "periodic"
 STRICT = "strict"
@@ -104,9 +105,9 @@ class GridField:
     Every patch of half-width g is one box of one read-only array: ``data``
     if strict; if periodic, ``data`` padded with g nodes below and g + 1
     above each axis, made on the first evaluation with that g on either
-    path and kept, one per g: at most five, and one per other g that
-    :func:`gather_local` is asked for.  The scalar core keeps the :func:`_plan`
-    of each kind and orders.  Pickling and copying carry neither cache: they
+    path and kept, one per g: at most five, one per g = 1..5.  The scalar
+    core keeps the :func:`_plan` of each kind and orders, keyed by
+    (kind.n, kind.q, orders).  Pickling and copying carry neither cache: they
     rebuild the field from ``data``, ``h`` and ``boundary``, data read-only.
     """
 
@@ -137,7 +138,7 @@ class GridField:
         if self.boundary not in (PERIODIC, STRICT):
             raise ValueError(f"boundary must be {PERIODIC!r} or {STRICT!r}, got {self.boundary!r}")
         object.__setattr__(self, "_boxes", _Boxes(data, self.boundary == PERIODIC))
-        object.__setattr__(self, "_plans", {})  # _at_cell's plans by (kind._key, orders): none refers to the field
+        object.__setattr__(self, "_plans", {})  # _at_cell's plans by (kind.n, kind.q, orders): none refers to the field
 
     def __reduce__(self):
         return GridField, (self.data, self.h, self.boundary)
@@ -301,9 +302,12 @@ def gather_local(field: GridField, cell: Sequence[int], g: int) -> LocalPatch:
     where it starts at the cell index modulo the extent, so that it wraps
     as often as needed when the extent is smaller than q, from any integer
     cell index.  An index that is not an integer (a bool included) raises
-    ValueError naming its axis.
+    ValueError naming its axis, and so does a half-width g above
+    MAX_NODES // 2 - 1, the largest of any kind, before the field pads for it.
     """
     g = _integer(g, "stencil half-width g {!r}", least=1)  # an int: a numpy integer would overflow near 2**63
+    if g > MAX_NODES // 2 - 1:
+        raise ValueError(f"stencil half-width g {g} exceeds {MAX_NODES // 2 - 1}, the largest for q <= {MAX_NODES}")
     try:
         if len(cell) != field.ndim:
             raise ValueError(f"cell has {len(cell)} indices, field has {field.ndim} axes")
@@ -360,11 +364,10 @@ def _plan(field: GridField, kind, orders) -> tuple:
             raise ValueError(f"derivative orders {orders!r} are not a sequence: need one order per axis") from None
         if len(orders) != len(h):
             raise ValueError(f"need one derivative order per axis, got {len(orders)}")
-    forms, found, scale = family._forms, [], 1.0
+    found, scale = [], 1.0
     for hj, lj in zip(h, orders):  # len(found) is the axis
-        if type(lj) is not int or not 0 <= lj < len(forms):
-            _require_derivative_order(family, lj, len(found))
-        found.append(forms[lj])
+        _require_derivative_order(family, lj, len(found))
+        found.append(family._forms[lj])
         scale *= hj ** (-lj)
     found = tuple(found)
     return found[0].tensors[found], scale, family.g, family.q
@@ -376,7 +379,7 @@ def _at_cell(field, point, cell, frac, orders, kind):
     # (np.int64(1),) equal (1,) and hash like it, but fail its check or return an np.float64
     key = None
     if type(kind) is SplineKind and (orders is None or type(orders) is tuple):
-        key = kind._key, orders
+        key = kind.n, kind.q, orders
         for l in orders or ():
             if type(l) is not int:
                 key = None

@@ -107,6 +107,17 @@ def test_gather_accepts_numpy_half_width():
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, STRICT])
+def test_gather_rejects_a_half_width_no_kind_has_before_padding(boundary):
+    # g = 5 is the widest stencil (q = 12); a periodic field would otherwise pad and keep a copy for any g
+    f = GridField(np.zeros((16, 16, 16)), h=1.0, boundary=boundary)
+    for g in (6, np.int64(6), 10**6, 2**62):
+        with pytest.raises(ValueError, match=f"^stencil half-width g {int(g)} exceeds 5, the largest for q <= 12$"):
+            gather_local(f, (4, 4, 4), g)
+    assert not f._boxes
+    assert gather_local(f, (8, 8, 8), 5).q == 12 and list(f._boxes) == [5]
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, STRICT])
 @pytest.mark.parametrize("cell", [3.5, 0.5, 3.0, True, np.float64(3.0), "3", None], ids=repr)
 def test_cell_index_that_is_not_an_integer_is_rejected(boundary, cell):
     f = GridField(np.arange(16.0), h=0.5, boundary=boundary)
@@ -753,7 +764,7 @@ def test_a_warm_plan_cache_skips_no_check():
         evaluate_at_cell(_F, (3, 2), (0.5, 0.5), _K, orders)
     evaluate_many(_F, [(3.25, 1.5), (2.5, 1.0)], _K, (1, 1))
     partitioned_evaluate(_F, (3.25, 1.5), _K, 0, 3)
-    assert {(_K._key, orders) for orders in warm} <= _F._plans.keys()
+    assert {(_K.n, _K.q, orders) for orders in warm} <= _F._plans.keys()
     for _, call, error, match in PRECEDENCE:
         with pytest.raises(error, match=match) as info:
             call()
@@ -768,7 +779,7 @@ def test_a_warm_plan_cache_skips_no_check():
     got = evaluate_derivative(f, (1.3,), _K, (np.int64(1),))
     assert type(got) is np.float64 and float(got).hex() == want.hex()
     assert evaluate_derivative(f, (1.3,), _K, [1]).hex() == want.hex()
-    assert list(f._plans) == [((5, 4), (1,))]
+    assert list(f._plans) == [(5, 4, (1,))]
 
 
 def test_a_point_that_is_not_a_sequence_is_rejected():
