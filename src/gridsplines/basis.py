@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DerivativeTooHigh, InvalidKind, InvalidOrder
 from .exact import RationalPolynomial, _cached_on_int, _common_numerators, _is_integer, _over_common_denominator
-from .exact import _cached_on, rational_to_str, solve_linear_system, weighted_sum
+from .exact import _cached_on, _real, rational_to_str, solve_linear_system, weighted_sum
 from .stencil import MAX_NODES, derive_stencil
 
 MAX_ORDER = 19  # largest validated odd order n
@@ -507,9 +507,10 @@ def beta_eval(beta: BetaFamily, derivative_order: int, xi: float) -> list:
 
     Runs the kernel of the requested derivative order's form, compiled on
     its first use; orders above m would interpolate a discontinuous
-    quantity and are rejected.
+    quantity and are rejected before xi is read.  Any real xi in the float
+    range is evaluated (the cell is [0, 1]); else ValueError names it.
     """
-    return beta.form(derivative_order).kernel(float(xi))
+    return beta.form(derivative_order).kernel(_real(xi, "cell fraction {!r}"))
 
 
 def export_records(beta: BetaFamily) -> list:

@@ -28,8 +28,8 @@ from .basis import (
     export_records,
     validate_family,
 )
-from .exact import RationalPolynomial, _integer, rational_from_str
-from .field import PERIODIC, GridField, _is_real, evaluate, evaluate_derivative, evaluate_many, load_field
+from .exact import RationalPolynomial, _integer, _is_real, rational_from_str
+from .field import PERIODIC, GridField, evaluate, evaluate_derivative, evaluate_many, load_field
 from .stencil import derive_stencil
 
 
@@ -203,6 +203,7 @@ def run_benchmark(field: GridField, kind: SplineKind, points, orders=None):
     coordinate raise :func:`evaluate_many`'s error, and an empty point set
     ValueError.
     """
+    orders = tuple(orders) if np.iterable(orders) else orders  # one read of an iterator, for the warm-up and timing
     evaluate_many(field, points, kind, orders)  # a warm-up, and the library's error for bad points before any timing
     points = np.asarray(points)  # no cast: the library has checked the caller's values
     if not len(points):

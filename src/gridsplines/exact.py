@@ -1,6 +1,10 @@
 """Exact rational arithmetic: dense polynomials and linear solves over fractions.
 
-Everything in this module is exact; floats never enter a computation.
+The arithmetic here is exact; floats never enter it.  The module also
+holds the readers of every outside number, which hand the layers above a
+plain int (:func:`_integer`), an int or Fraction (:func:`_rational`) or a
+float (:func:`_as_float`, :func:`_real`), and raise ValueError naming a
+value they cannot read.
 
 A polynomial is stored in one form only: integer numerators over one
 positive denominator, in lowest terms (no trailing zero numerator, and the
@@ -25,9 +29,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from .errors import SingularMatrix
 
 RationalLike = Union[int, Fraction]
+_REAL = (numbers.Real, np.bool_)  # numpy registers its integer and float types as numbers.Real, not np.bool_
 
 
 def rational_to_str(value: RationalLike) -> str:
@@ -37,14 +44,11 @@ def rational_to_str(value: RationalLike) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse ``"num/den"`` (or a plain integer string) back into a Fraction.
+    """Parse ``"num/den"`` (or a plain integer string) back into a Fraction: :func:`_rational` of the text.
 
-    Text that is not a rational, a zero denominator included, raises ValueError.
+    Text that is not a rational, a zero denominator included, raises ValueError naming it.
     """
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"rational {text!r} has a zero denominator") from exc
+    return _rational(text)
 
 
 def _over_common_denominator(values) -> tuple:
@@ -54,13 +58,20 @@ def _over_common_denominator(values) -> tuple:
 
 
 def _rational(value):
-    """An int or Fraction as it is, anything else converted to a Fraction."""
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+    """An int or Fraction as it is, anything else converted to a Fraction; ValueError naming it where that fails."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {value!r} has a zero denominator") from None
+    except (TypeError, ValueError, OverflowError):  # not a rational type, rational text or finite float
+        raise ValueError(f"rational {value!r} is not a finite rational number") from None
 
 
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer that is not a bool, nor an np.timedelta64 (numpy makes it an integer type)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and type(value).__name__ != "timedelta64"
+    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.timedelta64))
 
 
 def _cached_on(accepted, key=None):
@@ -101,6 +112,35 @@ def _integer(value, what: str, *args, least=None) -> int:
     if _is_integer(value) and (least is None or value >= least):
         return int(value)
     raise ValueError(f"{what.format(value, *args)} is not an integer{'' if least is None else f' >= {least}'}")
+
+
+def _is_real(x) -> bool:
+    """The one real-number test: numbers.Real or np.bool_, not np.timedelta64 (numpy registers it as an integer)."""
+    return isinstance(x, _REAL) and not isinstance(x, np.timedelta64)
+
+
+def _as_float(x) -> float:
+    """float(x) for a real x within the float range; otherwise ValueError whose message is the reason.
+
+    The reason is "is not a real number" or "is beyond the float range", for the caller to put after the value.
+    """
+    if not _is_real(x):
+        raise ValueError("is not a real number")
+    try:
+        v = float(x)  # an int or Fraction beyond the range raises OverflowError here; np.longdouble's cast gives inf
+    except OverflowError:
+        v = math.inf
+    if math.isinf(v) and x != v:
+        raise ValueError("is beyond the float range")
+    return v
+
+
+def _real(v, what: str, *args) -> float:
+    """:func:`_as_float` of an outside value; ValueError naming it as ``what.format(v, *args)`` where that fails."""
+    try:
+        return _as_float(v)
+    except ValueError as exc:
+        raise ValueError(f"{what.format(v, *args)} {exc}") from None
 
 
 def _powers(value: int, count: int) -> list:

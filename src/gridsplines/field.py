@@ -21,8 +21,9 @@ rounding, of its slab.
 :func:`evaluate_hermite` sums the (2(m+1),)*D patch of endpoint data in the
 alpha form's member order: index l <= m along an axis is order l at cell
 end 0, index 2m + 1 - l order l at cell end 1.  Coordinates, cell fractions,
-provider values, field data and grid constants must be real numbers
-(numbers.Real or np.bool_, but not np.timedelta64) on every path.
+provider values, field data and grid constants are read on every path by
+the one real-number reader, :func:`exact._as_float`: a real number
+(numbers.Real or np.bool_, but not np.timedelta64) within the float range.
 
 The batched engine of :func:`evaluate_many` performs the same floating-point
 operations in the same order as :func:`evaluate`, vectorised across points,
@@ -70,7 +71,7 @@ import numpy as np
 from .basis import SplineKind, _require_derivative_order, _require_grid_kind, derive_alpha, derive_beta, stacked_weights
 from .basis import beta_eval  # noqa: F401  (unused here: the benchmark's traced runs bind field.beta_eval)
 from .errors import InvalidPoint, OutOfDomain
-from .exact import _integer, _is_integer
+from .exact import _as_float, _integer, _is_integer, _real
 from .stencil import MAX_NODES
 
 PERIODIC = "periodic"
@@ -79,7 +80,6 @@ STRICT = "strict"
 # Scaled coordinates must lie strictly inside (-2**63, 2**63): then the cell
 # index, and every stencil offset from it, fits in an int64.
 _CELL_LIMIT = 2.0**63
-_REAL = (numbers.Real, np.bool_)  # numpy registers its integer and float types as numbers.Real, not np.bool_
 
 # Patch terms per block, and weights per stage, of evaluate_many: a block holds CHUNK_TERMS // q**D points, at
 # least 2 (1 024 for a 3-D q = 4 kind, 37 for 3-D q = 12, 5 461 for 1-D q = 12), and a stage the larger of a
@@ -248,35 +248,6 @@ def grid_coordinates(point: Sequence[float], field: GridField) -> CellCoordinate
 
 def _not_a_sequence(name: str, value, item: str) -> ValueError:
     return ValueError(f"{name} {value!r} is not a sequence: need one {item} per axis")
-
-
-def _is_real(x) -> bool:
-    """The one real-number test: numbers.Real or np.bool_, not np.timedelta64 (numpy registers it as an integer)."""
-    return isinstance(x, _REAL) and not isinstance(x, np.timedelta64)
-
-
-def _as_float(x) -> float:
-    """float(x) for a real x within the float range; otherwise ValueError whose message is the reason.
-
-    The reason is "is not a real number" or "is beyond the float range", for the caller to put after the value.
-    """
-    if not _is_real(x):
-        raise ValueError("is not a real number")
-    try:
-        v = float(x)  # an int or Fraction beyond the range raises OverflowError here; np.longdouble's cast gives inf
-    except OverflowError:
-        v = math.inf
-    if math.isinf(v) and x != v:
-        raise ValueError("is beyond the float range")
-    return v
-
-
-def _real(v, what: str, *args) -> float:
-    """:func:`_as_float` of an outside value; ValueError naming it as ``what.format(v, *args)`` where that fails."""
-    try:
-        return _as_float(v)
-    except ValueError as exc:
-        raise ValueError(f"{what.format(v, *args)} {exc}") from None
 
 
 def _shown(v):
@@ -463,6 +434,7 @@ def evaluate_many(field: GridField, points, kind: SplineKind, orders: Sequence[i
         pts = np.empty((len(points), field.ndim), object)
     if pts.ndim != 2 or pts.shape[1] != field.ndim:
         raise ValueError(f"points must have shape (N, {field.ndim}), got {pts.shape}")
+    orders = tuple(orders) if np.iterable(orders) else orders  # one read of an iterator, for the plan and the rows
     try:
         tensor, scale, g, q = _plan(field, kind, orders)
     except ValueError:  # a bad kind or bad orders

@@ -219,6 +219,17 @@ def test_a_zero_point_call_checks_the_kind_and_the_orders(kind, orders, error):
     assert evaluate_many(field, np.empty((0, 2)), SplineKind(5, 4), (2, 0)).shape == (0,)
 
 
+def test_an_iterator_of_orders_is_read_once():
+    # the plan and the row route of a one-point call share one read of the orders, as the engine does
+    field = GridField(np.random.default_rng(5).standard_normal(16), h=0.5)
+    kind = SplineKind(5, 4)
+    want = evaluate_derivative(field, (3.3,), kind, (1,))
+    assert _bits(evaluate_many(field, [[3.3]], kind, iter([1]))) == _bits([want])
+    assert _bits(evaluate_many(field, [[3.3], [3.3]], kind, iter([1]))) == _bits([want, want])
+    with pytest.raises(DerivativeTooHigh, match=r"derivative order 5 on axis 0 not in 0\.\.2"):
+        evaluate_many(field, [[3.3]], kind, iter([5]))
+
+
 # (D, kind, orders)
 BLOCK_CASES = [(1, (19, 12), (3,)), (2, (9, 6), (0, 4)), (3, (5, 4), (2, 0, 1)), (3, (19, 12), (0, 9, 1))]
 

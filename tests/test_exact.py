@@ -384,6 +384,19 @@ def test_rational_with_a_zero_denominator_is_a_value_error_naming_it():
         rational_from_str("1/0")
 
 
+@pytest.mark.parametrize("bad", [None, 1j, float("nan"), float("inf"), "1/0", "x"])
+def test_a_value_that_is_not_rational_is_a_value_error_naming_it(bad):
+    # every exact entry reads its numbers with the one rational reader
+    p = RationalPolynomial([1, 2])
+    entries = [lambda: RationalPolynomial([bad]), lambda: p.compose_affine(bad, 1)]
+    entries += [lambda: solve_linear_system([[bad]], [1]), lambda: rational_from_str(bad)]
+    if bad is not None:  # weighted_sum skips a falsy weight as a zero one before reading it
+        entries.append(lambda: weighted_sum((p, p), (1, bad)))
+    for entry in entries:
+        with pytest.raises(ValueError, match=re.escape(f"rational {bad!r} ")):
+            entry()
+
+
 def test_matrix_shape_validation():
     with pytest.raises(ValueError, match="square"):
         solve_linear_system([[1, 2], [3]], [1, 2])

@@ -656,6 +656,10 @@ def test_a_fraction_that_is_not_real_is_rejected(bad):
             evaluate_at_cell(f, (3,) * len(frac), frac, SplineKind(5, 4))
         with pytest.raises(ValueError, match=want):
             evaluate_hermite(lambda orders, node: 1.0, frac, 3)
+    with pytest.raises(ValueError, match=re.escape(f"cell fraction {bad!r} is not a real number")):
+        beta_eval(derive_beta(SplineKind(5, 4)), 0, bad)
+    with pytest.raises(DerivativeTooHigh):  # the order is checked before the fraction is read
+        beta_eval(derive_beta(SplineKind(5, 4)), 7, bad)
 
 
 @pytest.mark.parametrize(
@@ -671,6 +675,8 @@ def test_a_fraction_beyond_the_float_range_says_so(huge):
             evaluate_at_cell(f, (3,) * len(frac), frac, SplineKind(5, 4))
         with pytest.raises(ValueError, match=want):
             evaluate_hermite(lambda orders, node: 1.0, frac, 3)
+    with pytest.raises(ValueError, match=re.escape(f"cell fraction {huge!r} is beyond the float range")):
+        beta_eval(derive_beta(SplineKind(5, 4)), 0, huge)
 
 
 _F = GridField(np.zeros((8, 6)), h=(1.0, 0.5), boundary=STRICT)
